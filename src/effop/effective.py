@@ -12,6 +12,7 @@ eigenvectors.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ from .transform import (
     DecouplingMap,
     decoupled_tolerance,
     partition_blocks,
-    similarity_transform,
     transformed_blocks,
 )
 
@@ -60,12 +60,14 @@ _CLASSIFY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class EffectiveOperator:
-    """First-type (spectral) representative; d x d, generally non-Hermitian."""
+    """First-type (spectral) representative; d x d, generally non-Hermitian,
+    with the decoupling residual measured when it was built."""
 
     matrix: np.ndarray
     model_space: ModelSpace
     source: ObservableMatrix
     decoupling: DecouplingMap
+    residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -92,13 +94,9 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def first_type(obs: ObservableMatrix, dm: DecouplingMap, *,
-               tol: float | None = None) -> EffectiveOperator:
-    """Model-space block of the transformed observable.
-
-    Requires the map to decouple the observable, otherwise the spectral
-    guarantee is void and :class:`NotDecoupled` is raised.
-    """
+def _decoupled_blocks(obs: ObservableMatrix, dm: DecouplingMap, tol: float | None):
+    """Transformed blocks and their decoupling residual; raises
+    :class:`NotDecoupled` when the residual exceeds the limit."""
     limit = decoupled_tolerance(obs) if tol is None else float(tol)
     blocks = transformed_blocks(obs, dm)
     residual = float(np.linalg.norm(blocks.qp))
@@ -106,7 +104,19 @@ def first_type(obs: ObservableMatrix, dm: DecouplingMap, *,
         raise NotDecoupled(
             f"decoupling residual {residual:.3e} exceeds {limit:.3e}", residual=residual
         )
-    return EffectiveOperator(_frozen(blocks.pp), dm.model_space, obs, dm)
+    return blocks, residual
+
+
+def first_type(obs: ObservableMatrix, dm: DecouplingMap, *,
+               tol: float | None = None) -> EffectiveOperator:
+    """Model-space block of the transformed observable.
+
+    Requires the map to decouple the observable, otherwise the spectral
+    guarantee is void and :class:`NotDecoupled` is raised. The measured
+    residual is kept on the result.
+    """
+    blocks, residual = _decoupled_blocks(obs, dm, tol)
+    return EffectiveOperator(_frozen(blocks.pp), dm.model_space, obs, dm, residual)
 
 
 def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> SecondTypeOperator:
@@ -126,13 +136,7 @@ def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
                               tol: float | None = None, match_rtol: float = 1e-8):
     """Complement block of the transformed observable, plus a report that
     its spectrum joined with the model block's rebuilds the full one."""
-    limit = decoupled_tolerance(obs) if tol is None else float(tol)
-    blocks = transformed_blocks(obs, dm)
-    residual = float(np.linalg.norm(blocks.qp))
-    if residual > limit:
-        raise NotDecoupled(
-            f"decoupling residual {residual:.3e} exceeds {limit:.3e}", residual=residual
-        )
+    blocks, _ = _decoupled_blocks(obs, dm, tol)
     approx = np.concatenate([np.linalg.eigvals(blocks.pp), np.linalg.eigvals(blocks.qq)])
     report = util.match_spectra(approx, np.linalg.eigvalsh(obs.matrix), rtol=match_rtol)
     return _frozen(blocks.qq), report
@@ -177,15 +181,17 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector, value
     if scale == 0.0:
         raise NotAnEigenvector("the zero vector is not an eigenvector")
     value = complex(value)
-    transformed = similarity_transform(obs, dm)
-    residual = float(np.linalg.norm(transformed @ phi - value * phi))
+    blocks = transformed_blocks(obs, dm)
+    p_part = phi[ms.p_rows]
+    q_part = phi[ms.q_rows]
+    residual = math.hypot(
+        np.linalg.norm(blocks.pp @ p_part + blocks.pq @ q_part - value * p_part),
+        np.linalg.norm(blocks.qp @ p_part + blocks.qq @ q_part - value * q_part),
+    )
     if residual > tol * (1.0 + abs(value)) * scale:
         raise NotAnEigenvector(
             f"residual {residual:.3e} too large for value {value} (tol scale {tol:.0e})"
         )
-    blocks = transformed_blocks(obs, dm)
-    p_part = phi[ms.p_rows].copy()
-    q_part = phi[ms.q_rows].copy()
     p_part.setflags(write=False)
     q_part.setflags(write=False)
 

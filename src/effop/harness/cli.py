@@ -89,8 +89,8 @@ def _cmd_solve_direct(args) -> int:
     selection = spaces.select_eigenvectors(decomposition, args.j)
     ms = spaces.ModelSpace(obs.dim, args.k)
     dm = transform.construct_s_direct(selection, ms)
-    residual = transform.decoupling_residual(obs, dm)
     operator = eff.first_type(obs, dm)
+    residual = operator.residual
     eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
     print("O_eff eigenvalues: " + " ".join(_fmt(z) for z in eigenvalues))
     print(f"decoupling residual: {residual:.6e}")
@@ -186,7 +186,7 @@ def _cmd_decompose(args) -> int:
     plan = _read_plan(args.plan)
     decomposed = obsmod.decompose_space(cset, [j for j, _ in plan], [k for _, k in plan])
     for r, block in enumerate(decomposed.blocks, start=1):
-        worst = max(transform.decoupling_residual(m, block.decoupling) for m in cset.members)
+        worst = max(pair.first.residual for pair in block.pairs)
         print(f"block {r}: J=" + ",".join(map(str, block.indices))
               + " K=" + ",".join(map(str, block.model_space.indices))
               + f" max_residual={worst:.6e}")

@@ -28,7 +28,16 @@ class Report:
     checks: list[CheckResult] = field(default_factory=list)
 
     def add(self, name: str, residual: float, tol: float) -> None:
-        self.checks.append(CheckResult(name, float(residual), float(tol)))
+        """Record a check; a repeated name keeps the entry with the worst
+        margin (residual - tol), so it passes only if every entry passed."""
+        check = CheckResult(name, float(residual), float(tol))
+        for i, old in enumerate(self.checks):
+            if old.name == name:
+                worse = check.residual - check.tol > old.residual - old.tol
+                if worse or (old.passed and not check.passed):
+                    self.checks[i] = check
+                return
+        self.checks.append(check)
 
     def add_flag(self, name: str, ok: bool) -> None:
         # boolean checks encode as residual 0/1 against tol 0.5

@@ -4,8 +4,8 @@ Runs the property suite on one observable: projector algebra, eigensolver
 round trips, decoupling-map identities, effective-operator guarantees,
 fixed-point solver consistency on an internally generated well-separated
 instance, and commuting-set reductions built from seeded companions of
-the input. Residuals aggregate as maxima over trials, so the merge is
-independent of trial order.
+the input. A check repeated over trials keeps the trial with the worst
+margin, so the merge is independent of trial order.
 """
 
 from __future__ import annotations
@@ -29,25 +29,6 @@ __all__ = ["run_verification"]
 _BRUTE_FORCE_LIMIT = 20_000
 
 
-class _Agg:
-    """name -> (max residual, tol), insertion ordered."""
-
-    def __init__(self):
-        self._data: dict[str, tuple[float, float]] = {}
-
-    def add(self, name, residual, tol):
-        previous = self._data.get(name)
-        r = float(residual)
-        self._data[name] = (max(previous[0], r) if previous else r, float(tol))
-
-    def flag(self, name, ok):
-        self.add(name, 0.0 if ok else 1.0, 0.5)
-
-    def fill(self, report: Report) -> None:
-        for name, (residual, tol) in self._data.items():
-            report.add(name, residual, tol)
-
-
 def _enumeration_agrees(selection, candidates, cond_cap):
     """Independent rank test over every subset; skips the ambiguous band
     around the cap where the two tolerances may legitimately disagree."""
@@ -57,11 +38,12 @@ def _enumeration_agrees(selection, candidates, cond_cap):
         rows = np.asarray(subset, dtype=np.intp) - 1
         sub = selection.vectors[rows, :]
         sv = np.linalg.svd(sub, compute_uv=False)
-        if sv[0] > 0.0:
-            ratio = sv[0] / max(sv[-1], np.finfo(float).tiny)
-            if 1e-2 * cond_cap <= ratio <= 1e2 * cond_cap:
-                continue
-        independent = int(np.linalg.matrix_rank(sub)) == d and sv[0] / max(sv[-1], np.finfo(float).tiny) <= cond_cap
+        ratio = sv[0] / max(sv[-1], np.finfo(float).tiny)
+        if sv[0] > 0.0 and 1e-2 * cond_cap <= ratio <= 1e2 * cond_cap:
+            continue
+        # numpy's matrix_rank threshold, applied to the values just computed
+        rank = int((sv > sv[0] * max(sub.shape) * np.finfo(float).eps).sum())
+        independent = rank == d and ratio <= cond_cap
         if independent != (subset in legitimate):
             return False
     return True
@@ -80,15 +62,18 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         raise ValidationError(f"trials must be positive, got {trials}")
 
     rng = np.random.default_rng(seed)
-    agg = _Agg()
+    report = Report(provenance={
+        "dim": n, "d": d, "trials": trials, "seed": seed, "prng": PRNG_ID,
+        "cond_cap": f"{cond_cap:.3e}",
+    })
     decomposition = spaces.eigendecompose(obs)
     values, vectors = decomposition.values, decomposition.vectors
     scale = obs.norm if obs.norm > 0.0 else 1.0
 
     reconstructed = (vectors * values) @ vectors.conj().T
-    agg.add("eigh_reconstruct", np.linalg.norm(reconstructed - obs.matrix), 1e-10 * scale)
-    agg.add("eigh_orthonormal",
-            np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)), 1e-12 * max(1.0, n))
+    report.add("eigh_reconstruct", np.linalg.norm(reconstructed - obs.matrix), 1e-10 * scale)
+    report.add("eigh_orthonormal",
+               np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)), 1e-12 * max(1.0, n))
 
     if n > 1:
         distinct_spectrum = float(np.diff(values).min()) > 1e-8 * (1.0 + float(np.abs(values).max()))
@@ -107,161 +92,161 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         # exercise the invariant without dominating the run
         if trial < 3 and math.comb(n, d) <= _BRUTE_FORCE_LIMIT:
             candidates = spaces.enumerate_model_spaces(selection, cond_cap)
-            agg.flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
-            agg.flag("enumeration_rank_agreement",
-                     _enumeration_agrees(selection, candidates, cond_cap))
-            agg.flag("enumeration_contains_pivoted",
-                     k_best in {k for k, _ in candidates})
+            report.add_flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
+            report.add_flag("enumeration_rank_agreement",
+                            _enumeration_agrees(selection, candidates, cond_cap))
+            report.add_flag("enumeration_contains_pivoted",
+                            k_best in {k for k, _ in candidates})
 
         ms = spaces.ModelSpace(n, k_best)
         proj_p, proj_q = spaces.projectors(ms)
-        agg.add("projectors_exact",
-                max(np.abs(proj_p + proj_q - np.eye(n)).max(),
-                    np.abs(proj_p @ proj_q).max(),
-                    np.abs(proj_q @ proj_p).max()),
-                0.0)
+        report.add("projectors_exact",
+                   max(np.abs(proj_p + proj_q - np.eye(n)).max(),
+                       np.abs(proj_p @ proj_q).max(),
+                       np.abs(proj_q @ proj_p).max()),
+                   0.0)
 
         dm = transform.construct_s_direct(selection, ms, cond_cap=cond_cap)
         s_norm = float(np.linalg.norm(dm.s))
-        agg.add("decoupling_residual_direct",
-                transform.decoupling_residual(obs, dm), transform.decoupled_tolerance(obs))
+        report.add("decoupling_residual_direct",
+                   transform.decoupling_residual(obs, dm), transform.decoupled_tolerance(obs))
 
         embedded = transform.exp_s(dm, 1) - np.eye(n)
-        agg.add("generator_nilpotent", np.abs(embedded @ embedded).max(), 0.0)
-        agg.add("transform_inverse_exact",
-                np.abs(transform.exp_s(dm, 1) @ transform.exp_s(dm, -1) - np.eye(n)).max(), 0.0)
+        report.add("generator_nilpotent", np.abs(embedded @ embedded).max(), 0.0)
+        report.add("transform_inverse_exact",
+                   np.abs(transform.exp_s(dm, 1) @ transform.exp_s(dm, -1) - np.eye(n)).max(), 0.0)
 
         dense = transform.similarity_transform(obs, dm)
         blocks = transform.transformed_blocks(obs, dm)
-        agg.add("blocks_assembly",
-                np.linalg.norm(transform.assemble_blocks(blocks, ms) - dense),
-                1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
-        agg.flag("spectrum_preserved",
-                 util.match_spectra(np.linalg.eigvals(dense), values, rtol=1e-9).matched)
+        report.add("blocks_assembly",
+                   np.linalg.norm(transform.assemble_blocks(blocks, ms) - dense),
+                   1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
+        report.add_flag("spectrum_preserved",
+                        util.match_spectra(np.linalg.eigvals(dense), values, rtol=1e-9).matched)
 
         pv = selection.vectors[ms.p_rows, :]
-        agg.add("effective_block_owns_projections",
-                np.linalg.norm(blocks.pp @ pv - pv * selection.values),
-                1e-9 * (1.0 + obs.norm) * max(1.0, np.linalg.norm(pv)))
+        report.add("effective_block_owns_projections",
+                   np.linalg.norm(blocks.pp @ pv - pv * selection.values),
+                   1e-9 * (1.0 + obs.norm) * max(1.0, np.linalg.norm(pv)))
         mapped = transform.exp_s(dm, -1) @ selection.vectors
-        agg.add("selected_vectors_mapped",
-                np.linalg.norm(mapped[ms.q_rows, :]), 1e-9 * (1.0 + s_norm))
+        report.add("selected_vectors_mapped",
+                   np.linalg.norm(mapped[ms.q_rows, :]), 1e-9 * (1.0 + s_norm))
 
         if distinct_spectrum:
             hits = sum(
-                1 for i in range(n)
-                if np.linalg.norm(dm.s @ vectors[ms.p_rows, i] - vectors[ms.q_rows, i]) <= 1e-7
-            )
-            agg.flag("decoupling_matches_exactly_d", hits == d)
+                   1 for i in range(n)
+                   if np.linalg.norm(dm.s @ vectors[ms.p_rows, i] - vectors[ms.q_rows, i]) <= 1e-7
+               )
+            report.add_flag("decoupling_matches_exactly_d", hits == d)
 
         mixer = complex_noise((d, d))
         while not np.isfinite(util.condition_number(mixer)) or util.condition_number(mixer) > 1e3:
             mixer = complex_noise((d, d))
         remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms,
-                                                  cond_cap=cond_cap)
-        agg.add("basis_change_invariance",
-                np.linalg.norm(remixed.s - dm.s), 1e-10 * (1.0 + s_norm))
+                                                      cond_cap=cond_cap)
+        report.add("basis_change_invariance",
+                   np.linalg.norm(remixed.s - dm.s), 1e-10 * (1.0 + s_norm))
 
         if d < n:
             fixed = np.zeros(n, dtype=np.complex128)
             fixed[ms.q_rows] = complex_noise(n - d)
-            agg.add("fixed_point_exact",
-                    np.abs(transform.exp_s(dm, -1) @ fixed - fixed).max(), 0.0)
+            report.add("fixed_point_exact",
+                       np.abs(transform.exp_s(dm, -1) @ fixed - fixed).max(), 0.0)
             outside = complex_noise(n)
-            agg.flag("non_membership",
-                     np.linalg.norm((transform.exp_s(dm, -1) @ outside)[ms.q_rows]) > 1e-8)
+            report.add_flag("non_membership",
+                            np.linalg.norm((transform.exp_s(dm, -1) @ outside)[ms.q_rows]) > 1e-8)
 
         member = selection.vectors @ complex_noise(d)
         alpha = (transform.exp_s(dm, -1) @ member)[ms.p_rows]
-        agg.add("retrieve_round_trip",
-                np.linalg.norm(spaces.retrieve_full_vector(alpha, dm) - member),
-                1e-10 * (1.0 + np.linalg.norm(member)))
+        report.add("retrieve_round_trip",
+                   np.linalg.norm(spaces.retrieve_full_vector(alpha, dm) - member),
+                   1e-10 * (1.0 + np.linalg.norm(member)))
 
         operator = eff.first_type(obs, dm)
-        agg.flag("first_type_spectrum",
-                 util.match_spectra(np.linalg.eigvals(operator.matrix),
-                                    selection.values, rtol=1e-8).matched)
+        report.add_flag("first_type_spectrum",
+                        util.match_spectra(np.linalg.eigvals(operator.matrix),
+                                           selection.values, rtol=1e-8).matched)
         _, factor_report = eff.q_block_and_factorization(obs, dm)
-        agg.flag("factorization_completeness", factor_report.matched)
-        agg.add("route_equivalence",
-                np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
-                1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
+        report.add_flag("factorization_completeness", factor_report.matched)
+        report.add("route_equivalence",
+                   np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
+                   1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
 
         hermitian_rep = eff.second_type(obs, dm)
-        agg.add("second_type_hermitian",
-                np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
-                1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
+        report.add("second_type_hermitian",
+                   np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
+                   1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
         gram_dev = max(
-            abs(complex(np.vdot(selection.vectors[:, i], obs.matrix @ selection.vectors[:, j]))
-                - eff.matrix_element(selection.vectors[:, i], selection.vectors[:, j],
-                                     hermitian_rep, dm))
-            for i in range(d) for j in range(d)
-        )
-        agg.add("matrix_element_gram", gram_dev, 1e-9 * (1.0 + obs.norm))
+               abs(complex(np.vdot(selection.vectors[:, i], obs.matrix @ selection.vectors[:, j]))
+                   - eff.matrix_element(selection.vectors[:, i], selection.vectors[:, j],
+                                        hermitian_rep, dm))
+               for i in range(d) for j in range(d)
+           )
+        report.add("matrix_element_gram", gram_dev, 1e-9 * (1.0 + obs.norm))
 
         if d < n:
             stray = complex_noise(n)
             try:
                 eff.matrix_element(stray, stray, hermitian_rep, dm)
-                agg.flag("membership_rejection", False)
+                report.add_flag("membership_rejection", False)
             except NotInSubspace:
-                agg.flag("membership_rejection", True)
+                report.add_flag("membership_rejection", True)
 
         if candidates is not None and 1 < len(candidates) <= 5000:
             # rank alternatives by the smallest singular value of the
             # projected block; condition number alone cannot do this for d=1
             scored = sorted(
-                ((float(np.linalg.svd(selection.vectors[np.asarray(k, dtype=np.intp) - 1, :],
-                                      compute_uv=False)[-1]), k)
-                 for k, _ in candidates),
-                reverse=True,
-            )
+                    ((float(np.linalg.svd(selection.vectors[np.asarray(k, dtype=np.intp) - 1, :],
+                                          compute_uv=False)[-1]), k)
+                     for k, _ in candidates),
+                    reverse=True,
+                )
             k_second = next((k for _, k in scored if k != k_best), None)
             if k_second is not None:
                 dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second),
-                                                   cond_cap=cond_cap)
+                                                       cond_cap=cond_cap)
                 operator2 = eff.first_type(obs, dm2)
                 t = eff.equivalence_transform(operator, operator2, selection)
-                agg.add("equivalence_transform",
-                        np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
-                        1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
+                report.add("equivalence_transform",
+                           np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
+                           1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
 
     # Generic witness: the first-type representative is non-Hermitian in
     # general, which the user's matrix may be too special to show.
     generic = generate(ProblemSpec("random_hermitian", dim=8,
-                                   seed=int(rng.integers(0, 2**63 - 1))))
+                                      seed=int(rng.integers(0, 2**63 - 1))))
     generic_dec = spaces.eigendecompose(generic)
     generic_sel = spaces.select_eigenvectors(generic_dec, (1, 2, 3))
     generic_k = spaces.pivoted_model_space(generic_sel)
     generic_dm = transform.construct_s_direct(
-        generic_sel, spaces.ModelSpace(8, generic_k), cond_cap=cond_cap)
+           generic_sel, spaces.ModelSpace(8, generic_k), cond_cap=cond_cap)
     generic_first = eff.first_type(generic, generic_dm)
-    agg.flag("first_type_nonhermitian_generic",
-             np.linalg.norm(generic_first.matrix - generic_first.matrix.conj().T) > 1e-8)
+    report.add_flag("first_type_nonhermitian_generic",
+                    np.linalg.norm(generic_first.matrix - generic_first.matrix.conj().T) > 1e-8)
 
     # Solver suite on a well-separated internal instance.
     instance = gap_separated(8, 3, gap=1.0, coupling=0.08,
-                             seed=int(rng.integers(0, 2**63 - 1)))
+                                 seed=int(rng.integers(0, 2**63 - 1)))
     inst_ms = spaces.ModelSpace(8, (1, 2, 3))
     iter_dm, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
     inst_dec = spaces.eigendecompose(instance)
     direct_dm = transform.construct_s_direct(
-        spaces.select_eigenvectors(inst_dec, (1, 2, 3)), inst_ms)
-    agg.add("solver_gap_consistency",
-            np.linalg.norm(iter_dm.s - direct_dm.s),
-            1e-8 * (1.0 + np.linalg.norm(direct_dm.s)))
-    agg.flag("solver_spectrum_subset",
-             util.match_spectra(
-                 np.linalg.eigvals(transform.transformed_blocks(instance, iter_dm).pp),
-                 inst_dec.values, rtol=1e-8, subset=True).matched)
+            spaces.select_eigenvectors(inst_dec, (1, 2, 3)), inst_ms)
+    report.add("solver_gap_consistency",
+               np.linalg.norm(iter_dm.s - direct_dm.s),
+               1e-8 * (1.0 + np.linalg.norm(direct_dm.s)))
+    report.add_flag("solver_spectrum_subset",
+                    util.match_spectra(
+                        np.linalg.eigvals(transform.transformed_blocks(instance, iter_dm).pp),
+                        inst_dec.values, rtol=1e-8, subset=True).matched)
     iter_dm2, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
-    agg.add("solver_deterministic",
-            np.abs(iter_dm.s - iter_dm2.s).max() if iter_dm.s.size else 0.0, 0.0)
+    report.add("solver_deterministic",
+               np.abs(iter_dm.s - iter_dm2.s).max() if iter_dm.s.size else 0.0, 0.0)
 
     # Commuting companions of the input observable.
     family = commuting_partners(obs, 2, seed=int(rng.integers(0, 2**63 - 1)))
-    agg.flag("commuting_companions_valid",
-             float(family.commutator_norms.max()) <= obsmod.commuting_tolerance(family.members))
+    report.add_flag("commuting_companions_valid",
+                    float(family.commutator_norms.max()) <= obsmod.commuting_tolerance(family.members))
     with warnings.catch_warnings():
         # degenerate user input may yield repeated tuples; that is allowed here
         warnings.simplefilter("ignore")
@@ -270,19 +255,19 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     basis_sel = obsmod.selection_from_basis(basis, leading)
     shared_k = spaces.pivoted_model_space(basis_sel)
     shared_dm = obsmod.common_s(family, leading, shared_k, cond_cap=cond_cap)
-    agg.add("common_s_all_members",
-            max(transform.decoupling_residual(m, shared_dm) for m in family.members),
-            max(transform.decoupled_tolerance(m) for m in family.members))
+    report.add("common_s_all_members",
+               max(transform.decoupling_residual(m, shared_dm) for m in family.members),
+               max(transform.decoupled_tolerance(m) for m in family.members))
     pairs, commutator_report = obsmod.effective_set(family, shared_dm)
-    agg.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
+    report.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
     pv_basis = basis.vectors[:, :d][shared_dm.model_space.p_rows, :]
     joint_dev = max(
-        float(np.linalg.norm(pairs[sig].first.matrix @ pv_basis
-                             - pv_basis * basis.values[sig, :d]))
-        for sig in range(family.size)
-    )
-    agg.add("simultaneous_effective_eigvecs", joint_dev,
-            1e-9 * (1.0 + max(m.norm for m in family.members)))
+           float(np.linalg.norm(pairs[sig].first.matrix @ pv_basis
+                                - pv_basis * basis.values[sig, :d]))
+           for sig in range(family.size)
+       )
+    report.add("simultaneous_effective_eigvecs", joint_dev,
+               1e-9 * (1.0 + max(m.norm for m in family.members)))
 
     # Decomposition over contiguous joint-basis blocks.
     parts = []
@@ -296,11 +281,5 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         for block in parts
     ]
     decomposed = obsmod.decompose_space(family, parts, kparts, cond_cap=cond_cap)
-    agg.flag("decomposition_completeness", decomposed.complete)
-
-    report = Report(provenance={
-        "dim": n, "d": d, "trials": trials, "seed": seed, "prng": PRNG_ID,
-        "cond_cap": f"{cond_cap:.3e}",
-    })
-    agg.fill(report)
+    report.add_flag("decomposition_completeness", decomposed.complete)
     return report

@@ -36,7 +36,6 @@ from .transform import (
     DecouplingMap,
     construct_s_from_span,
     decoupled_tolerance,
-    decoupling_residual,
 )
 
 __all__ = [
@@ -271,14 +270,15 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap, *,
     pairs: list[EffectivePair] = []
     for sig, member in enumerate(cset.members, start=1):
         limit = decoupled_tolerance(member) if tol is None else float(tol)
-        residual = decoupling_residual(member, dm)
-        if residual > limit:
+        try:
+            first = first_type(member, dm, tol=limit)
+        except NotDecoupled as exc:
             raise NotDecoupled(
-                f"member {sig}: residual {residual:.3e} exceeds {limit:.3e}",
+                f"member {sig}: residual {exc.residual:.3e} exceeds {limit:.3e}",
                 member=sig,
-                residual=residual,
-            )
-        pairs.append(EffectivePair(first_type(member, dm, tol=limit), second_type(member, dm)))
+                residual=exc.residual,
+            ) from exc
+        pairs.append(EffectivePair(first, second_type(member, dm)))
     c = len(pairs)
     norms = np.zeros((c, c))
     for i in range(c):

@@ -103,6 +103,8 @@ class ModelSpace:
 
     ``indices`` must be strictly increasing. The complement keeps its
     natural order; ``permutation`` lists K first, complement second.
+    ``p_rows`` and ``q_rows`` are the read-only 0-based numpy indices of
+    the model-space and complement axes, built once with the index sets.
     """
 
     total_dim: int
@@ -123,8 +125,15 @@ class ModelSpace:
                 raise DuplicateIndex(f"model-space index {a} repeated")
             if a > b:
                 raise ValidationError("model-space indices must be strictly increasing")
+        chosen = set(idx)
+        complement = tuple(i for i in range(1, n + 1) if i not in chosen)
         object.__setattr__(self, "total_dim", n)
         object.__setattr__(self, "indices", idx)
+        object.__setattr__(self, "_complement", complement)
+        for name, axes in (("p_rows", idx), ("q_rows", complement)):
+            rows = np.asarray(axes, dtype=np.intp) - 1
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
 
     @property
     def dim(self) -> int:
@@ -132,23 +141,12 @@ class ModelSpace:
 
     @property
     def complement(self) -> tuple[int, ...]:
-        chosen = set(self.indices)
-        return tuple(i for i in range(1, self.total_dim + 1) if i not in chosen)
+        return self._complement
 
     @property
     def permutation(self) -> tuple[int, ...]:
         """Basis reordering that lists model-space axes first (1-based)."""
         return self.indices + self.complement
-
-    @property
-    def p_rows(self) -> np.ndarray:
-        """0-based numpy indices of the model-space axes."""
-        return np.asarray(self.indices, dtype=np.intp) - 1
-
-    @property
-    def q_rows(self) -> np.ndarray:
-        """0-based numpy indices of the complement axes."""
-        return np.asarray(self.complement, dtype=np.intp) - 1
 
 
 def projectors(ms: ModelSpace) -> tuple[np.ndarray, np.ndarray]:

@@ -74,6 +74,11 @@ def test_first_type_lowest_states():
     assert np.abs(eigenvalues - dec.values[:3]).max() <= 1e-9
 
 
+def test_first_type_keeps_decoupling_residual():
+    obs, _, _, _, dm = _random_setup(seed=71)
+    assert first_type(obs, dm).residual == decoupling_residual(obs, dm)
+
+
 def test_q_block_hand():
     _, _, _, dm = _sigma_x_setup()
     qq, report = q_block_and_factorization(SIGMA_X, dm)

@@ -146,6 +146,16 @@ def test_report_line_format():
     assert not report.all_passed
 
 
+def test_report_merge_keeps_worst_margin_in_either_order():
+    passing, failing = (5e-10, 1e-9), (2e-10, 1e-10)
+    for first, second in ((passing, failing), (failing, passing)):
+        report = Report()
+        report.add("merged", *first)
+        report.add("merged", *second)
+        assert report.lines() == ["CHECK merged fail residual=2.000000e-10 tol=1.000000e-10"]
+        assert not report.all_passed
+
+
 def test_run_verification_green():
     obs = generate(ProblemSpec("random_hermitian", dim=8, seed=200))
     report = run_verification(obs, d=3, trials=20, seed=1)

@@ -203,6 +203,7 @@ def test_effective_set_reports_offending_member():
     with pytest.raises(NotDecoupled) as info:
         effective_set(cset, bad)
     assert info.value.member == 1
+    assert info.value.residual == decoupling_residual(cset.members[0], bad)
 
 
 def test_second_type_only_sigma_z_hand():

@@ -134,6 +134,16 @@ def test_model_space_validation():
         ModelSpace(4, ())
 
 
+def test_model_space_index_rows_built_once():
+    ms = ModelSpace(6, (2, 5))
+    assert ms.p_rows is ms.p_rows
+    assert ms.q_rows is ms.q_rows
+    assert not ms.p_rows.flags.writeable
+    assert not ms.q_rows.flags.writeable
+    assert ms.p_rows.tolist() == [1, 4]
+    assert ms.q_rows.tolist() == [i - 1 for i in ms.complement] == [0, 2, 3, 5]
+
+
 @pytest.mark.parametrize("n,k,p_diag", [
     (3, (1,), [1, 0, 0]),
     (3, (2, 3), [0, 1, 1]),
