@@ -8,7 +8,7 @@ matrix-element (second-type) representatives, and reduce whole
 commuting sets while preserving their symmetries.
 """
 
-from . import errors, harness
+from . import errors, harness, tolerances
 from .effective import (
     EffectiveOperator,
     EffectivePair,
@@ -85,6 +85,7 @@ __version__ = "0.1.0"
 __all__ = [
     "errors",
     "harness",
+    "tolerances",
     # spaces
     "ObservableMatrix",
     "ModelSpace",

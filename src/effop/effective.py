@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import util
+from . import tolerances, util
 from .errors import (
     DimensionMismatch,
     NotAnEigenvector,
@@ -29,7 +29,6 @@ from .errors import (
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
 from .transform import (
     DecouplingMap,
-    decoupled_tolerance,
     partition_blocks,
     transformed_blocks,
 )
@@ -53,9 +52,6 @@ __all__ = [
     "equivalence_transform",
     "membership_residual",
 ]
-
-MEMBERSHIP_RTOL = 1e-8
-_CLASSIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -94,10 +90,10 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decoupled_blocks(obs: ObservableMatrix, dm: DecouplingMap, tol: float | None):
+def _decoupled_blocks(obs: ObservableMatrix, dm: DecouplingMap):
     """Transformed blocks and their decoupling residual; raises
     :class:`NotDecoupled` when the residual exceeds the limit."""
-    limit = decoupled_tolerance(obs) if tol is None else float(tol)
+    limit = tolerances.decoupled_tolerance(obs)
     blocks = transformed_blocks(obs, dm)
     residual = float(np.linalg.norm(blocks.qp))
     if residual > limit:
@@ -107,15 +103,14 @@ def _decoupled_blocks(obs: ObservableMatrix, dm: DecouplingMap, tol: float | Non
     return blocks, residual
 
 
-def first_type(obs: ObservableMatrix, dm: DecouplingMap, *,
-               tol: float | None = None) -> EffectiveOperator:
+def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     """Model-space block of the transformed observable.
 
     Requires the map to decouple the observable, otherwise the spectral
     guarantee is void and :class:`NotDecoupled` is raised. The measured
     residual is kept on the result.
     """
-    blocks, residual = _decoupled_blocks(obs, dm, tol)
+    blocks, residual = _decoupled_blocks(obs, dm)
     return EffectiveOperator(_frozen(blocks.pp), dm.model_space, obs, dm, residual)
 
 
@@ -133,10 +128,10 @@ def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> SecondTypeOperator:
 
 
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
-                              tol: float | None = None, match_rtol: float = 1e-8):
+                              match_rtol: float = tolerances.SPECTRUM_MATCH_RTOL):
     """Complement block of the transformed observable, plus a report that
     its spectrum joined with the model block's rebuilds the full one."""
-    blocks, _ = _decoupled_blocks(obs, dm, tol)
+    blocks, _ = _decoupled_blocks(obs, dm)
     approx = np.concatenate([np.linalg.eigvals(blocks.pp), np.linalg.eigvals(blocks.qq)])
     report = util.match_spectra(approx, np.linalg.eigvalsh(obs.matrix), rtol=match_rtol)
     return _frozen(blocks.qq), report
@@ -170,9 +165,10 @@ class EigenvectorClassification:
         return self.spectra_intersect or ((self.case == "model_space") == self.p_is_eigenvector)
 
 
-def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector, value, *,
-                         tol: float = _CLASSIFY_TOL) -> EigenvectorClassification:
+def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
+                         value) -> EigenvectorClassification:
     """Classify an eigenvector of the transformed observable."""
+    tol = tolerances.CLASSIFY_RTOL
     phi = util.as_complex_vector(vector, "vector")
     ms = dm.model_space
     if phi.shape[0] != ms.total_dim:
@@ -280,7 +276,7 @@ def matrix_element(psi, phi, op: SecondTypeOperator, dm: DecouplingMap) -> compl
         if v.shape[0] != ms.total_dim:
             raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
         residual = membership_residual(v, dm)
-        limit = MEMBERSHIP_RTOL * float(np.linalg.norm(v))
+        limit = tolerances.MEMBERSHIP_RTOL * float(np.linalg.norm(v))
         if residual > limit:
             raise NotInSubspace(
                 f"{name}: membership residual {residual:.3e} exceeds {limit:.3e}"
@@ -313,15 +309,15 @@ def expectation_second_type(op: SecondTypeOperator, psi, dm: DecouplingMap) -> f
     if scale == 0.0:
         raise ZeroVector("expectation of the zero vector is undefined")
     residual = membership_residual(v, dm)
-    if residual > MEMBERSHIP_RTOL * scale:
-        raise NotInSubspace(f"membership residual {residual:.3e} exceeds {MEMBERSHIP_RTOL * scale:.3e}")
+    limit = tolerances.MEMBERSHIP_RTOL * scale
+    if residual > limit:
+        raise NotInSubspace(f"membership residual {residual:.3e} exceeds {limit:.3e}")
     value = np.vdot(v[ms.p_rows], op.matrix @ v[ms.p_rows])
     return float(value.real)
 
 
 def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,
-                          selection: EigenSelection, *,
-                          cond_cap: float = util.DEFAULT_COND_CAP) -> np.ndarray:
+                          selection: EigenSelection) -> np.ndarray:
     """Similarity matrix T with op = T other T^{-1}.
 
     Both model spaces must be legitimate for the same selected vectors;
@@ -337,8 +333,8 @@ def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,
     pv2 = selection.vectors[ms2.p_rows, :]
     for name, block in (("first", pv), ("second", pv2)):
         cond = util.condition_number(block)
-        if not (np.isfinite(cond) and cond <= cond_cap):
+        if not (np.isfinite(cond) and cond <= tolerances.COND_CAP):
             raise SingularProjection(
-                f"{name} model space: condition {cond:.3e} exceeds cap {cond_cap:.3e}"
+                f"{name} model space: condition {cond:.3e} exceeds cap {tolerances.COND_CAP:.3e}"
             )
     return np.linalg.solve(pv2.T, pv.T).T

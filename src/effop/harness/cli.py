@@ -19,7 +19,7 @@ import numpy as np
 from .. import effective as eff
 from .. import observables as obsmod
 from .. import solver as solvermod
-from .. import spaces, transform
+from .. import spaces, tolerances, transform
 from ..errors import NumericalError, ValidationError
 from . import matio
 from .generate import KINDS, PRNG_ID, ProblemSpec, generate
@@ -132,12 +132,13 @@ def _cmd_effective(args) -> int:
         raise ValidationError(
             f"--K {args.k} does not match the s-file header K={dm.model_space.indices}"
         )
-    residual = transform.decoupling_residual(obs, dm)
     if args.second_type:
         operator = eff.second_type(obs, dm)
+        residual = transform.decoupling_residual(obs, dm)
         kind = "second-type"
     else:
         operator = eff.first_type(obs, dm)
+        residual = operator.residual
         kind = "first-type"
     matio.write_effective(args.out, operator, residual=residual,
                           extra_comments=[f"type={kind}"])
@@ -237,8 +238,8 @@ def build_parser() -> argparse.ArgumentParser:
                                 help="fixed-point solution of the decoupling equation")
     solve_iter.add_argument("--matrix", required=True)
     solve_iter.add_argument("--K", dest="k", required=True, type=_indices)
-    solve_iter.add_argument("--tol", type=float, default=1e-11)
-    solve_iter.add_argument("--max-iter", dest="max_iter", type=int, default=500)
+    solve_iter.add_argument("--tol", type=float, default=solvermod.SolverConfig.tol)
+    solve_iter.add_argument("--max-iter", type=int, default=solvermod.SolverConfig.max_iter)
     solve_iter.add_argument("--initial-s", dest="initial_s", default=None,
                             help="s-matrix file used as the starting iterate")
     solve_iter.add_argument("--out-s", dest="out_s", default=None)
@@ -256,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum = sub.add_parser("enumerate", help="list legitimate model spaces")
     enum.add_argument("--matrix", required=True)
     enum.add_argument("--J", dest="j", required=True, type=_indices)
-    enum.add_argument("--cond-cap", dest="cond_cap", type=float, default=1e12)
+    enum.add_argument("--cond-cap", dest="cond_cap", type=float, default=tolerances.COND_CAP)
     enum.set_defaults(func=_cmd_enumerate)
 
     decompose = sub.add_parser("decompose",

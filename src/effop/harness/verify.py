@@ -19,7 +19,7 @@ import numpy as np
 from .. import effective as eff
 from .. import observables as obsmod
 from .. import solver as solvermod
-from .. import spaces, transform, util
+from .. import spaces, tolerances, transform, util
 from ..errors import NotInSubspace, ValidationError
 from .generate import PRNG_ID, ProblemSpec, commuting_partners, gap_separated, generate
 from .report import Report
@@ -50,8 +50,7 @@ def _enumeration_agrees(selection, candidates, cond_cap):
 
 
 def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
-                     trials: int = 20, seed: int = 0,
-                     cond_cap: float = util.DEFAULT_COND_CAP) -> Report:
+                     trials: int = 20, seed: int = 0) -> Report:
     """Run every module's invariant suite against one observable."""
     n = obs.dim
     if d is None:
@@ -64,7 +63,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     rng = np.random.default_rng(seed)
     report = Report(provenance={
         "dim": n, "d": d, "trials": trials, "seed": seed, "prng": PRNG_ID,
-        "cond_cap": f"{cond_cap:.3e}",
+        "cond_cap": f"{tolerances.COND_CAP:.3e}",
     })
     decomposition = spaces.eigendecompose(obs)
     values, vectors = decomposition.values, decomposition.vectors
@@ -91,10 +90,10 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         # exhaustive enumeration costs C(N, d) decompositions; a few trials
         # exercise the invariant without dominating the run
         if trial < 3 and math.comb(n, d) <= _BRUTE_FORCE_LIMIT:
-            candidates = spaces.enumerate_model_spaces(selection, cond_cap)
+            candidates = spaces.enumerate_model_spaces(selection)
             report.add_flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
             report.add_flag("enumeration_rank_agreement",
-                            _enumeration_agrees(selection, candidates, cond_cap))
+                            _enumeration_agrees(selection, candidates, tolerances.COND_CAP))
             report.add_flag("enumeration_contains_pivoted",
                             k_best in {k for k, _ in candidates})
 
@@ -106,10 +105,11 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                        np.abs(proj_q @ proj_p).max()),
                    0.0)
 
-        dm = transform.construct_s_direct(selection, ms, cond_cap=cond_cap)
+        dm = transform.construct_s_direct(selection, ms)
         s_norm = float(np.linalg.norm(dm.s))
+        blocks = transform.transformed_blocks(obs, dm)
         report.add("decoupling_residual_direct",
-                   transform.decoupling_residual(obs, dm), transform.decoupled_tolerance(obs))
+                   float(np.linalg.norm(blocks.qp)), transform.decoupled_tolerance(obs))
 
         embedded = transform.exp_s(dm, 1) - np.eye(n)
         report.add("generator_nilpotent", np.abs(embedded @ embedded).max(), 0.0)
@@ -117,7 +117,6 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                    np.abs(transform.exp_s(dm, 1) @ transform.exp_s(dm, -1) - np.eye(n)).max(), 0.0)
 
         dense = transform.similarity_transform(obs, dm)
-        blocks = transform.transformed_blocks(obs, dm)
         report.add("blocks_assembly",
                    np.linalg.norm(transform.assemble_blocks(blocks, ms) - dense),
                    1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
@@ -142,8 +141,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         mixer = complex_noise((d, d))
         while not np.isfinite(util.condition_number(mixer)) or util.condition_number(mixer) > 1e3:
             mixer = complex_noise((d, d))
-        remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms,
-                                                      cond_cap=cond_cap)
+        remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms)
         report.add("basis_change_invariance",
                    np.linalg.norm(remixed.s - dm.s), 1e-10 * (1.0 + s_norm))
 
@@ -203,8 +201,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                 )
             k_second = next((k for _, k in scored if k != k_best), None)
             if k_second is not None:
-                dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second),
-                                                       cond_cap=cond_cap)
+                dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
                 operator2 = eff.first_type(obs, dm2)
                 t = eff.equivalence_transform(operator, operator2, selection)
                 report.add("equivalence_transform",
@@ -218,8 +215,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     generic_dec = spaces.eigendecompose(generic)
     generic_sel = spaces.select_eigenvectors(generic_dec, (1, 2, 3))
     generic_k = spaces.pivoted_model_space(generic_sel)
-    generic_dm = transform.construct_s_direct(
-           generic_sel, spaces.ModelSpace(8, generic_k), cond_cap=cond_cap)
+    generic_dm = transform.construct_s_direct(generic_sel, spaces.ModelSpace(8, generic_k))
     generic_first = eff.first_type(generic, generic_dm)
     report.add_flag("first_type_nonhermitian_generic",
                     np.linalg.norm(generic_first.matrix - generic_first.matrix.conj().T) > 1e-8)
@@ -254,11 +250,12 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     leading = tuple(range(1, d + 1))
     basis_sel = obsmod.selection_from_basis(basis, leading)
     shared_k = spaces.pivoted_model_space(basis_sel)
-    shared_dm = obsmod.common_s(family, leading, shared_k, cond_cap=cond_cap)
-    report.add("common_s_all_members",
-               max(transform.decoupling_residual(m, shared_dm) for m in family.members),
-               max(transform.decoupled_tolerance(m) for m in family.members))
+    shared_dm = transform.construct_s_from_span(
+        basis_sel.vectors, spaces.ModelSpace(n, shared_k), indices=basis_sel.indices)
     pairs, commutator_report = obsmod.effective_set(family, shared_dm)
+    report.add("common_s_all_members",
+               max(pair.first.residual for pair in pairs),
+               max(transform.decoupled_tolerance(m) for m in family.members))
     report.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
     pv_basis = basis.vectors[:, :d][shared_dm.model_space.p_rows, :]
     joint_dev = max(
@@ -280,6 +277,6 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         spaces.pivoted_model_space(obsmod.selection_from_basis(basis, block))
         for block in parts
     ]
-    decomposed = obsmod.decompose_space(family, parts, kparts, cond_cap=cond_cap)
+    decomposed = obsmod.decompose_space(family, parts, kparts)
     report.add_flag("decomposition_completeness", decomposed.complete)
     return report

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import util
+from . import tolerances, util
 from .effective import EffectivePair, SecondTypeOperator, first_type, second_type
 from .errors import (
     DimensionMismatch,
@@ -29,14 +29,12 @@ from .spaces import (
     EigenSelection,
     ModelSpace,
     ObservableMatrix,
+    _degenerate_clusters,
     _normalize_phases,
     validate_index_subset,
 )
-from .transform import (
-    DecouplingMap,
-    construct_s_from_span,
-    decoupled_tolerance,
-)
+from .tolerances import commuting_tolerance, decoupled_tolerance, eigenpair_tolerance
+from .transform import DecouplingMap, construct_s_from_span
 
 __all__ = [
     "CommutingSet",
@@ -54,10 +52,7 @@ __all__ = [
     "decompose_space",
 ]
 
-COMM_RTOL = 1e-10
-EFFECTIVE_COMM_TOL = 1e-9
 _MIX_SEED = 1299827     # fixed seed for the member-mixing weights
-_CLUSTER_RTOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -80,11 +75,7 @@ class CommutingSet:
         return self.members[0]
 
 
-def commuting_tolerance(members) -> float:
-    return COMM_RTOL * max(m.norm for m in members)
-
-
-def verify_commuting(members, *, comm_tol: float | None = None) -> CommutingSet:
+def verify_commuting(members) -> CommutingSet:
     """Validate dimensions and pairwise commutators.
 
     On failure the exception names the offending pair and carries the
@@ -97,7 +88,7 @@ def verify_commuting(members, *, comm_tol: float | None = None) -> CommutingSet:
     for k, m in enumerate(obs, start=1):
         if m.dim != n:
             raise DimensionMismatch(f"member {k} has dim {m.dim}, expected {n}")
-    tol = commuting_tolerance(obs) if comm_tol is None else float(comm_tol)
+    tol = commuting_tolerance(obs)
     c = len(obs)
     norms = np.zeros((c, c))
     for i in range(c):
@@ -135,19 +126,6 @@ class SimultaneousBasis:
         return tuple(float(x) for x in self.values[:, index - 1])
 
 
-def _cluster_bounds(values, tol):
-    bounds = []
-    start = 0
-    n = len(values)
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] - values[stop - 1] <= tol:
-            stop += 1
-        bounds.append((start, stop))
-        start = stop
-    return bounds
-
-
 def _refine(vectors, members, level):
     """Split a degenerate cluster by diagonalizing the next member inside it."""
     if level >= len(members) or vectors.shape[1] < 2:
@@ -156,14 +134,12 @@ def _refine(vectors, members, level):
     sub = 0.5 * (sub + sub.conj().T)
     vals, rot = np.linalg.eigh(sub)
     out = vectors @ rot
-    tol = _CLUSTER_RTOL * (1.0 + float(np.abs(vals).max()))
-    for start, stop in _cluster_bounds(vals, tol):
-        if stop - start > 1:
-            out[:, start:stop] = _refine(out[:, start:stop], members, level + 1)
+    for start, stop in _degenerate_clusters(vals, tolerances.CLUSTER_RTOL):
+        out[:, start:stop] = _refine(out[:, start:stop], members, level + 1)
     return out
 
 
-def simultaneous_eigenbasis(cset: CommutingSet, *, eig_rtol: float = 1e-10) -> SimultaneousBasis:
+def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     """Joint eigenbasis via a fixed-seed random positive mix of the members.
 
     Degenerate clusters of the mix are refined by sub-diagonalizing the
@@ -182,10 +158,8 @@ def simultaneous_eigenbasis(cset: CommutingSet, *, eig_rtol: float = 1e-10) -> S
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"mixed-member eigensolver failed: {exc}") from exc
     vectors = vectors.astype(np.complex128)
-    tol = _CLUSTER_RTOL * (1.0 + float(np.abs(mix_vals).max()))
-    for start, stop in _cluster_bounds(mix_vals, tol):
-        if stop - start > 1:
-            vectors[:, start:stop] = _refine(vectors[:, start:stop], cset.members, 0)
+    for start, stop in _degenerate_clusters(mix_vals, tolerances.CLUSTER_RTOL):
+        vectors[:, start:stop] = _refine(vectors[:, start:stop], cset.members, 0)
     vectors = _normalize_phases(vectors)
 
     values = np.empty((cset.size, n))
@@ -193,7 +167,7 @@ def simultaneous_eigenbasis(cset: CommutingSet, *, eig_rtol: float = 1e-10) -> S
         applied = member.matrix @ vectors
         values[sig] = np.real(np.sum(vectors.conj() * applied, axis=0))
         residual = float(np.linalg.norm(applied - vectors * values[sig], axis=0).max())
-        limit = eig_rtol * (1.0 + member.norm)
+        limit = eigenpair_tolerance(member)
         if residual > limit:
             raise SolverFailure(
                 f"member {sig + 1}: joint eigenpair residual {residual:.3e} above {limit:.3e}"
@@ -203,7 +177,7 @@ def simultaneous_eigenbasis(cset: CommutingSet, *, eig_rtol: float = 1e-10) -> S
     values = values[:, order]
     vectors = vectors[:, order]
 
-    sep = _CLUSTER_RTOL * (1.0 + float(np.abs(values).max()))
+    sep = tolerances.CLUSTER_RTOL * (1.0 + float(np.abs(values).max()))
     distinct = all(
         float(np.abs(values[:, i + 1] - values[:, i]).max()) > sep for i in range(n - 1)
     )
@@ -229,20 +203,17 @@ def selection_from_basis(basis: SimultaneousBasis, indices) -> EigenSelection:
     return EigenSelection(basis.source, idx, values, vectors)
 
 
-def _common_s_from_basis(basis: SimultaneousBasis, indices, model_indices, *,
-                         cond_cap: float) -> DecouplingMap:
+def _common_s_from_basis(basis: SimultaneousBasis, indices, model_indices) -> DecouplingMap:
     selection = selection_from_basis(basis, indices)
     ms = ModelSpace(basis.dim, tuple(int(k) for k in model_indices))
-    return construct_s_from_span(selection.vectors, ms, cond_cap=cond_cap,
-                                 indices=selection.indices)
+    return construct_s_from_span(selection.vectors, ms, indices=selection.indices)
 
 
-def common_s(cset: CommutingSet, indices, model_indices, *,
-             cond_cap: float = util.DEFAULT_COND_CAP) -> DecouplingMap:
+def common_s(cset: CommutingSet, indices, model_indices) -> DecouplingMap:
     """One decoupling map serving every member, built from the shared
     eigenvectors at ``indices`` for the model space ``model_indices``."""
     basis = simultaneous_eigenbasis(cset)
-    return _common_s_from_basis(basis, indices, model_indices, cond_cap=cond_cap)
+    return _common_s_from_basis(basis, indices, model_indices)
 
 
 @dataclass(frozen=True)
@@ -258,9 +229,7 @@ class CommutatorReport:
         return self.max_norm <= self.tol
 
 
-def effective_set(cset: CommutingSet, dm: DecouplingMap, *,
-                  tol: float | None = None,
-                  comm_tol: float = EFFECTIVE_COMM_TOL):
+def effective_set(cset: CommutingSet, dm: DecouplingMap):
     """Effective pair for every member under one shared map.
 
     Every member must decouple under ``dm``; the offending member index
@@ -269,12 +238,12 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap, *,
     """
     pairs: list[EffectivePair] = []
     for sig, member in enumerate(cset.members, start=1):
-        limit = decoupled_tolerance(member) if tol is None else float(tol)
         try:
-            first = first_type(member, dm, tol=limit)
+            first = first_type(member, dm)
         except NotDecoupled as exc:
             raise NotDecoupled(
-                f"member {sig}: residual {exc.residual:.3e} exceeds {limit:.3e}",
+                f"member {sig}: residual {exc.residual:.3e} "
+                f"exceeds {decoupled_tolerance(member):.3e}",
                 member=sig,
                 residual=exc.residual,
             ) from exc
@@ -286,7 +255,8 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap, *,
             fi, fj = pairs[i].first.matrix, pairs[j].first.matrix
             norms[i, j] = norms[j, i] = float(np.linalg.norm(fi @ fj - fj @ fi))
     norms.setflags(write=False)
-    return pairs, CommutatorReport(norms, float(norms.max()) if norms.size else 0.0, comm_tol)
+    max_norm = float(norms.max()) if norms.size else 0.0
+    return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
 
 
 def second_type_only(outside: ObservableMatrix, dm: DecouplingMap) -> SecondTypeOperator:
@@ -322,8 +292,7 @@ class SpaceDecomposition:
 
 
 def decompose_space(cset: CommutingSet, partition, model_spaces, *,
-                    cond_cap: float = util.DEFAULT_COND_CAP,
-                    match_rtol: float = 1e-9) -> SpaceDecomposition:
+                    match_rtol: float = tolerances.DECOMPOSITION_MATCH_RTOL) -> SpaceDecomposition:
     """Split the whole space into invariant blocks and reduce every member
     inside each block.
 
@@ -348,7 +317,7 @@ def decompose_space(cset: CommutingSet, partition, model_spaces, *,
     reductions: list[BlockReduction] = []
     for r, (block, kset) in enumerate(zip(blocks_idx, spaces_idx), start=1):
         try:
-            dm = _common_s_from_basis(basis, block, kset, cond_cap=cond_cap)
+            dm = _common_s_from_basis(basis, block, kset)
             pairs, _ = effective_set(cset, dm)
         except SingularProjection as exc:
             raise SingularProjection(f"block {r} (J={block}, K={kset}): {exc}") from exc

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
+from . import tolerances
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -45,15 +46,12 @@ __all__ = [
     "residual_history",
 ]
 
-SPECTRA_DISJOINT_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-11
+    tol: float = tolerances.SOLVER_TOL
     max_iter: int = 500
     initial_s: np.ndarray | None = None
-    divergence_cap: float = 1e8
 
     def __post_init__(self):
         if not self.tol > 0:
@@ -128,10 +126,11 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     spec_a = np.linalg.eigvalsh(a)
     spec_f = np.linalg.eigvalsh(f)
     gap = float(np.abs(spec_a[:, None] - spec_f[None, :]).min())
-    if gap < SPECTRA_DISJOINT_TOL:
+    if gap < tolerances.SPECTRA_DISJOINT_TOL:
         raise SylvesterSingular(
             f"model and complement diagonal blocks share an eigenvalue within "
-            f"{SPECTRA_DISJOINT_TOL:.0e} (gap {gap:.3e}); the sweep equation is singular"
+            f"{tolerances.SPECTRA_DISJOINT_TOL:.0e} (gap {gap:.3e}); "
+            "the sweep equation is singular"
         )
 
     if cfg.initial_s is None:
@@ -154,9 +153,9 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
         steps.append(TraceStep(k, step, res, s_norm))
         if res < best_res:
             best_res, best_s = res, s
-        if s_norm > cfg.divergence_cap:
+        if s_norm > tolerances.DIVERGENCE_CAP:
             raise Diverged(
-                f"iterate norm {s_norm:.3e} exceeded cap {cfg.divergence_cap:.3e} "
+                f"iterate norm {s_norm:.3e} exceeded cap {tolerances.DIVERGENCE_CAP:.3e} "
                 f"at iteration {k}"
             )
         if step <= cfg.tol and res <= cfg.tol:

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 import scipy.linalg
 
-from . import util
+from . import tolerances, util
 from .errors import (
     CapTooTight,
     DimensionMismatch,
@@ -28,6 +28,7 @@ from .errors import (
     SolverFailure,
     ValidationError,
 )
+from .tolerances import eigenpair_tolerance
 
 if TYPE_CHECKING:  # pragma: no cover
     from .transform import DecouplingMap
@@ -47,12 +48,6 @@ __all__ = [
     "retrieve_full_vector",
     "validate_index_subset",
 ]
-
-HERM_RTOL = 1e-12   # allowed asymmetry relative to the largest entry magnitude
-EIG_RTOL = 1e-10    # eigenpair residual allowance relative to 1 + ||O||_F
-_PHASE_ANCHOR = 1e-8
-_TIE_RTOL = 1e-10
-_LEX_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -90,8 +85,9 @@ def validate_hermitian(matrix) -> ObservableMatrix:
         raise NonFinite("observable contains NaN or Inf entries")
     scale = float(np.abs(a).max())
     asym = float(np.abs(a - a.conj().T).max())
-    if asym > HERM_RTOL * scale:
-        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {HERM_RTOL * scale:.3e}")
+    limit = tolerances.HERM_RTOL * scale
+    if asym > limit:
+        raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {limit:.3e}")
     h = 0.5 * (a + a.conj().T)
     h.setflags(write=False)
     return ObservableMatrix(h)
@@ -169,59 +165,52 @@ class Eigendecomposition:
         return int(self.values.shape[0])
 
 
-def eigenpair_tolerance(obs: ObservableMatrix) -> float:
-    return EIG_RTOL * (1.0 + obs.norm)
-
-
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real positive."""
     out = vectors.copy()
     for j in range(out.shape[1]):
         col = out[:, j]
-        anchors = np.flatnonzero(np.abs(col) > _PHASE_ANCHOR)
+        anchors = np.flatnonzero(np.abs(col) > tolerances.PHASE_ANCHOR)
         if anchors.size:
             pivot = col[anchors[0]]
             col *= np.abs(pivot) / pivot
     return out
 
 
+def _degenerate_clusters(values, rtol: float) -> list[tuple[int, int]]:
+    """``(start, stop)`` of each run of two or more ascending values whose
+    neighbours lie within ``rtol * (1 + max |value|)`` of each other."""
+    tie = rtol * (1.0 + float(np.abs(values).max()))
+    edges = [0, *(np.flatnonzero(np.diff(values) > tie) + 1).tolist(), len(values)]
+    return [(start, stop) for start, stop in itertools.pairwise(edges) if stop - start > 1]
+
+
 def _order_ties(values: np.ndarray, vectors: np.ndarray):
     """Reorder columns inside numerically degenerate clusters lexicographically."""
-    n = values.shape[0]
-    if n < 2:
-        return values, vectors
-    tie = _TIE_RTOL * (1.0 + float(np.abs(values).max()))
 
     def cmp(i, j):
         u, v = vectors[:, i], vectors[:, j]
         for a, b in zip(u, v):
-            if abs(a.real - b.real) > _LEX_TOL:
+            if abs(a.real - b.real) > tolerances.LEX_TOL:
                 return -1 if a.real < b.real else 1
-            if abs(a.imag - b.imag) > _LEX_TOL:
+            if abs(a.imag - b.imag) > tolerances.LEX_TOL:
                 return -1 if a.imag < b.imag else 1
         return 0
 
-    order = np.arange(n)
-    start = 0
-    while start < n:
-        stop = start + 1
-        while stop < n and values[stop] - values[stop - 1] <= tie:
-            stop += 1
-        if stop - start > 1:
-            order[start:stop] = sorted(range(start, stop), key=cmp_to_key(cmp))
-        start = stop
+    order = np.arange(values.shape[0])
+    for start, stop in _degenerate_clusters(values, tolerances.TIE_RTOL):
+        order[start:stop] = sorted(range(start, stop), key=cmp_to_key(cmp))
     return values[order], vectors[:, order]
 
 
-def eigendecompose(obs: ObservableMatrix, *, eig_tol: float | None = None) -> Eigendecomposition:
+def eigendecompose(obs: ObservableMatrix) -> Eigendecomposition:
     """Dense Hermitian eigendecomposition with a reproducible ordering.
 
     Values come back ascending; ties are broken by lexicographic order
     of the phase-normalized eigenvectors. Column residuals above
-    ``eig_tol`` (default ``1e-10 * (1 + ||O||_F)``) raise
-    :class:`SolverFailure`.
+    :func:`eigenpair_tolerance` raise :class:`SolverFailure`.
     """
-    tol = eigenpair_tolerance(obs) if eig_tol is None else float(eig_tol)
+    tol = eigenpair_tolerance(obs)
     try:
         values, vectors = np.linalg.eigh(obs.matrix)
     except np.linalg.LinAlgError as exc:
@@ -273,7 +262,7 @@ def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSele
     cols = np.asarray(idx, dtype=np.intp) - 1
     values = decomposition.values[cols].copy()
     vectors = decomposition.vectors[:, cols].copy()
-    if np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() > 1e-8:
+    if np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() > tolerances.UNIT_NORM_TOL:
         raise ValidationError("selected eigenvectors are not unit norm")
     if not np.isfinite(util.condition_number(vectors)):
         raise ValidationError("selected eigenvectors are numerically dependent")
@@ -282,7 +271,7 @@ def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSele
     return EigenSelection(decomposition.source, idx, values, vectors)
 
 
-def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = util.DEFAULT_COND_CAP):
+def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = tolerances.COND_CAP):
     """All legitimate model spaces for the selected vectors.
 
     A subset K qualifies when the d x d matrix of model-space components

@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import util
+from . import tolerances, util
 from .errors import DimensionMismatch, SingularProjection, ValidationError
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
+from .tolerances import decoupled_tolerance
 
 __all__ = [
     "DirectProvenance",
@@ -36,8 +37,6 @@ __all__ = [
     "decoupled_tolerance",
     "is_decoupled",
 ]
-
-DECOUPLED_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -70,11 +69,6 @@ class DecouplingMap:
             raise DimensionMismatch(f"s has shape {self.s.shape}, expected {expected}")
 
 
-def decoupled_tolerance(obs: ObservableMatrix) -> float:
-    """Residual level below which an observable counts as decoupled."""
-    return DECOUPLED_RTOL * (1.0 + obs.norm)
-
-
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
     """Model/complement partition (a, b, b_dag, f) of a Hermitian matrix."""
     if obs.dim != ms.total_dim:
@@ -89,9 +83,7 @@ def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
     )
 
 
-def construct_s_from_span(vectors, ms: ModelSpace, *,
-                          cond_cap: float = util.DEFAULT_COND_CAP,
-                          indices=None) -> DecouplingMap:
+def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> DecouplingMap:
     """Decoupling map of the subspace spanned by the given columns.
 
     Depends only on the span: any invertible recombination of the
@@ -103,9 +95,9 @@ def construct_s_from_span(vectors, ms: ModelSpace, *,
         raise DimensionMismatch(f"span has shape {v.shape}, expected {(ms.total_dim, ms.dim)}")
     pv = v[ms.p_rows, :]
     cond = util.condition_number(pv)
-    if not (np.isfinite(cond) and cond <= cond_cap):
+    if not (np.isfinite(cond) and cond <= tolerances.COND_CAP):
         raise SingularProjection(
-            f"model-space components have condition {cond:.3e} (cap {cond_cap:.3e}); "
+            f"model-space components have condition {cond:.3e} (cap {tolerances.COND_CAP:.3e}); "
             "choose another index set"
         )
     if ms.dim == ms.total_dim:
@@ -119,8 +111,7 @@ def construct_s_from_span(vectors, ms: ModelSpace, *,
     return DecouplingMap(ms, s, DirectProvenance(idx))
 
 
-def construct_s_direct(selection: EigenSelection, ms: ModelSpace, *,
-                       cond_cap: float = util.DEFAULT_COND_CAP) -> DecouplingMap:
+def construct_s_direct(selection: EigenSelection, ms: ModelSpace) -> DecouplingMap:
     """Decoupling map from selected eigenvectors: complement components
     times the inverse of the model components."""
     if selection.total_dim != ms.total_dim or selection.dim != ms.dim:
@@ -128,8 +119,7 @@ def construct_s_direct(selection: EigenSelection, ms: ModelSpace, *,
             f"selection is {selection.total_dim}x{selection.dim}, "
             f"model space wants {ms.total_dim}x{ms.dim}"
         )
-    return construct_s_from_span(selection.vectors, ms, cond_cap=cond_cap,
-                                 indices=selection.indices)
+    return construct_s_from_span(selection.vectors, ms, indices=selection.indices)
 
 
 def exp_s(dm: DecouplingMap, sign: int) -> np.ndarray:
@@ -191,6 +181,5 @@ def decoupling_residual(obs: ObservableMatrix, dm: DecouplingMap) -> float:
     return float(np.linalg.norm(transformed_blocks(obs, dm).qp))
 
 
-def is_decoupled(obs: ObservableMatrix, dm: DecouplingMap, tol: float | None = None) -> bool:
-    limit = decoupled_tolerance(obs) if tol is None else float(tol)
-    return decoupling_residual(obs, dm) <= limit
+def is_decoupled(obs: ObservableMatrix, dm: DecouplingMap) -> bool:
+    return decoupling_residual(obs, dm) <= decoupled_tolerance(obs)

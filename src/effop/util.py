@@ -6,10 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import tolerances
 from .errors import DimensionMismatch
-
-RANK_RTOL = 1e-12       # singular-value ratio below which a matrix counts as singular
-DEFAULT_COND_CAP = 1e12
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -35,7 +33,7 @@ def condition_number(m) -> float:
         return 1.0
     smax = float(sv[0])
     smin = float(sv[-1])
-    if smax == 0.0 or smin / smax < RANK_RTOL:
+    if smax == 0.0 or smin / smax < tolerances.RANK_RTOL:
         return float("inf")
     return smax / smin
 
@@ -49,7 +47,8 @@ class SpectrumMatch:
     rtol: float
 
 
-def match_spectra(approx, exact, rtol: float = 1e-8, subset: bool = False) -> SpectrumMatch:
+def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
+                  subset: bool = False) -> SpectrumMatch:
     """Greedily match ``approx`` against ``exact`` without replacement.
 
     Each pairing must satisfy |a - e| <= rtol * (1 + |e|). With

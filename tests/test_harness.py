@@ -4,6 +4,8 @@ import sys
 import numpy as np
 import pytest
 
+import effop
+from effop import transform
 from effop.errors import InvalidSpec, MatrixFileError
 from effop.harness import (
     ProblemSpec,
@@ -19,6 +21,7 @@ from effop.harness import (
     write_matrix,
     write_observable,
 )
+from effop.harness import cli
 from effop.spaces import ModelSpace, eigendecompose, validate_hermitian
 from effop.transform import DecouplingMap, DirectProvenance
 
@@ -291,3 +294,33 @@ def test_cli_exit_codes(tmp_path):
     # usage error also exits 1
     result = _run_cli("solve-direct", "--matrix", str(matrix))
     assert result.returncode == 1
+
+
+def test_cli_effective_builds_blocks_once(tmp_path, monkeypatch):
+    obs_path = tmp_path / "obs.mat"
+    s_path = tmp_path / "s.mat"
+    assert cli.main(["gen", "--kind", "random_hermitian", "--dim", "6", "--seed", "2",
+                     "--out", str(obs_path)]) == 0
+    assert cli.main(["solve-direct", "--matrix", str(obs_path), "--J", "1,2",
+                     "--K", "1,2", "--out-s", str(s_path)]) == 0
+
+    original = transform.transformed_blocks
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    # every effop namespace that binds the function, so no call path escapes
+    for name, module in list(sys.modules.items()):
+        if module is not None and (name == "effop" or name.startswith("effop.")):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    assert effop.transformed_blocks is counted
+
+    assert cli.main(["effective", "--matrix", str(obs_path), "--s", str(s_path),
+                     "--out", str(tmp_path / "eff.mat")]) == 0
+    assert len(calls) == 1
+    _, comments = read_matrix(tmp_path / "eff.mat")
+    assert any(c.startswith("residual=") for c in comments)
