@@ -10,7 +10,6 @@ margin, so the merge is independent of trial order.
 
 from __future__ import annotations
 
-import itertools
 import math
 import warnings
 
@@ -29,22 +28,27 @@ __all__ = ["run_verification"]
 _BRUTE_FORCE_LIMIT = 20_000
 
 
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """One opaque key per row of an integer array, for membership tests."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
 def _enumeration_agrees(selection, candidates, cond_cap):
     """Independent rank test over every subset; skips the ambiguous band
     around the cap where the two tolerances may legitimately disagree."""
-    n, d = selection.total_dim, selection.dim
-    legitimate = {k for k, _ in candidates}
-    for subset in itertools.combinations(range(1, n + 1), d):
-        rows = np.asarray(subset, dtype=np.intp) - 1
-        sub = selection.vectors[rows, :]
-        sv = np.linalg.svd(sub, compute_uv=False)
-        ratio = sv[0] / max(sv[-1], np.finfo(float).tiny)
-        if sv[0] > 0.0 and 1e-2 * cond_cap <= ratio <= 1e2 * cond_cap:
-            continue
+    d = selection.dim
+    legitimate = _row_keys(np.array(list(dict(candidates)), dtype=np.intp).reshape(-1, d) - 1)
+    tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
+    for rows, sv in spaces._subset_singular_values(selection.vectors):
+        with np.errstate(over="ignore"):  # a singular block's ratio is inf
+            ratio = sv[:, 0] / np.maximum(sv[:, -1], tiny)
+        ambiguous = (sv[:, 0] > 0.0) & (1e-2 * cond_cap <= ratio) & (ratio <= 1e2 * cond_cap)
         # numpy's matrix_rank threshold, applied to the values just computed
-        rank = int((sv > sv[0] * max(sub.shape) * np.finfo(float).eps).sum())
-        independent = rank == d and ratio <= cond_cap
-        if independent != (subset in legitimate):
+        rank = (sv > sv[:, :1] * d * eps).sum(axis=1)
+        independent = (rank == d) & (ratio <= cond_cap)
+        listed = np.isin(_row_keys(rows), legitimate)
+        if np.any((independent != listed) & ~ambiguous):
             return False
     return True
 
@@ -95,7 +99,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             report.add_flag("enumeration_rank_agreement",
                             _enumeration_agrees(selection, candidates, tolerances.COND_CAP))
             report.add_flag("enumeration_contains_pivoted",
-                            k_best in {k for k, _ in candidates})
+                            k_best in dict(candidates))
 
         ms = spaces.ModelSpace(n, k_best)
         proj_p, proj_q = spaces.projectors(ms)
@@ -111,10 +115,10 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         report.add("decoupling_residual_direct",
                    float(np.linalg.norm(blocks.qp)), transform.decoupled_tolerance(obs))
 
-        embedded = transform.exp_s(dm, 1) - np.eye(n)
+        forward, backward = transform.exp_s(dm, 1), transform.exp_s(dm, -1)
+        embedded = forward - np.eye(n)
         report.add("generator_nilpotent", np.abs(embedded @ embedded).max(), 0.0)
-        report.add("transform_inverse_exact",
-                   np.abs(transform.exp_s(dm, 1) @ transform.exp_s(dm, -1) - np.eye(n)).max(), 0.0)
+        report.add("transform_inverse_exact", np.abs(forward @ backward - np.eye(n)).max(), 0.0)
 
         dense = transform.similarity_transform(obs, dm)
         report.add("blocks_assembly",
@@ -127,19 +131,16 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         report.add("effective_block_owns_projections",
                    np.linalg.norm(blocks.pp @ pv - pv * selection.values),
                    1e-9 * (1.0 + obs.norm) * max(1.0, np.linalg.norm(pv)))
-        mapped = transform.exp_s(dm, -1) @ selection.vectors
+        mapped = backward @ selection.vectors
         report.add("selected_vectors_mapped",
                    np.linalg.norm(mapped[ms.q_rows, :]), 1e-9 * (1.0 + s_norm))
 
         if distinct_spectrum:
-            hits = sum(
-                   1 for i in range(n)
-                   if np.linalg.norm(dm.s @ vectors[ms.p_rows, i] - vectors[ms.q_rows, i]) <= 1e-7
-               )
-            report.add_flag("decoupling_matches_exactly_d", hits == d)
+            misfit = np.linalg.norm(dm.s @ vectors[ms.p_rows, :] - vectors[ms.q_rows, :], axis=0)
+            report.add_flag("decoupling_matches_exactly_d", int((misfit <= 1e-7).sum()) == d)
 
         mixer = complex_noise((d, d))
-        while not np.isfinite(util.condition_number(mixer)) or util.condition_number(mixer) > 1e3:
+        while util.condition_number(mixer) > 1e3:  # inf when singular
             mixer = complex_noise((d, d))
         remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms)
         report.add("basis_change_invariance",
@@ -149,13 +150,13 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             fixed = np.zeros(n, dtype=np.complex128)
             fixed[ms.q_rows] = complex_noise(n - d)
             report.add("fixed_point_exact",
-                       np.abs(transform.exp_s(dm, -1) @ fixed - fixed).max(), 0.0)
+                       np.abs(backward @ fixed - fixed).max(), 0.0)
             outside = complex_noise(n)
             report.add_flag("non_membership",
-                            np.linalg.norm((transform.exp_s(dm, -1) @ outside)[ms.q_rows]) > 1e-8)
+                            np.linalg.norm((backward @ outside)[ms.q_rows]) > 1e-8)
 
         member = selection.vectors @ complex_noise(d)
-        alpha = (transform.exp_s(dm, -1) @ member)[ms.p_rows]
+        alpha = (backward @ member)[ms.p_rows]
         report.add("retrieve_round_trip",
                    np.linalg.norm(spaces.retrieve_full_vector(alpha, dm) - member),
                    1e-10 * (1.0 + np.linalg.norm(member)))
@@ -192,15 +193,14 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
 
         if candidates is not None and 1 < len(candidates) <= 5000:
             # rank alternatives by the smallest singular value of the
-            # projected block; condition number alone cannot do this for d=1
-            scored = sorted(
-                    ((float(np.linalg.svd(selection.vectors[np.asarray(k, dtype=np.intp) - 1, :],
-                                          compute_uv=False)[-1]), k)
-                     for k, _ in candidates),
-                    reverse=True,
-                )
-            k_second = next((k for _, k in scored if k != k_best), None)
-            if k_second is not None:
+            # projected block, then by K; condition number alone cannot do
+            # this for d=1
+            others = np.array(list(dict(candidates)), dtype=np.intp)
+            others = others[(others != k_best).any(axis=1)]
+            if others.size:
+                smallest = np.linalg.svd(selection.vectors[others - 1], compute_uv=False)[:, -1]
+                best = np.lexsort((*others[:, ::-1].T, smallest))[-1]
+                k_second = tuple(others[best].tolist())
                 dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
                 operator2 = eff.first_type(obs, dm2)
                 t = eff.equivalence_transform(operator, operator2, selection)

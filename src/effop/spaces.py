@@ -271,30 +271,57 @@ def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSele
     return EigenSelection(decomposition.source, idx, values, vectors)
 
 
+# d-row subsets per stacked SVD: bounds the (chunk, d, d) stack whatever C(N, d) is
+_SUBSET_CHUNK = 2048
+
+
+def _subset_singular_values(vectors: np.ndarray):
+    """Yield ``(rows, sv)`` over every d-row subset of the (N, d) ``vectors``.
+
+    ``rows`` holds one subset per row as ascending 0-based indices, the
+    subsets in lexicographic order across chunks; ``sv`` holds the
+    descending singular values of each subset's d x d block, from one
+    stacked SVD per chunk of at most ``_SUBSET_CHUNK`` subsets.
+    """
+    d = vectors.shape[1]
+    combos = itertools.combinations(range(vectors.shape[0]), d)
+    while True:
+        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)),
+                           dtype=np.intp)
+        if not flat.size:
+            return
+        rows = flat.reshape(-1, d)
+        yield rows, np.linalg.svd(vectors[rows], compute_uv=False)
+
+
 def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = tolerances.COND_CAP):
     """All legitimate model spaces for the selected vectors.
 
     A subset K qualifies when the d x d matrix of model-space components
     of the selected vectors is numerically invertible with condition
     number at most ``cond_cap``. The result is sorted ascending by
-    condition number and holds between 1 and C(N, d) entries; linear
-    independence of the vectors guarantees at least one subset exists,
-    so an empty result means the cap itself rejected everything.
+    condition number, ties by K, and holds between 1 and C(N, d)
+    entries; linear independence of the vectors guarantees at least one
+    subset exists, so an empty result means the cap itself rejected
+    everything. Subsets are evaluated in fixed-size stacked batches.
     """
     n, d = selection.total_dim, selection.dim
-    found: list[tuple[tuple[int, ...], float]] = []
-    for subset in itertools.combinations(range(1, n + 1), d):
-        rows = np.asarray(subset, dtype=np.intp) - 1
-        cond = util.condition_number(selection.vectors[rows, :])
-        if np.isfinite(cond) and cond <= cond_cap:
-            found.append((subset, float(cond)))
-    if not found:
+    kept_rows, kept_cond = [], []
+    for rows, sv in _subset_singular_values(selection.vectors):
+        cond = util._conditions(sv)
+        keep = np.isfinite(cond) & (cond <= cond_cap)
+        kept_rows.append(rows[keep])
+        kept_cond.append(cond[keep])
+    rows, cond = np.concatenate(kept_rows), np.concatenate(kept_cond)
+    if not cond.size:
         raise CapTooTight(
             f"no subset of size {d} passed cond cap {cond_cap:.3e} "
             f"out of {math.comb(n, d)} candidates"
         )
-    found.sort(key=lambda item: (item[1], item[0]))
-    return found
+    # subsets arrive in lexicographic order, so a stable sort by condition
+    # number leaves ties ordered by K
+    order = np.argsort(cond, kind="stable")
+    return list(zip(map(tuple, (rows[order] + 1).tolist()), cond[order].tolist()))
 
 
 def pivoted_model_space(vectors) -> tuple[int, ...]:

@@ -31,11 +31,16 @@ def condition_number(m) -> float:
     sv = np.linalg.svd(m, compute_uv=False)
     if sv.size == 0:
         return 1.0
-    smax = float(sv[0])
-    smin = float(sv[-1])
-    if smax == 0.0 or smin / smax < tolerances.RANK_RTOL:
-        return float("inf")
-    return smax / smin
+    return float(_conditions(sv))
+
+
+def _conditions(sv: np.ndarray) -> np.ndarray:
+    """Condition numbers from singular values sorted descending along the
+    last axis; inf where the largest is zero or the smallest over the
+    largest falls below ``RANK_RTOL``."""
+    smax, smin = sv[..., 0], sv[..., -1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((smax == 0.0) | (smin / smax < tolerances.RANK_RTOL), np.inf, smax / smin)
 
 
 @dataclass(frozen=True)

@@ -22,7 +22,15 @@ from effop.harness import (
     write_observable,
 )
 from effop.harness import cli
-from effop.spaces import ModelSpace, eigendecompose, validate_hermitian
+from effop.harness.verify import _enumeration_agrees
+from effop.spaces import (
+    EigenSelection,
+    ModelSpace,
+    eigendecompose,
+    enumerate_model_spaces,
+    validate_hermitian,
+)
+from effop.tolerances import COND_CAP
 from effop.transform import DecouplingMap, DirectProvenance
 
 
@@ -182,6 +190,25 @@ def test_run_verification_degenerate_planted():
                                spectrum=(1.0, 1.0, 2.0, 3.0, 4.0, 5.0)))
     report = run_verification(obs, d=2, trials=8, seed=3)
     assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_enumeration_agreement_detects_mutated_candidates():
+    # 25 rows, so the subsets span two stacked-SVD chunks; every fourth row
+    # is zero, so some subsets are exactly rank deficient
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal((25, 3)) + 1j * rng.standard_normal((25, 3))
+    vectors[::4] = 0.0
+    sel = EigenSelection(None, (1, 2, 3), np.zeros(3), vectors)
+    candidates = enumerate_model_spaces(sel)
+    assert _enumeration_agrees(sel, candidates, COND_CAP)
+    # the lexicographically last candidate lies in the second chunk
+    last = max(range(len(candidates)), key=lambda i: candidates[i][0])
+    for dropped in (0, last):
+        assert not _enumeration_agrees(sel, candidates[:dropped] + candidates[dropped + 1:],
+                                       COND_CAP)
+    deficient = (1, 2, 3)  # row 1 is zero
+    assert deficient not in dict(candidates)
+    assert not _enumeration_agrees(sel, [*candidates, (deficient, 1.0)], COND_CAP)
 
 
 def test_cli_gen_solve_direct_hand(tmp_path):

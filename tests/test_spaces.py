@@ -13,6 +13,7 @@ from effop.errors import (
     NotHermitian,
     ValidationError,
 )
+from effop import spaces
 from effop.harness import ProblemSpec, generate
 from effop.spaces import (
     ModelSpace,
@@ -24,7 +25,9 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
+from effop.tolerances import COND_CAP
 from effop.transform import construct_s_direct, DecouplingMap, ModelSpace as _MS  # noqa: F401
+from effop.util import condition_number
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 INV_SQRT2 = 1.0 / np.sqrt(2.0)
@@ -224,6 +227,57 @@ def test_enumerate_cap_too_tight():
     sel = _selection_from_vectors(np.array([[1.0], [0.5]]))
     with pytest.raises(CapTooTight):
         enumerate_model_spaces(sel, cond_cap=0.5)
+
+
+def _enumerate_reference(sel, cond_cap=COND_CAP):
+    """One ``condition_number`` call per subset, sorted by (cond, K)."""
+    n, d = sel.total_dim, sel.dim
+    found = []
+    for subset in itertools.combinations(range(1, n + 1), d):
+        cond = condition_number(sel.vectors[np.asarray(subset) - 1, :])
+        if np.isfinite(cond) and cond <= cond_cap:
+            found.append((subset, cond))
+    return sorted(found, key=lambda item: (item[1], item[0]))
+
+
+def test_enumerate_matches_per_subset_reference_across_chunks():
+    obs = generate(ProblemSpec("random_hermitian", dim=25, seed=4))
+    sel = select_eigenvectors(eigendecompose(obs), (2, 9, 17))
+    assert math.comb(25, 3) > spaces._SUBSET_CHUNK
+    result = enumerate_model_spaces(sel)
+    assert result == _enumerate_reference(sel)
+    assert all(type(cond) is float for _, cond in result)
+
+
+@pytest.mark.parametrize("unit_rows", [False, True])
+def test_enumerate_leaves_out_zero_row_subsets(unit_rows):
+    # 25 rows, 3 columns, every fourth row zero; with unit rows scaled by 1
+    # or 2 every accepted block is a scaled permutation matrix, so its cond
+    # is exactly 1 or 2 and the order of the ties, across chunk boundaries
+    # too, is decided by K alone
+    rng = np.random.default_rng(8)
+    if unit_rows:
+        vectors = np.eye(3)[np.arange(25) % 3] * (1.0 + np.arange(25) % 2)[:, None]
+    else:
+        vectors = rng.standard_normal((25, 3)) + 1j * rng.standard_normal((25, 3))
+    zero = np.arange(0, 25, 4)
+    vectors[zero] = 0.0
+    sel = _selection_from_vectors(vectors)
+    result = enumerate_model_spaces(sel)
+    assert result == _enumerate_reference(sel)
+    assert not any(set(k) & set(zero + 1) for k, _ in result)
+    if unit_rows:
+        assert {cond for _, cond in result} == {1.0, 2.0}
+        assert len(result) == 6 ** 3
+
+
+def test_enumerate_cap_too_tight_message():
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=5))
+    sel = select_eigenvectors(eigendecompose(obs), (1, 2, 3))
+    assert _enumerate_reference(sel, cond_cap=1.0) == []
+    with pytest.raises(CapTooTight) as excinfo:
+        enumerate_model_spaces(sel, cond_cap=1.0)
+    assert str(excinfo.value) == "no subset of size 3 passed cond cap 1.000e+00 out of 220 candidates"
 
 
 def test_pivoted_model_space_picks_dominant_row():
