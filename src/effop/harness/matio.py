@@ -6,7 +6,9 @@ holds 2C whitespace-separated decimal floats, one (re, im) pair per
 entry, row major. Square observables have R = C = N. Decoupling maps
 are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a
 comment so the model space can be rebuilt. Values are written with 17
-significant digits, enough to round-trip float64 exactly.
+significant digits, enough to round-trip float64 exactly. Tokens are read
+by numpy's float parser: decimal floats, ``inf`` and ``nan``, no
+underscores and no non-ASCII digits.
 """
 
 from __future__ import annotations
@@ -29,28 +31,38 @@ __all__ = [
     "write_effective",
 ]
 
-_FMT = "{:.17g}"
-
 
 def write_matrix(path, matrix, comments=()) -> None:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"can only write 2-D matrices, got ndim={m.ndim}")
+    # '%.17g' formats through the same PyOS_double_to_string call as
+    # '{:.17g}'; 17 significant digits round-trip every float64.
+    row = " ".join(["%.17g"] * (2 * m.shape[1]))
     lines = [f"# {c}" for c in comments]
     lines.append(str(m.shape[0]))
-    for row in m:
-        lines.append(" ".join(f"{_FMT.format(z.real)} {_FMT.format(z.imag)}" for z in row))
+    floats = np.ascontiguousarray(m).view(np.float64)
+    lines.extend(row % tuple(values) for values in floats.tolist())
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _parse_floats(lines) -> np.ndarray:
+    """numpy's C float parser over whitespace-separated tokens: one row per
+    line; raises ValueError on a bad token or a change of row width."""
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
 def read_matrix(path):
     """Parse a matrix file into ``(complex matrix, comment list)``.
 
     The column count is taken from the rows themselves, so rectangular
-    data reads back exactly as written.
+    data reads back exactly as written. Each (re, im) float pair is
+    viewed as one complex entry, so every double written, signed zeros
+    and infinities included, reads back bit for bit (a NaN as numpy's NaN).
     """
     rows = None
-    data: list[list[float]] = []
+    lines: list[str] = []
+    line_numbers: list[int] = []
     comments: list[str] = []
     for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         text = raw.strip()
@@ -67,27 +79,36 @@ def read_matrix(path):
             if rows < 0:
                 raise MatrixFileError(f"{path}:{ln}: negative row count")
             continue
-        try:
-            values = [float(token) for token in text.split()]
-        except ValueError as exc:
-            raise MatrixFileError(f"{path}:{ln}: non-numeric entry") from exc
-        if len(values) % 2:
-            raise MatrixFileError(f"{path}:{ln}: odd float count; entries are (re, im) pairs")
-        data.append(values)
+        lines.append(text)
+        line_numbers.append(ln)
     if rows is None:
         raise MatrixFileError(f"{path}: missing row count line")
-    if len(data) != rows:
-        raise MatrixFileError(f"{path}: declared {rows} rows, found {len(data)}")
+    try:
+        values = _parse_floats(lines) if lines else np.empty((0, 0))
+    except ValueError:
+        values = None
+    if values is None or values.shape[1] % 2 or len(lines) != rows:
+        _raise_first_fault(path, rows, lines, line_numbers)
     if rows == 0:
         return np.zeros((0, 0), dtype=np.complex128), comments
-    widths = {len(r) for r in data}
-    if len(widths) != 1:
-        raise MatrixFileError(f"{path}: rows have inconsistent entry counts")
-    cols = widths.pop() // 2
-    if cols == 0:
-        raise MatrixFileError(f"{path}: rows carry no entries")
-    flat = np.array(data, dtype=float).reshape(rows, cols, 2)
-    return np.ascontiguousarray(flat[..., 0] + 1j * flat[..., 1]), comments
+    return values.view(np.complex128), comments
+
+
+def _raise_first_fault(path, rows: int, lines: list[str], line_numbers: list[int]):
+    """Raise the first fault of a file the fast path refused: a bad or
+    odd line in file order, each parsed alone with the same parser, then
+    the row count, then the row widths."""
+    for ln, text in zip(line_numbers, lines):
+        try:
+            width = _parse_floats([text]).shape[1]
+        except ValueError as exc:
+            raise MatrixFileError(f"{path}:{ln}: non-numeric entry") from exc
+        if width % 2:
+            raise MatrixFileError(f"{path}:{ln}: odd float count; entries are (re, im) pairs")
+    if len(lines) != rows:
+        raise MatrixFileError(f"{path}: declared {rows} rows, found {len(lines)}")
+    # every line parses on its own, so the bulk parse failed on a width change
+    raise MatrixFileError(f"{path}: rows have inconsistent entry counts")
 
 
 def read_observable(path):

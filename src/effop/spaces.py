@@ -84,11 +84,12 @@ def validate_hermitian(matrix) -> ObservableMatrix:
     if not np.all(np.isfinite(a.view(np.float64))):
         raise NonFinite("observable contains NaN or Inf entries")
     scale = float(np.abs(a).max())
-    asym = float(np.abs(a - a.conj().T).max())
+    adjoint = a.conj().T
+    asym = float(np.abs(a - adjoint).max())
     limit = tolerances.HERM_RTOL * scale
     if asym > limit:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {limit:.3e}")
-    h = 0.5 * (a + a.conj().T)
+    h = 0.5 * (a + adjoint)
     h.setflags(write=False)
     return ObservableMatrix(h)
 
@@ -166,15 +167,13 @@ class Eigendecomposition:
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first non-negligible entry is real positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
-        anchors = np.flatnonzero(np.abs(col) > tolerances.PHASE_ANCHOR)
-        if anchors.size:
-            pivot = col[anchors[0]]
-            col *= np.abs(pivot) / pivot
-    return out
+    """Rotate each column so its first non-negligible entry is real positive;
+    a column without one is left unrotated."""
+    anchored = np.abs(vectors) > tolerances.PHASE_ANCHOR
+    columns = np.arange(vectors.shape[1])
+    first = anchored.argmax(axis=0)
+    pivots = np.where(anchored[first, columns], vectors[first, columns], 1.0)
+    return vectors * (np.abs(pivots) / pivots)
 
 
 def _degenerate_clusters(values, rtol: float) -> list[tuple[int, int]]:
@@ -215,8 +214,7 @@ def eigendecompose(obs: ObservableMatrix) -> Eigendecomposition:
         values, vectors = np.linalg.eigh(obs.matrix)
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
-    vectors = _normalize_phases(vectors.astype(np.complex128))
-    values, vectors = _order_ties(values.astype(np.float64), vectors)
+    values, vectors = _order_ties(values, _normalize_phases(vectors))
     residual = float(np.linalg.norm(obs.matrix @ vectors - vectors * values, axis=0).max())
     if residual > tol:
         raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")

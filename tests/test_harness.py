@@ -126,6 +126,43 @@ def test_matio_malformed_files(tmp_path):
         read_matrix(bad)
 
 
+_SPECIAL = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e-300, 1.0])
+
+
+@pytest.mark.parametrize("shape", [(4, 4), (5, 3), (0, 0)])
+def test_matio_round_trip_is_bit_exact(tmp_path, shape):
+    rng = np.random.default_rng(sum(shape))
+    floats = rng.choice(_SPECIAL, size=(*shape, 2))
+    floats.flat[: min(floats.size, _SPECIAL.size)] = _SPECIAL[: floats.size]
+    matrix = floats.view(np.complex128)[..., 0]
+    path = tmp_path / "special.mat"
+    write_matrix(path, matrix)
+    back, _ = read_matrix(path)
+    assert back.shape == shape
+    assert back.tobytes() == matrix.tobytes()
+
+
+@pytest.mark.parametrize("text,where", [
+    ("# only comments\n", ": missing row count line"),
+    ("# note\n\nx\n", ":3: expected the row count, got 'x'"),
+    ("# note\n-1\n", ":2: negative row count"),
+    ("2\n1 0 0 0\n0 0 1_0 0\n", ":3: non-numeric entry"),
+    ("1\n1 0 ١ 0\n", ":2: non-numeric entry"),
+    ("1\n1 0 # 0\n", ":2: non-numeric entry"),
+    ("3\n1 0 0 x\n", ":2: non-numeric entry"),
+    ("2\n\n1 0 0\n1 x\n", ":3: odd float count; entries are (re, im) pairs"),
+    ("3\n1 0\n# note\n0 1\n", ": declared 3 rows, found 2"),
+    ("0\n1 0\n", ": declared 0 rows, found 1"),
+    ("2\n1 0 0 0\n1 0\n", ": rows have inconsistent entry counts"),
+])
+def test_matio_error_names_file_and_line(tmp_path, text, where):
+    path = tmp_path / "bad.mat"
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(MatrixFileError) as excinfo:
+        read_matrix(path)
+    assert str(excinfo.value) == f"{path}{where}"
+
+
 def test_matio_decoupling_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     ms = ModelSpace(5, (1, 3))

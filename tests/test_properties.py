@@ -8,8 +8,16 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effop.effective import first_type
+from effop.effective import EffectiveOperator, first_type
 from effop.harness.generate import ProblemSpec, generate
+from effop.harness.matio import (
+    read_decoupling_map,
+    read_matrix,
+    read_observable,
+    write_decoupling_map,
+    write_effective,
+    write_observable,
+)
 from effop.spaces import (
     ModelSpace,
     _degenerate_clusters,
@@ -18,7 +26,12 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.transform import construct_s_direct, construct_s_from_span
+from effop.transform import (
+    DecouplingMap,
+    DirectProvenance,
+    construct_s_direct,
+    construct_s_from_span,
+)
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -90,3 +103,67 @@ def _clusters_by_scan(values, rtol):
 def test_degenerate_clusters_match_scan(values, rtol):
     ordered = np.sort(np.asarray(values))
     assert _degenerate_clusters(ordered, rtol) == _clusters_by_scan(ordered, rtol)
+
+
+def _reference_text(matrix, comments) -> str:
+    """The matrix file layout, formatted one '{:.17g}' call per float."""
+    lines = [f"# {c}" for c in comments] + [str(matrix.shape[0])]
+    for row in matrix:
+        lines.append(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
+    return "\n".join(lines) + "\n"
+
+
+@st.composite
+def file_contents(draw):
+    """Entries of random phase and magnitude 1e-300..1e300 for the three
+    file kinds: an N x N Hermitian observable, an (N - d) x d map on a
+    model space K with its J, and a d x d effective operator, 1 <= d <= N."""
+    n = draw(st.integers(1, 6))
+    d = draw(st.integers(1, n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+
+    def entries(shape):
+        magnitude = 10.0 ** rng.uniform(-300.0, 300.0, size=shape)
+        return magnitude * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=shape))
+
+    upper = np.triu(entries((n, n)), 1)
+    hermitian = upper + upper.conj().T + np.diag(entries(n).real)
+    ms = ModelSpace(n, tuple(sorted(int(k) + 1 for k in rng.choice(n, size=d, replace=False))))
+    j = tuple(int(i) + 1 for i in rng.choice(n, size=d, replace=False))
+    return hermitian, DecouplingMap(ms, entries((n - d, d)), DirectProvenance(j)), entries((d, d))
+
+
+def _ids(indices) -> str:
+    return ",".join(str(i) for i in indices)
+
+
+@PROPERTY_SETTINGS
+@given(file_contents())
+def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
+    hermitian, dm, effective = contents
+    ms = dm.model_space
+    root = tmp_path_factory.mktemp("files")
+
+    obs = validate_hermitian(hermitian)
+    assert obs.matrix.tobytes() == hermitian.tobytes()
+    write_observable(root / "o.mat", obs, ["observable"])
+    back, _ = read_observable(root / "o.mat")
+    assert back.matrix.tobytes() == hermitian.tobytes()
+    assert (root / "o.mat").read_text() == _reference_text(hermitian, ["observable"])
+
+    write_decoupling_map(root / "s.mat", dm)
+    read_back = read_decoupling_map(root / "s.mat")
+    assert read_back.s.shape == dm.s.shape
+    assert read_back.s.tobytes() == dm.s.tobytes()
+    assert (read_back.model_space, read_back.provenance) == (ms, dm.provenance)
+    header = [f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={_ids(ms.indices)}",
+              f"J={_ids(dm.provenance.indices)}"]
+    assert (root / "s.mat").read_text() == _reference_text(dm.s, header)
+
+    op = EffectiveOperator(effective, ms, obs, dm)
+    write_effective(root / "e.mat", op, residual=1.5e-13)
+    matrix, comments = read_matrix(root / "e.mat")
+    assert matrix.tobytes() == effective.tobytes()
+    assert comments == [f"K={_ids(ms.indices)}", f"J={_ids(dm.provenance.indices)}",
+                        "residual=1.500000e-13"]
+    assert (root / "e.mat").read_text() == _reference_text(effective, comments)

@@ -25,7 +25,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.tolerances import COND_CAP
+from effop.tolerances import COND_CAP, PHASE_ANCHOR
 from effop.transform import construct_s_direct, DecouplingMap, ModelSpace as _MS  # noqa: F401
 from effop.util import condition_number
 
@@ -118,6 +118,55 @@ def test_eigendecompose_phase_anchor_positive():
         k = np.flatnonzero(np.abs(col) > 1e-8)[0]
         assert col[k].real > 0
         assert abs(col[k].imag) < 1e-12
+
+
+def _normalize_phases_reference(vectors):
+    """The per-column loop the vectorized phase normalization replaced."""
+    out = vectors.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        anchors = np.flatnonzero(np.abs(col) > PHASE_ANCHOR)
+        if anchors.size:
+            pivot = col[anchors[0]]
+            col *= np.abs(pivot) / pivot
+    return out
+
+
+def _phase_inputs():
+    rng = np.random.default_rng(29)
+    for n in (1, 2, 7, 33, 130):
+        z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        z *= 10.0 ** rng.uniform(-6, 6, size=(n, n))
+        z[: n // 2, ::3] = 0.0           # the anchor moves down these columns
+        z[0, 1::4] = 0.5 * PHASE_ANCHOR   # a negligible leading entry is skipped
+        z[:, -1] = 0.1 * PHASE_ANCHOR     # no anchor at all: the column is not rotated
+        yield z
+    planted = (1, 1, 1, 2, 2, 3, 4, 4, 4, 4, 5, 6)
+    obs = generate(ProblemSpec("planted_spectrum", dim=12, seed=8, spectrum=planted))
+    yield np.linalg.eigh(obs.matrix)[1]
+    family = generate(ProblemSpec("commuting_family", dim=20, seed=4, family_size=3))
+    for member in family.members:
+        yield np.linalg.eigh(member.matrix)[1]
+    mix = sum(member.matrix for member in family.members)
+    yield np.linalg.eigh(0.5 * (mix + mix.conj().T))[1]
+
+
+def test_normalize_phases_matches_per_column_loop():
+    for vectors in _phase_inputs():
+        got = spaces._normalize_phases(vectors)
+        assert got.tobytes() == _normalize_phases_reference(vectors).tobytes()
+
+
+def test_eigendecompose_bitwise_on_degenerate_spectra():
+    planted = (0, 0, 0, 1, 2, 2, 3, 3, 3, 3)
+    for spec in (ProblemSpec("planted_spectrum", dim=10, seed=5, spectrum=planted),
+                 ProblemSpec("random_hermitian", dim=40, seed=6)):
+        obs = generate(spec)
+        values, vectors = np.linalg.eigh(obs.matrix)
+        values, vectors = spaces._order_ties(values, _normalize_phases_reference(vectors))
+        dec = eigendecompose(obs)
+        assert dec.values.tobytes() == values.tobytes()
+        assert dec.vectors.tobytes() == vectors.tobytes()
 
 
 def test_model_space_validation():
