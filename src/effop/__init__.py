@@ -14,7 +14,6 @@ from .effective import (
     EffectivePair,
     EigenvectorClassification,
     OverlapMatrix,
-    SecondTypeOperator,
     classify_eigenvector,
     equivalence_transform,
     expansion_coefficients,
@@ -121,7 +120,6 @@ __all__ = [
     "residual_history",
     # effective
     "EffectiveOperator",
-    "SecondTypeOperator",
     "EffectivePair",
     "OverlapMatrix",
     "EigenvectorClassification",

@@ -27,15 +27,10 @@ from .errors import (
     ZeroVector,
 )
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
-from .transform import (
-    DecouplingMap,
-    partition_blocks,
-    transformed_blocks,
-)
+from .transform import DecouplingMap, transformed_blocks
 
 __all__ = [
     "EffectiveOperator",
-    "SecondTypeOperator",
     "EffectivePair",
     "OverlapMatrix",
     "EigenvectorClassification",
@@ -56,8 +51,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffectiveOperator:
-    """First-type (spectral) representative; d x d, generally non-Hermitian,
-    with the decoupling residual measured when it was built."""
+    """A d x d representative on the model space: first-type (spectral,
+    generally non-Hermitian) or second-type (Hermitian), with the
+    decoupling residual of its map measured when it was built."""
 
     matrix: np.ndarray
     model_space: ModelSpace
@@ -67,21 +63,11 @@ class EffectiveOperator:
 
 
 @dataclass(frozen=True)
-class SecondTypeOperator:
-    """Second-type (matrix-element) representative; d x d Hermitian."""
-
-    matrix: np.ndarray
-    model_space: ModelSpace
-    source: ObservableMatrix
-    decoupling: DecouplingMap
-
-
-@dataclass(frozen=True)
 class EffectivePair:
     """Both representatives of one observable under one decoupling map."""
 
     first: EffectiveOperator
-    second: SecondTypeOperator
+    second: EffectiveOperator
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:
@@ -91,16 +77,20 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 
 
 def _decoupled_blocks(obs: ObservableMatrix, dm: DecouplingMap):
-    """Transformed blocks and their decoupling residual; raises
-    :class:`NotDecoupled` when the residual exceeds the limit."""
+    """Transformed blocks; raises :class:`NotDecoupled` when their
+    residual exceeds the limit."""
     limit = tolerances.decoupled_tolerance(obs)
     blocks = transformed_blocks(obs, dm)
-    residual = float(np.linalg.norm(blocks.qp))
-    if residual > limit:
+    if blocks.residual > limit:
         raise NotDecoupled(
-            f"decoupling residual {residual:.3e} exceeds {limit:.3e}", residual=residual
+            f"decoupling residual {blocks.residual:.3e} exceeds {limit:.3e}",
+            residual=blocks.residual,
         )
-    return blocks, residual
+    return blocks
+
+
+def _operator(matrix, obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectiveOperator:
+    return EffectiveOperator(_frozen(matrix), dm.model_space, obs, dm, blocks.residual)
 
 
 def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
@@ -110,28 +100,33 @@ def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     guarantee is void and :class:`NotDecoupled` is raised. The measured
     residual is kept on the result.
     """
-    blocks, residual = _decoupled_blocks(obs, dm)
-    return EffectiveOperator(_frozen(blocks.pp), dm.model_space, obs, dm, residual)
+    blocks = _decoupled_blocks(obs, dm)
+    return _operator(blocks.pp, obs, dm, blocks)
 
 
-def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> SecondTypeOperator:
+def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     """Hermitian representative a + b s + s'b_dag + s'f s (s' the adjoint).
 
     Defined for any map; the matrix-element identity it serves holds
-    only between vectors of the map's invariant subspace.
+    only between vectors of the map's invariant subspace. The residual
+    of the map is recorded on the result, not enforced.
     """
-    a, b, b_dag, f = partition_blocks(obs, dm.model_space)
-    s = dm.s
-    s_h = s.conj().T
-    m = a + b @ s + s_h @ b_dag + s_h @ (f @ s)
-    return SecondTypeOperator(_frozen(m), dm.model_space, obs, dm)
+    blocks = transformed_blocks(obs, dm)
+    return _operator(blocks.second, obs, dm, blocks)
+
+
+def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap) -> EffectivePair:
+    """Both representatives from one reduction; raises like :func:`first_type`."""
+    blocks = _decoupled_blocks(obs, dm)
+    return EffectivePair(_operator(blocks.pp, obs, dm, blocks),
+                         _operator(blocks.second, obs, dm, blocks))
 
 
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
                               match_rtol: float = tolerances.SPECTRUM_MATCH_RTOL):
     """Complement block of the transformed observable, plus a report that
     its spectrum joined with the model block's rebuilds the full one."""
-    blocks, _ = _decoupled_blocks(obs, dm)
+    blocks = _decoupled_blocks(obs, dm)
     approx = np.concatenate([np.linalg.eigvals(blocks.pp), np.linalg.eigvals(blocks.qq)])
     report = util.match_spectra(approx, np.linalg.eigvalsh(obs.matrix), rtol=match_rtol)
     return _frozen(blocks.qq), report
@@ -266,7 +261,7 @@ def membership_residual(vector, dm: DecouplingMap) -> float:
     return float(np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows]))
 
 
-def matrix_element(psi, phi, op: SecondTypeOperator, dm: DecouplingMap) -> complex:
+def matrix_element(psi, phi, op: EffectiveOperator, dm: DecouplingMap) -> complex:
     """Matrix element of the original observable between two subspace
     vectors, evaluated from their model-space components alone."""
     ms = dm.model_space
@@ -296,7 +291,7 @@ def expectation_first_type(op: EffectiveOperator, alpha) -> complex:
     return complex(np.vdot(a, op.matrix @ a) / norm2)
 
 
-def expectation_second_type(op: SecondTypeOperator, psi, dm: DecouplingMap) -> float:
+def expectation_second_type(op: EffectiveOperator, psi, dm: DecouplingMap) -> float:
     """Expectation of the original observable in a unit subspace vector:
     the quadratic form of the Hermitian representative on the model
     components, equal to the projection norm squared times the

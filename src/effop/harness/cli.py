@@ -132,15 +132,9 @@ def _cmd_effective(args) -> int:
         raise ValidationError(
             f"--K {args.k} does not match the s-file header K={dm.model_space.indices}"
         )
-    if args.second_type:
-        operator = eff.second_type(obs, dm)
-        residual = transform.decoupling_residual(obs, dm)
-        kind = "second-type"
-    else:
-        operator = eff.first_type(obs, dm)
-        residual = operator.residual
-        kind = "first-type"
-    matio.write_effective(args.out, operator, residual=residual,
+    kind = "second-type" if args.second_type else "first-type"
+    operator = (eff.second_type if args.second_type else eff.first_type)(obs, dm)
+    matio.write_effective(args.out, operator, residual=operator.residual,
                           extra_comments=[f"type={kind}"])
     print(f"{kind} operator written to {args.out}")
     return 0

@@ -36,6 +36,8 @@ def write_matrix(path, matrix, comments=()) -> None:
     m = np.asarray(matrix, dtype=np.complex128)
     if m.ndim != 2:
         raise DimensionMismatch(f"can only write 2-D matrices, got ndim={m.ndim}")
+    if m.shape[1] == 0 < m.shape[0]:
+        raise DimensionMismatch(f"{m.shape[0]} rows without entries would read back as 0 rows")
     # '%.17g' formats through the same PyOS_double_to_string call as
     # '{:.17g}'; 17 significant digits round-trip every float64.
     row = " ".join(["%.17g"] * (2 * m.shape[1]))

@@ -113,7 +113,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         s_norm = float(np.linalg.norm(dm.s))
         blocks = transform.transformed_blocks(obs, dm)
         report.add("decoupling_residual_direct",
-                   float(np.linalg.norm(blocks.qp)), transform.decoupled_tolerance(obs))
+                   blocks.residual, transform.decoupled_tolerance(obs))
 
         forward, backward = transform.exp_s(dm, 1), transform.exp_s(dm, -1)
         embedded = forward - np.eye(n)

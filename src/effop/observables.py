@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances, util
-from .effective import EffectivePair, SecondTypeOperator, first_type, second_type
+from .effective import EffectivePair, _effective_pair, second_type
 from .errors import (
     DimensionMismatch,
     NotCommuting,
@@ -239,7 +239,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
     pairs: list[EffectivePair] = []
     for sig, member in enumerate(cset.members, start=1):
         try:
-            first = first_type(member, dm)
+            pairs.append(_effective_pair(member, dm))
         except NotDecoupled as exc:
             raise NotDecoupled(
                 f"member {sig}: residual {exc.residual:.3e} "
@@ -247,7 +247,6 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
                 member=sig,
                 residual=exc.residual,
             ) from exc
-        pairs.append(EffectivePair(first, second_type(member, dm)))
     c = len(pairs)
     norms = np.zeros((c, c))
     for i in range(c):
@@ -259,14 +258,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
     return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
 
 
-def second_type_only(outside: ObservableMatrix, dm: DecouplingMap) -> SecondTypeOperator:
-    """Hermitian representative for an observable outside the commuting set.
-
-    No decoupling is required or implied; the operator reproduces the
-    block of matrix elements between vectors of the map's invariant
-    subspace, and nothing more.
-    """
-    return second_type(outside, dm)
+second_type_only = second_type  # for observables outside the set; needs no decoupling
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from .errors import (
     ValidationError,
 )
 from .spaces import ModelSpace, ObservableMatrix
-from .transform import DecouplingMap, IterativeProvenance, partition_blocks
+from .transform import DecouplingMap, IterativeProvenance, _reduce, partition_blocks
 
 __all__ = [
     "SolverConfig",
@@ -93,10 +93,6 @@ def residual_history(trace: SolverTrace) -> list[tuple[int, float]]:
     return [(s.iteration, s.residual) for s in trace.steps]
 
 
-def _equation_residual(s, a, b, b_dag, f) -> float:
-    return float(np.linalg.norm(b_dag + f @ s - s @ (a + b @ s)))
-
-
 def _freeze(ms: ModelSpace, s: np.ndarray, iterations: int, residual: float) -> DecouplingMap:
     out = np.ascontiguousarray(s)
     out.setflags(write=False)
@@ -142,12 +138,12 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
 
     steps: list[TraceStep] = []
     best_s = s
-    best_res = _equation_residual(s, a, b, b_dag, f)
+    best_res = _reduce(a, b, b_dag, f, s).residual
     for k in range(1, cfg.max_iter + 1):
         rhs = s @ b @ s - b_dag
         s_new = scipy.linalg.solve_sylvester(f, -a, rhs)
         step = float(np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s)))
-        res = _equation_residual(s_new, a, b, b_dag, f)
+        res = _reduce(a, b, b_dag, f, s_new).residual
         s = s_new
         s_norm = float(np.linalg.norm(s))
         steps.append(TraceStep(k, step, res, s_norm))

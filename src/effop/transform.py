@@ -12,7 +12,8 @@ original index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -142,26 +143,42 @@ def similarity_transform(obs: ObservableMatrix, dm: DecouplingMap) -> np.ndarray
 
 @dataclass(frozen=True)
 class TransformedBlocks:
-    """Blocks of the transformed observable in the (model, complement) partition."""
+    """Blocks of the transformed observable in the (model, complement)
+    partition: pp = a + b s, pq = b, the residual block
+    qp = b_dag + f s - s pp with its norm ``residual``, and, formed on
+    first access, qq = f - s b and the second-type matrix."""
 
     pp: np.ndarray
     pq: np.ndarray
     qp: np.ndarray
-    qq: np.ndarray
+    residual: float
+    _s: np.ndarray = field(repr=False)
+    _b_dag: np.ndarray = field(repr=False)
+    _f: np.ndarray = field(repr=False)
+    _fs: np.ndarray = field(repr=False)
+
+    @cached_property
+    def qq(self) -> np.ndarray:
+        return self._f - self._s @ self.pq
+
+    @cached_property
+    def second(self) -> np.ndarray:
+        """Second-type matrix a + b s + s'b_dag + s'f s = [I; s]' O [I; s]."""
+        s_h = self._s.conj().T
+        return self.pp + s_h @ self._b_dag + s_h @ self._fs
+
+
+def _reduce(a, b, b_dag, f, s) -> TransformedBlocks:
+    """The one place a partition (a, b, b_dag, f) and a map s become blocks."""
+    pp = a + b @ s
+    fs = f @ s
+    qp = b_dag + fs - s @ pp
+    return TransformedBlocks(pp, b, qp, float(np.linalg.norm(qp)), s, b_dag, f, fs)
 
 
 def transformed_blocks(obs: ObservableMatrix, dm: DecouplingMap) -> TransformedBlocks:
-    """Closed-form blocks of the transformed observable.
-
-    pp = a + b s, pq = b, qq = f - s b, and qp is the residual block of
-    the decoupling equation, b_dag + f s - s (a + b s).
-    """
-    a, b, b_dag, f = partition_blocks(obs, dm.model_space)
-    s = dm.s
-    pp = a + b @ s
-    qp = b_dag + f @ s - s @ pp
-    qq = f - s @ b
-    return TransformedBlocks(pp=pp, pq=b, qp=qp, qq=qq)
+    """Closed-form blocks of the transformed observable."""
+    return _reduce(*partition_blocks(obs, dm.model_space), dm.s)
 
 
 def assemble_blocks(blocks: TransformedBlocks, ms: ModelSpace) -> np.ndarray:
@@ -178,7 +195,7 @@ def assemble_blocks(blocks: TransformedBlocks, ms: ModelSpace) -> np.ndarray:
 
 def decoupling_residual(obs: ObservableMatrix, dm: DecouplingMap) -> float:
     """Frobenius norm of the lower-left block of the transformed observable."""
-    return float(np.linalg.norm(transformed_blocks(obs, dm).qp))
+    return transformed_blocks(obs, dm).residual
 
 
 def is_decoupled(obs: ObservableMatrix, dm: DecouplingMap) -> bool:

@@ -1,12 +1,15 @@
+import importlib
+import importlib.util
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import effop
-from effop import transform
-from effop.errors import InvalidSpec, MatrixFileError
+from effop import spaces, transform
+from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError
 from effop.harness import (
     ProblemSpec,
     Report,
@@ -161,6 +164,17 @@ def test_matio_error_names_file_and_line(tmp_path, text, where):
     with pytest.raises(MatrixFileError) as excinfo:
         read_matrix(path)
     assert str(excinfo.value) == f"{path}{where}"
+
+
+def test_matio_zero_width_rows_rejected_before_writing(tmp_path):
+    path = tmp_path / "z.mat"
+    with pytest.raises(DimensionMismatch):
+        write_matrix(path, np.zeros((3, 0)))
+    assert not path.exists()
+    for shape in [(0, 3), (0, 0)]:
+        write_matrix(path, np.zeros(shape))
+        matrix, _ = read_matrix(path)
+        assert matrix.shape == (0, 0)
 
 
 def test_matio_decoupling_round_trip(tmp_path):
@@ -360,27 +374,38 @@ def test_cli_exit_codes(tmp_path):
     assert result.returncode == 1
 
 
-def test_cli_effective_builds_blocks_once(tmp_path, monkeypatch):
-    obs_path = tmp_path / "obs.mat"
-    s_path = tmp_path / "s.mat"
-    assert cli.main(["gen", "--kind", "random_hermitian", "--dim", "6", "--seed", "2",
-                     "--out", str(obs_path)]) == 0
-    assert cli.main(["solve-direct", "--matrix", str(obs_path), "--J", "1,2",
-                     "--K", "1,2", "--out-s", str(s_path)]) == 0
-
-    original = transform.transformed_blocks
+def _count_calls(monkeypatch, original):
+    """Count calls of ``original`` through every effop namespace binding
+    it, so no call path escapes; returns the call list and the wrapper."""
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    # every effop namespace that binds the function, so no call path escapes
     for name, module in list(sys.modules.items()):
         if module is not None and (name == "effop" or name.startswith("effop.")):
             for attr, value in list(vars(module).items()):
                 if value is original:
                     monkeypatch.setattr(module, attr, counted)
+    return calls, counted
+
+
+def _observable_and_map(tmp_path):
+    """A 6 x 6 observable file and the s-file of its two lowest states."""
+    obs_path = tmp_path / "obs.mat"
+    s_path = tmp_path / "s.mat"
+    assert cli.main(["gen", "--kind", "random_hermitian", "--dim", "6", "--seed", "2",
+                     "--out", str(obs_path)]) == 0
+    assert cli.main(["solve-direct", "--matrix", str(obs_path), "--J", "1,2",
+                     "--K", "1,2", "--out-s", str(s_path)]) == 0
+    return obs_path, s_path
+
+
+def test_cli_effective_builds_blocks_once(tmp_path, monkeypatch):
+    obs_path, s_path = _observable_and_map(tmp_path)
+
+    calls, counted = _count_calls(monkeypatch, transform.transformed_blocks)
     assert effop.transformed_blocks is counted
 
     assert cli.main(["effective", "--matrix", str(obs_path), "--s", str(s_path),
@@ -388,3 +413,33 @@ def test_cli_effective_builds_blocks_once(tmp_path, monkeypatch):
     assert len(calls) == 1
     _, comments = read_matrix(tmp_path / "eff.mat")
     assert any(c.startswith("residual=") for c in comments)
+
+
+def test_cli_effective_second_type_partitions_once(tmp_path, monkeypatch):
+    obs_path, s_path = _observable_and_map(tmp_path)
+    calls, counted = _count_calls(monkeypatch, transform.partition_blocks)
+    assert effop.partition_blocks is counted
+
+    out = tmp_path / "eff_bar.mat"
+    assert cli.main(["effective", "--matrix", str(obs_path), "--s", str(s_path),
+                     "--second-type", "--out", str(out)]) == 0
+    assert len(calls) == 1
+    monkeypatch.undo()
+    obs, _ = read_observable(obs_path)
+    residual = transform.decoupling_residual(obs, read_decoupling_map(s_path))
+    _, comments = read_matrix(out)
+    assert f"residual={residual:.6e}" in comments
+    assert "type=second-type" in comments
+
+
+def test_benchmark_tracing_targets_resolve():
+    """Every function the benchmark's tracer wraps still exists, and the
+    model-space complement it counts is still a property."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    for module_name, attr in tracing.FUNCTIONS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), \
+            (module_name, attr)
+    assert isinstance(spaces.ModelSpace.__dict__["complement"], property)

@@ -4,11 +4,13 @@ Examples are drawn deterministically (``derandomize=True``), so every
 run checks the same bounded set of problems.
 """
 
+from itertools import permutations
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effop.effective import EffectiveOperator, first_type
+from effop.effective import EffectiveOperator, first_type, second_type
 from effop.harness.generate import ProblemSpec, generate
 from effop.harness.matio import (
     read_decoupling_map,
@@ -31,7 +33,10 @@ from effop.transform import (
     DirectProvenance,
     construct_s_direct,
     construct_s_from_span,
+    partition_blocks,
+    transformed_blocks,
 )
+from effop.util import match_spectra
 
 PROPERTY_SETTINGS = settings(derandomize=True, max_examples=40, deadline=None, database=None)
 
@@ -167,3 +172,81 @@ def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
     assert comments == [f"K={_ids(ms.indices)}", f"J={_ids(dm.provenance.indices)}",
                         "residual=1.500000e-13"]
     assert (root / "e.mat").read_text() == _reference_text(effective, comments)
+
+
+def test_match_spectra_pairs_in_sorted_order():
+    # nearest-first pairing took 0.05 for 0 and left 0.1 with -0.2 (0.30)
+    result = match_spectra([0.0, 0.1], [0.05, -0.2], rtol=0.25)
+    assert result.matched
+    assert result.max_deviation == 0.2
+
+
+def test_match_spectra_never_matches_nan():
+    # a NaN deviation must fail the tolerance test, not slip past it
+    for subset in (False, True):
+        assert not match_spectra([np.nan, 1.0], [0.0, 1.0, 2.0][:2 + subset],
+                                 subset=subset).matched
+
+
+def _matchable(approx, exact, rtol) -> bool:
+    """Reference: some injective assignment keeps every pair in tolerance."""
+    return any(
+        all(abs(a - exact[j]) <= rtol * (1.0 + abs(exact[j])) for a, j in zip(approx, pick))
+        for pick in permutations(range(len(exact)), len(approx))
+    )
+
+
+# Values on a grid of eighths and power-of-two tolerances keep every
+# difference and tolerance exact, so the reference sees the same floats.
+_GRID = st.integers(-24, 24).map(lambda k: k / 8)
+
+
+@settings(PROPERTY_SETTINGS, max_examples=400)
+@given(st.lists(_GRID, max_size=6), st.lists(_GRID, max_size=6),
+       st.sampled_from([1 / 16, 1 / 8, 1 / 4, 1 / 2, 1.0]), st.booleans())
+def test_match_spectra_verdict_equals_brute_force(approx, exact, rtol, subset):
+    if subset:
+        approx = approx[:len(exact)]
+    else:
+        approx, exact = approx[:len(exact)], exact[:len(approx)]
+    assert match_spectra(approx, exact, rtol=rtol, subset=subset).matched == \
+        _matchable(approx, exact, rtol)
+
+
+@st.composite
+def maps(draw):
+    """A random Hermitian observable with a decoupling map of its selected
+    eigenvectors, or (``decoupled`` False) an arbitrary map of norm up to 3."""
+    obs, selection, ms, rng = draw(problems())
+    decoupled = draw(st.booleans())
+    if decoupled:
+        return obs, construct_s_direct(selection, ms), decoupled
+    shape = (ms.total_dim - ms.dim, ms.dim)
+    s = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    s *= rng.uniform(0.0, 3.0) / max(np.linalg.norm(s), 1e-300)
+    return obs, DecouplingMap(ms, s), decoupled
+
+
+@PROPERTY_SETTINGS
+@given(maps())
+def test_second_type_is_the_metric_times_first_type(problem):
+    """[I; s]' O [I; s] = (I + s's) pp + s' qp for any map; on a decoupling
+    map qp is the residual, so the two representatives differ by the
+    metric I + s's up to ||s||_F times that residual."""
+    obs, dm, decoupled = problem
+    s = dm.s
+    s_h = s.conj().T
+    blocks = transformed_blocks(obs, dm)
+    second = second_type(obs, dm).matrix
+    metric = np.eye(dm.model_space.dim) + s_h @ s
+    s_norm = float(np.linalg.norm(s))
+    rounding = 1e-13 * (1.0 + obs.norm) * (1.0 + s_norm) ** 2
+    assert np.linalg.norm(second - (metric @ blocks.pp + s_h @ blocks.qp)) <= rounding
+    if decoupled:
+        first = first_type(obs, dm)
+        gap = np.linalg.norm(second - metric @ first.matrix)
+        assert gap <= s_norm * first.residual + rounding
+
+    assert "qq" not in vars(blocks)
+    _, b, _, f = partition_blocks(obs, dm.model_space)
+    assert np.array_equal(blocks.qq, f - s @ b)
