@@ -13,7 +13,7 @@ eigenvectors.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -125,11 +125,24 @@ def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap) -> EffectivePair:
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
                               match_rtol: float = tolerances.SPECTRUM_MATCH_RTOL):
     """Complement block of the transformed observable, plus a report that
-    its spectrum joined with the model block's rebuilds the full one."""
+    its spectrum joined with the model block's rebuilds the full one.
+
+    The two block spectra come from the rotation behind
+    :attr:`TransformedBlocks.block_spectra`. The returned block ``qq``
+    is tied to the complement values mu by its first two moments: the
+    report matches only if |trace(qq^k) - sum mu^k| <= k match_rtol
+    sum (1 + |mu|)^k for k = 1, 2, the most the k-th power sum can move
+    when each value moves within its match tolerance.
+    """
     blocks = _decoupled_blocks(obs, dm)
-    approx = np.concatenate([np.linalg.eigvals(blocks.pp), np.linalg.eigvals(blocks.qq)])
-    report = util.match_spectra(approx, np.linalg.eigvalsh(obs.matrix), rtol=match_rtol)
-    return _frozen(blocks.qq), report
+    spec_p, spec_q = blocks.block_spectra
+    report = util.match_spectra(np.concatenate([spec_p, spec_q]), obs.spectrum, rtol=match_rtol)
+    qq = blocks.qq
+    weight = 1.0 + np.abs(spec_q)
+    moments = (np.trace(qq), np.sum(qq * qq.T))
+    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * match_rtol * np.sum(weight ** k)
+               for k, moment in enumerate(moments, start=1))
+    return _frozen(qq), replace(report, matched=report.matched and tied)
 
 
 @dataclass(frozen=True)

@@ -324,6 +324,5 @@ def decompose_space(cset: CommutingSet, partition, model_spaces, *,
         approx = np.concatenate(
             [np.linalg.eigvals(red.pairs[sig].first.matrix) for red in reductions]
         )
-        checks.append(util.match_spectra(approx, np.linalg.eigvalsh(member.matrix),
-                                         rtol=match_rtol))
+        checks.append(util.match_spectra(approx, member.spectrum, rtol=match_rtol))
     return SpaceDecomposition(tuple(reductions), tuple(checks))

@@ -110,7 +110,8 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     residual and the trace) when the budget runs out.
     """
     cfg = config or SolverConfig()
-    a, b, b_dag, f = partition_blocks(obs, ms)
+    partition = partition_blocks(obs, ms)
+    a, b, b_dag, f = partition
     d = ms.dim
     nq = ms.total_dim - d
 
@@ -138,12 +139,12 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
 
     steps: list[TraceStep] = []
     best_s = s
-    best_res = _reduce(a, b, b_dag, f, s).residual
+    best_res = _reduce(partition, s).residual
     for k in range(1, cfg.max_iter + 1):
         rhs = s @ b @ s - b_dag
         s_new = scipy.linalg.solve_sylvester(f, -a, rhs)
         step = float(np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s)))
-        res = _reduce(a, b, b_dag, f, s_new).residual
+        res = _reduce(partition, s_new).residual
         s = s_new
         s_norm = float(np.linalg.norm(s))
         steps.append(TraceStep(k, step, res, s_norm))

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cmp_to_key
+from functools import cached_property, cmp_to_key
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -55,7 +55,8 @@ class ObservableMatrix:
     """Hermitian matrix of one observable on the truncated space.
 
     Construct through :func:`validate_hermitian`, which symmetrizes away
-    representation noise and freezes the storage.
+    representation noise and freezes the storage; ``norm`` and
+    ``spectrum`` are computed once, on first access.
     """
 
     matrix: np.ndarray
@@ -64,10 +65,17 @@ class ObservableMatrix:
     def dim(self) -> int:
         return int(self.matrix.shape[0])
 
-    @property
+    @cached_property
     def norm(self) -> float:
         """Frobenius norm, the scale used by relative tolerances."""
         return float(np.linalg.norm(self.matrix))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Read-only ascending eigenvalues."""
+        values = np.linalg.eigvalsh(self.matrix)
+        values.setflags(write=False)
+        return values
 
 
 def validate_hermitian(matrix) -> ObservableMatrix:
@@ -101,7 +109,8 @@ class ModelSpace:
     ``indices`` must be strictly increasing. The complement keeps its
     natural order; ``permutation`` lists K first, complement second.
     ``p_rows`` and ``q_rows`` are the read-only 0-based numpy indices of
-    the model-space and complement axes, built once with the index sets.
+    the model-space and complement axes, and ``perm_rows`` is the two
+    joined, all built once with the index sets.
     """
 
     total_dim: int
@@ -127,7 +136,8 @@ class ModelSpace:
         object.__setattr__(self, "total_dim", n)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "_complement", complement)
-        for name, axes in (("p_rows", idx), ("q_rows", complement)):
+        for name, axes in (("p_rows", idx), ("q_rows", complement),
+                           ("perm_rows", idx + complement)):
             rows = np.asarray(axes, dtype=np.intp) - 1
             rows.setflags(write=False)
             object.__setattr__(self, name, rows)

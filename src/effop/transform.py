@@ -71,17 +71,14 @@ class DecouplingMap:
 
 
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
-    """Model/complement partition (a, b, b_dag, f) of a Hermitian matrix."""
+    """Model/complement partition (a, b, b_dag, f) of a Hermitian matrix:
+    read-only views of one gathered copy with the model-space axes first."""
     if obs.dim != ms.total_dim:
         raise DimensionMismatch(f"observable dim {obs.dim} != model space total {ms.total_dim}")
-    m = obs.matrix
-    p, q = ms.p_rows, ms.q_rows
-    return (
-        m[np.ix_(p, p)],
-        m[np.ix_(p, q)],
-        m[np.ix_(q, p)],
-        m[np.ix_(q, q)],
-    )
+    perm, d = ms.perm_rows, ms.dim
+    m = obs.matrix[np.ix_(perm, perm)]
+    m.setflags(write=False)
+    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
 def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> DecouplingMap:
@@ -146,39 +143,57 @@ class TransformedBlocks:
     """Blocks of the transformed observable in the (model, complement)
     partition: pp = a + b s, pq = b, the residual block
     qp = b_dag + f s - s pp with its norm ``residual``, and, formed on
-    first access, qq = f - s b and the second-type matrix."""
+    first access, qq = f - s b, the second-type matrix and the spectra
+    of both diagonal blocks. ``_partition`` holds the views (a, b,
+    b_dag, f) of the permuted observable."""
 
     pp: np.ndarray
     pq: np.ndarray
     qp: np.ndarray
     residual: float
     _s: np.ndarray = field(repr=False)
-    _b_dag: np.ndarray = field(repr=False)
-    _f: np.ndarray = field(repr=False)
+    _partition: tuple[np.ndarray, ...] = field(repr=False)
     _fs: np.ndarray = field(repr=False)
 
     @cached_property
     def qq(self) -> np.ndarray:
-        return self._f - self._s @ self.pq
+        return self._partition[3] - self._s @ self.pq
 
     @cached_property
     def second(self) -> np.ndarray:
         """Second-type matrix a + b s + s'b_dag + s'f s = [I; s]' O [I; s]."""
         s_h = self._s.conj().T
-        return self.pp + s_h @ self._b_dag + s_h @ self._fs
+        return self.pp + s_h @ self._partition[2] + s_h @ self._fs
+
+    @cached_property
+    def block_spectra(self) -> tuple[np.ndarray, np.ndarray]:
+        """Ascending real spectra of pp and qq, from one orthonormal rotation.
+
+        When s decouples, the columns of [I; s] span an invariant
+        subspace of the observable. With W the unitary of a complete QR
+        of [I; s], the rotated matrix W' O W is then Hermitian and block
+        diagonal, and its two diagonal blocks are similar to pp and qq.
+        Away from decoupling each value moves by at most the residual.
+        """
+        a, b, b_dag, f = self._partition
+        d = a.shape[0]
+        w, _ = np.linalg.qr(np.vstack([np.eye(d), self._s]), mode="complete")
+        r = w.conj().T @ np.block([[a, b], [b_dag, f]]) @ w
+        return np.linalg.eigvalsh(r[:d, :d]), np.linalg.eigvalsh(r[d:, d:])
 
 
-def _reduce(a, b, b_dag, f, s) -> TransformedBlocks:
+def _reduce(partition, s) -> TransformedBlocks:
     """The one place a partition (a, b, b_dag, f) and a map s become blocks."""
+    a, b, b_dag, f = partition
     pp = a + b @ s
     fs = f @ s
     qp = b_dag + fs - s @ pp
-    return TransformedBlocks(pp, b, qp, float(np.linalg.norm(qp)), s, b_dag, f, fs)
+    return TransformedBlocks(pp, b, qp, float(np.linalg.norm(qp)), s, partition, fs)
 
 
 def transformed_blocks(obs: ObservableMatrix, dm: DecouplingMap) -> TransformedBlocks:
     """Closed-form blocks of the transformed observable."""
-    return _reduce(*partition_blocks(obs, dm.model_space), dm.s)
+    return _reduce(partition_blocks(obs, dm.model_space), dm.s)
 
 
 def assemble_blocks(blocks: TransformedBlocks, ms: ModelSpace) -> np.ndarray:

@@ -64,6 +64,11 @@ def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
     multiset may be smaller: while spares remain, an exact value below
     the next approximate one and outside its tolerance is left out. For
     real values and rtol <= 1 this finds a matching whenever one exists.
+
+    ``max_deviation`` is the largest pair distance of the matching; when
+    a subset match fails it is instead the largest distance from an
+    approximate value to its nearest exact one, a lower bound on the
+    largest pair distance of any matching.
     """
     a = np.sort(np.asarray(approx, dtype=np.complex128).ravel())
     e = np.sort(np.asarray(exact, dtype=np.complex128).ravel())
@@ -71,6 +76,7 @@ def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
     if spare < 0 or (spare and not subset):
         return SpectrumMatch(False, float("inf"), rtol)
     tol = rtol * (1.0 + _modulus(e))
+    pool = e
     if spare:
         keep, j = [], 0
         for z in a:
@@ -80,4 +86,7 @@ def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
             j += 1
         e, tol = e[keep], tol[keep]
     dev = _modulus(a - e)
-    return SpectrumMatch(bool(np.all(dev <= tol)), float(dev.max(initial=0.0)), rtol)
+    matched = bool(np.all(dev <= tol))
+    if not matched and pool.size > a.size:
+        dev = _modulus(a[:, np.newaxis] - pool).min(axis=1)
+    return SpectrumMatch(matched, float(dev.max(initial=0.0)), rtol)

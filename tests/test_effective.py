@@ -31,7 +31,13 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.transform import DecouplingMap, construct_s_direct, decoupling_residual
+from effop.transform import (
+    DecouplingMap,
+    TransformedBlocks,
+    construct_s_direct,
+    decoupling_residual,
+    partition_blocks,
+)
 from effop.util import match_spectra
 
 SIGMA_X = validate_hermitian(np.array([[0.0, 1.0], [1.0, 0.0]]))
@@ -99,6 +105,21 @@ def test_q_block_factorization_random():
     _, report = q_block_and_factorization(obs, dm)
     assert report.matched
     assert report.max_deviation <= 1e-8
+
+
+@pytest.mark.parametrize("shift", [0.0, 3e-8])
+def test_q_block_report_rejects_a_wrong_complement_block(monkeypatch, shift):
+    """The rotation's spectra do not read qq; the moment tie must catch a
+    qq shifted by a multiple of the identity, here about nine times its
+    first-moment tolerance."""
+    obs, _, _, ms, dm = _random_setup(seed=72, n=10, j=(1, 3, 5))
+    _, b, _, f = partition_blocks(obs, ms)
+    epsilon = shift * (1.0 + obs.norm)
+    monkeypatch.setattr(TransformedBlocks, "qq", property(
+        lambda blocks: f - dm.s @ b + epsilon * np.eye(f.shape[0])))
+    qq, report = q_block_and_factorization(obs, dm)
+    assert np.abs(qq - (f - dm.s @ b)).max() == pytest.approx(epsilon)
+    assert report.matched == (shift == 0.0)
 
 
 def test_classify_model_space_case():

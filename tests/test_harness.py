@@ -31,6 +31,8 @@ from effop.spaces import (
     ModelSpace,
     eigendecompose,
     enumerate_model_spaces,
+    pivoted_model_space,
+    select_eigenvectors,
     validate_hermitian,
 )
 from effop.tolerances import COND_CAP
@@ -432,14 +434,60 @@ def test_cli_effective_second_type_partitions_once(tmp_path, monkeypatch):
     assert "type=second-type" in comments
 
 
+def _perfbench_module(name):
+    """A module of the benchmark in perfbench/, loaded by path and
+    registered under ``perfbench_<name>`` (dataclasses look it up there)."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
 def test_benchmark_tracing_targets_resolve():
     """Every function the benchmark's tracer wraps still exists, and the
     model-space complement it counts is still a property."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     for module_name, attr in tracing.FUNCTIONS:
         assert callable(getattr(importlib.import_module(module_name), attr, None)), \
             (module_name, attr)
     assert isinstance(spaces.ModelSpace.__dict__["complement"], property)
+
+
+@pytest.mark.parametrize("n, d, enumerates", [(12, 3, True), (48, 4, False)])
+def test_verify_emits_the_benchmark_check_set(n, d, enumerates):
+    """The CHECK names the benchmark's verify gate expects, all passing."""
+    workloads = _perfbench_module("workloads")
+    expected = workloads.VERIFY_CHECKS
+    if enumerates:
+        expected = expected | workloads.VERIFY_ENUM_CHECKS
+    obs = generate(ProblemSpec("random_hermitian", dim=n, seed=n))
+    report = run_verification(obs, d=d, trials=workloads.VERIFY_TRIALS, seed=1)
+    assert {check.name for check in report.checks} == expected
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
+
+def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
+    """Eight factorization reports on one observable and eight maps run no
+    non-Hermitian eigensolver and take the N x N spectrum once."""
+    n = 16
+    obs = generate(ProblemSpec("random_hermitian", dim=n, seed=41))
+    decomposition = eigendecompose(obs)
+    maps = []
+    for first in range(1, 9):
+        selection = select_eigenvectors(decomposition, (first, first + 4, first + 8))
+        maps.append(transform.construct_s_direct(
+            selection, ModelSpace(n, pivoted_model_space(selection))))
+    shapes = {"eigvals": [], "eigvalsh": []}
+    for name, calls in shapes.items():
+        def counted(a, *args, _original=getattr(np.linalg, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+
+    for dm in maps:
+        _, report = effop.q_block_and_factorization(obs, dm)
+        assert report.matched
+    assert shapes["eigvals"] == []
+    assert shapes["eigvalsh"].count((n, n)) == 1

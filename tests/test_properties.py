@@ -7,6 +7,7 @@ run checks the same bounded set of problems.
 from itertools import permutations
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -188,6 +189,13 @@ def test_match_spectra_never_matches_nan():
                                  subset=subset).matched
 
 
+def test_match_spectra_failed_subset_reports_nearest_distance():
+    # the forward pass skips 1.0 as too far and pairs 1 + 1e-14 with 5.0
+    result = match_spectra([1 + 1e-14], [1.0, 5.0], rtol=1e-15, subset=True)
+    assert not result.matched
+    assert result.max_deviation == pytest.approx(1e-14, rel=1e-3)
+
+
 def _matchable(approx, exact, rtol) -> bool:
     """Reference: some injective assignment keeps every pair in tolerance."""
     return any(
@@ -250,3 +258,31 @@ def test_second_type_is_the_metric_times_first_type(problem):
     assert "qq" not in vars(blocks)
     _, b, _, f = partition_blocks(obs, dm.model_space)
     assert np.array_equal(blocks.qq, f - s @ b)
+
+
+@st.composite
+def direct_maps(draw):
+    """A random Hermitian observable with 2 <= N <= 20 and the decoupling
+    map of d of its eigenvectors, 1 <= d <= N, on the pivoted model space."""
+    n = draw(st.integers(2, 20))
+    d = draw(st.integers(1, n))
+    seed = draw(st.integers(0, 2**31 - 1))
+    obs = generate(ProblemSpec("random_hermitian", n, seed))
+    j = tuple(sorted(int(i) + 1 for i in np.random.default_rng(seed).choice(n, d, replace=False)))
+    selection = select_eigenvectors(eigendecompose(obs), j)
+    return obs, construct_s_direct(selection, ModelSpace(n, pivoted_model_space(selection)))
+
+
+@PROPERTY_SETTINGS
+@given(direct_maps())
+def test_rotated_block_spectra_equal_block_eigenvalues(problem):
+    """The rotation's Hermitian blocks carry the spectra of pp and qq."""
+    obs, dm = problem
+    blocks = transformed_blocks(obs, dm)
+    rotated_p, rotated_q = blocks.block_spectra
+    rounding = 1e-12 * (1.0 + obs.norm) * (1.0 + float(np.linalg.norm(dm.s))) ** 2
+    for rotated, block in ((rotated_p, blocks.pp), (rotated_q, blocks.qq)):
+        assert rotated.shape == (block.shape[0],)
+        assert np.all(np.diff(rotated) >= 0.0)
+        reference = np.sort(np.linalg.eigvals(block).real)
+        assert np.abs(rotated - reference).max(initial=0.0) <= rounding
