@@ -1,34 +1,14 @@
 """Supporting engineering: file I/O, seeded generators, the invariant
-battery and the command-line interface."""
+battery and the command-line interface.
 
-from .generate import KINDS, PRNG_ID, ProblemSpec, commuting_partners, gap_separated, generate
-from .matio import (
-    read_decoupling_map,
-    read_matrix,
-    read_observable,
-    write_decoupling_map,
-    write_effective,
-    write_matrix,
-    write_observable,
-)
-from .report import CheckResult, Report
-from .verify import run_verification
+The public names are those in each module's ``__all__``.
+"""
 
-__all__ = [
-    "KINDS",
-    "PRNG_ID",
-    "ProblemSpec",
-    "generate",
-    "gap_separated",
-    "commuting_partners",
-    "read_matrix",
-    "write_matrix",
-    "read_observable",
-    "write_observable",
-    "read_decoupling_map",
-    "write_decoupling_map",
-    "write_effective",
-    "CheckResult",
-    "Report",
-    "run_verification",
-]
+from . import generate as _generate, matio, report, verify
+from .generate import *
+from .matio import *
+from .report import *
+from .verify import *
+
+__all__ = [*_generate.__all__, *matio.__all__, *report.__all__, *verify.__all__]
+del _generate

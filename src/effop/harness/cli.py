@@ -83,6 +83,14 @@ def _cmd_gen(args) -> int:
     return 0
 
 
+def _read_map(path, k):
+    """Decoupling map of an s-file; a given ``--K`` must match its header."""
+    dm = matio.read_decoupling_map(path)
+    if k and tuple(k) != dm.model_space.indices:
+        raise ValidationError(f"--K {k} does not match the s-file header K={dm.model_space.indices}")
+    return dm
+
+
 def _cmd_solve_direct(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
     decomposition = spaces.eigendecompose(obs)
@@ -103,7 +111,7 @@ def _cmd_solve_direct(args) -> int:
 def _cmd_solve_iter(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
     ms = spaces.ModelSpace(obs.dim, args.k)
-    initial = matio.read_decoupling_map(args.initial_s).s if args.initial_s else None
+    initial = _read_map(args.initial_s, args.k).s if args.initial_s else None
     config = solvermod.SolverConfig(tol=args.tol, max_iter=args.max_iter, initial_s=initial)
     dm, trace = solvermod.solve_decoupling_fixed_point(obs, ms, config)
     for iteration, residual in solvermod.residual_history(trace):
@@ -127,11 +135,7 @@ def _cmd_solve_iter(args) -> int:
 
 def _cmd_effective(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
-    dm = matio.read_decoupling_map(args.s)
-    if args.k and tuple(args.k) != dm.model_space.indices:
-        raise ValidationError(
-            f"--K {args.k} does not match the s-file header K={dm.model_space.indices}"
-        )
+    dm = _read_map(args.s, args.k)
     kind = "second-type" if args.second_type else "first-type"
     operator = (eff.second_type if args.second_type else eff.first_type)(obs, dm)
     matio.write_effective(args.out, operator, residual=operator.residual,
@@ -151,7 +155,7 @@ def _cmd_enumerate(args) -> int:
 
 def _read_plan(path):
     blocks = []
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(matio._read_text(path, ValidationError).splitlines(), start=1):
         text = raw.strip()
         if not text or text.startswith("#"):
             continue

@@ -19,7 +19,6 @@ __all__ = [
     "PRNG_ID",
     "ProblemSpec",
     "generate",
-    "haar_unitary",
     "gap_separated",
     "commuting_partners",
 ]
@@ -44,6 +43,8 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.dim < 2:
             raise InvalidSpec(f"dim must be at least 2, got {self.dim}")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
         if self.spectrum is not None:
             spectrum = tuple(float(x) for x in self.spectrum)
             if len(spectrum) != self.dim:

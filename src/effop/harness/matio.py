@@ -48,6 +48,14 @@ def write_matrix(path, matrix, comments=()) -> None:
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def _read_text(path, error=MatrixFileError) -> str:
+    """Contents of a UTF-8 text file; any other bytes raise ``error``."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
+
+
 def _parse_floats(lines) -> np.ndarray:
     """numpy's C float parser over whitespace-separated tokens: one row per
     line; raises ValueError on a bad token or a change of row width."""
@@ -66,7 +74,7 @@ def read_matrix(path):
     lines: list[str] = []
     line_numbers: list[int] = []
     comments: list[str] = []
-    for ln, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
+    for ln, raw in enumerate(_read_text(path).splitlines(), start=1):
         text = raw.strip()
         if not text:
             continue

@@ -63,6 +63,8 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         raise ValidationError(f"d must lie in 1..{n}, got {d}")
     if trials < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
+    if seed < 0:
+        raise ValidationError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)
     report = Report(provenance={
@@ -246,12 +248,10 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     with warnings.catch_warnings():
         # degenerate user input may yield repeated tuples; that is allowed here
         warnings.simplefilter("ignore")
-        basis = obsmod.simultaneous_eigenbasis(family)
+        basis = family.basis
     leading = tuple(range(1, d + 1))
-    basis_sel = obsmod.selection_from_basis(basis, leading)
-    shared_k = spaces.pivoted_model_space(basis_sel)
-    shared_dm = transform.construct_s_from_span(
-        basis_sel.vectors, spaces.ModelSpace(n, shared_k), indices=basis_sel.indices)
+    shared_k = spaces.pivoted_model_space(obsmod.selection_from_basis(basis, leading))
+    shared_dm = obsmod.common_s(family, leading, shared_k)
     pairs, commutator_report = obsmod.effective_set(family, shared_dm)
     report.add("common_s_all_members",
                max(pair.first.residual for pair in pairs),

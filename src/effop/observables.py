@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -43,7 +44,6 @@ __all__ = [
     "BlockReduction",
     "SpaceDecomposition",
     "verify_commuting",
-    "commuting_tolerance",
     "simultaneous_eigenbasis",
     "selection_from_basis",
     "common_s",
@@ -73,6 +73,11 @@ class CommutingSet:
     @property
     def hamiltonian(self) -> ObservableMatrix:
         return self.members[0]
+
+    @cached_property
+    def basis(self) -> SimultaneousBasis:
+        """Joint eigenbasis, computed once, on first access."""
+        return simultaneous_eigenbasis(self)
 
 
 def verify_commuting(members) -> CommutingSet:
@@ -114,7 +119,6 @@ class SimultaneousBasis:
 
     values: np.ndarray    # (c, N) real
     vectors: np.ndarray   # (N, N) complex
-    source: CommutingSet
     distinct: bool        # all eigenvalue tuples separated (completeness witness)
 
     @property
@@ -189,31 +193,27 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
         )
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return SimultaneousBasis(values, vectors, cset, distinct)
+    return SimultaneousBasis(values, vectors, distinct)
 
 
 def selection_from_basis(basis: SimultaneousBasis, indices) -> EigenSelection:
-    """Eigen selection drawn from a joint basis, labeled by member 1's values."""
+    """Eigen selection drawn from a joint basis, labeled by member 1's values;
+    its ``source`` is the basis."""
     idx = validate_index_subset(indices, basis.dim, name="J")
     cols = np.asarray(idx, dtype=np.intp) - 1
     values = basis.values[0, cols].copy()
     vectors = basis.vectors[:, cols].copy()
     values.setflags(write=False)
     vectors.setflags(write=False)
-    return EigenSelection(basis.source, idx, values, vectors)
-
-
-def _common_s_from_basis(basis: SimultaneousBasis, indices, model_indices) -> DecouplingMap:
-    selection = selection_from_basis(basis, indices)
-    ms = ModelSpace(basis.dim, tuple(int(k) for k in model_indices))
-    return construct_s_from_span(selection.vectors, ms, indices=selection.indices)
+    return EigenSelection(basis, idx, values, vectors)
 
 
 def common_s(cset: CommutingSet, indices, model_indices) -> DecouplingMap:
     """One decoupling map serving every member, built from the shared
     eigenvectors at ``indices`` for the model space ``model_indices``."""
-    basis = simultaneous_eigenbasis(cset)
-    return _common_s_from_basis(basis, indices, model_indices)
+    selection = selection_from_basis(cset.basis, indices)
+    ms = ModelSpace(cset.dim, tuple(int(k) for k in model_indices))
+    return construct_s_from_span(selection.vectors, ms, indices=selection.indices)
 
 
 @dataclass(frozen=True)
@@ -305,11 +305,10 @@ def decompose_space(cset: CommutingSet, partition, model_spaces, *,
     if sorted(flat) != list(range(1, n + 1)):
         raise PartitionInvalid(f"blocks must cover 1..{n} exactly")
 
-    basis = simultaneous_eigenbasis(cset)
     reductions: list[BlockReduction] = []
     for r, (block, kset) in enumerate(zip(blocks_idx, spaces_idx), start=1):
         try:
-            dm = _common_s_from_basis(basis, block, kset)
+            dm = common_s(cset, block, kset)
             pairs, _ = effective_set(cset, dm)
         except SingularProjection as exc:
             raise SingularProjection(f"block {r} (J={block}, K={kset}): {exc}") from exc

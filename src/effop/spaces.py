@@ -40,13 +40,11 @@ __all__ = [
     "EigenSelection",
     "validate_hermitian",
     "eigendecompose",
-    "eigenpair_tolerance",
     "projectors",
     "select_eigenvectors",
     "enumerate_model_spaces",
     "pivoted_model_space",
     "retrieve_full_vector",
-    "validate_index_subset",
 ]
 
 

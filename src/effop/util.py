@@ -9,6 +9,8 @@ import numpy as np
 from . import tolerances
 from .errors import DimensionMismatch
 
+__all__ = ["SpectrumMatch", "match_spectra"]
+
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.array(m, dtype=np.complex128, order="C")

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import effop
-from effop import spaces, transform
+from effop import observables, spaces, transform
 from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError
 from effop.harness import (
     ProblemSpec,
@@ -491,3 +491,76 @@ def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
         assert report.matched
     assert shapes["eigvals"] == []
     assert shapes["eigvalsh"].count((n, n)) == 1
+
+
+def test_basis_computed_once_per_commuting_set(monkeypatch):
+    """Two shared maps and a decomposition of one set diagonalize it once."""
+    family = generate(ProblemSpec("commuting_family", dim=9, seed=5, family_size=3))
+    calls, _ = _count_calls(monkeypatch, observables.simultaneous_eigenbasis)
+    observables.common_s(family, (1, 2, 3), (1, 2, 3))
+    observables.common_s(family, (4, 5), (1, 2))
+    blocks = [(1, 2, 3), (4, 5, 6), (7, 8, 9)]
+    assert observables.decompose_space(family, blocks, [(1, 2, 3)] * 3).complete
+    assert len(calls) == 1
+
+
+def test_run_verification_computes_the_companion_basis_once(monkeypatch):
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=3))
+    calls, _ = _count_calls(monkeypatch, observables.simultaneous_eigenbasis)
+    assert run_verification(obs, d=3, trials=2, seed=1).all_passed
+    assert len(calls) == 1
+
+
+def test_common_s_equals_the_map_of_a_fresh_basis():
+    family = generate(ProblemSpec("commuting_family", dim=9, seed=8, family_size=3))
+    j, k = (2, 5, 7), (1, 4, 8)
+    selection = observables.selection_from_basis(
+        observables.simultaneous_eigenbasis(family), j)
+    expected = transform.construct_s_from_span(
+        selection.vectors, ModelSpace(9, k), indices=selection.indices)
+    assert np.array_equal(observables.common_s(family, j, k).s, expected.s)
+
+
+@pytest.mark.parametrize("command", ["verify", "decompose"])
+def test_cli_non_utf8_file_is_a_validation_error(tmp_path, command):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe2\n")
+    if command == "verify":
+        result = _run_cli("verify", "--matrix", str(bad))
+    else:
+        member = tmp_path / "member.mat"
+        assert cli.main(["gen", "--kind", "random_hermitian", "--dim", "3", "--seed", "1",
+                         "--out", str(member)]) == 0
+        result = _run_cli("decompose", "--set", str(member), "--plan", str(bad))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert str(bad) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_negative_seed_is_a_validation_error(tmp_path):
+    matrix = tmp_path / "m.mat"
+    result = _run_cli("gen", "--kind", "random_hermitian", "--dim", "4", "--seed", "-1",
+                      "--out", str(matrix))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert not matrix.exists()
+    assert cli.main(["gen", "--kind", "random_hermitian", "--dim", "4", "--seed", "1",
+                     "--out", str(matrix)]) == 0
+    result = _run_cli("verify", "--matrix", str(matrix), "--seed", "-1")
+    assert result.returncode == 1
+    assert result.stderr.startswith("error:")
+    assert "Traceback" not in result.stderr
+
+
+def test_cli_solve_iter_initial_s_k_mismatch_exits_one(tmp_path):
+    matrix, s_path = tmp_path / "chain.mat", tmp_path / "s124.mat"
+    assert cli.main(["gen", "--kind", "tridiagonal_chain", "--dim", "8", "--seed", "11",
+                     "--out", str(matrix)]) == 0
+    assert cli.main(["solve-direct", "--matrix", str(matrix), "--J", "1,2,4",
+                     "--K", "1,2,4", "--out-s", str(s_path)]) == 0
+    result = _run_cli("solve-iter", "--matrix", str(matrix), "--K", "1,2,3",
+                      "--initial-s", str(s_path))
+    assert result.returncode == 1
+    assert result.stderr == (
+        "error: --K (1, 2, 3) does not match the s-file header K=(1, 2, 4)\n")
