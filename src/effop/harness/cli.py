@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -276,28 +277,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-        if not hasattr(args, "func"):
-            parser.print_usage(sys.stderr)
+    with warnings.catch_warnings():
+        # a library warning is a diagnostic line, not a source listing
+        warnings.showwarning = _show_warning
+        try:
+            args = parser.parse_args(argv)
+            if not hasattr(args, "func"):
+                parser.print_usage(sys.stderr)
+                return 1
+            return args.func(args)
+        except SystemExit as exc:
+            code = exc.code
+            if code is None:
+                return 0
+            return code if isinstance(code, int) else 1
+        except ValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
             return 1
-        return args.func(args)
-    except SystemExit as exc:
-        code = exc.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except NumericalError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        except NumericalError as exc:
+            print(f"numerical failure: {exc}", file=sys.stderr)
+            return 2
+        except OSError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -27,6 +27,12 @@ KINDS = ("random_hermitian", "planted_spectrum", "tridiagonal_chain", "commuting
 PRNG_ID = "numpy-PCG64"
 
 
+def _check_seed(seed: int) -> None:
+    """PCG64 seeds are non-negative; say so as a typed error, not numpy's."""
+    if seed < 0:
+        raise InvalidSpec(f"seed must be non-negative, got {seed}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """Fully seeded description of a generated problem instance."""
@@ -43,8 +49,7 @@ class ProblemSpec:
             raise InvalidSpec(f"unknown kind {self.kind!r}; expected one of {KINDS}")
         if self.dim < 2:
             raise InvalidSpec(f"dim must be at least 2, got {self.dim}")
-        if self.seed < 0:
-            raise InvalidSpec(f"seed must be non-negative, got {self.seed}")
+        _check_seed(self.seed)
         if self.spectrum is not None:
             spectrum = tuple(float(x) for x in self.spectrum)
             if len(spectrum) != self.dim:
@@ -108,6 +113,7 @@ def gap_separated(dim: int, d: int, *, gap: float = 1.0, coupling: float = 0.1,
     """
     if not 1 <= d < dim:
         raise InvalidSpec(f"need 1 <= d < dim, got d={d}, dim={dim}")
+    _check_seed(seed)
     rng = np.random.default_rng(seed)
     low = np.sort(rng.uniform(0.0, 1.0, size=d))
     high = np.sort(rng.uniform(0.0, 3.0, size=dim - d)) + low[-1] + gap
@@ -122,6 +128,7 @@ def gap_separated(dim: int, d: int, *, gap: float = 1.0, coupling: float = 0.1,
 
 def commuting_partners(obs: ObservableMatrix, count: int, seed: int = 0) -> CommutingSet:
     """Commuting family sharing the eigenbasis of ``obs`` (member 1)."""
+    _check_seed(seed)
     decomposition = eigendecompose(obs)
     rng = np.random.default_rng(seed)
     members = [obs]

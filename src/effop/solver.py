@@ -11,13 +11,20 @@ the Sylvester equation
     f s_new - s_new a = s b s - b_dag,
 
 which is linear in ``s_new`` and uniquely solvable exactly when the
-spectra of a and f are disjoint. Starting from s = 0 the iteration
-follows the small-norm branch: the solution whose model space is
-dominated by its own components. One sweep is exact when b = 0. Other
-solution branches are reachable only through the eigenvector
-construction. No global convergence guarantee is made; strongly
-coupled blocks may exceed the divergence cap, and that outcome is
-reported, never hidden.
+spectra of a and f are disjoint. Both blocks are Hermitian, so they are
+diagonalized once, ``f = U diag(phi) U^dag`` and ``a = V diag(alpha) V^dag``,
+and every sweep is two basis changes and one elementwise division:
+
+    s_new = U [(U^dag rhs V) / (phi_i - alpha_j)] V^dag.
+
+The smallest ``|phi_i - alpha_j|`` is the gap that decides solvability.
+
+Starting from s = 0 the iteration follows the small-norm branch: the
+solution whose model space is dominated by its own components. One
+sweep is exact when b = 0. Other solution branches are reachable only
+through the eigenvector construction. No global convergence guarantee
+is made; strongly coupled blocks may exceed the divergence cap, and
+that outcome is reported, never hidden.
 """
 
 from __future__ import annotations
@@ -25,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances
 from .errors import (
@@ -101,8 +107,12 @@ def _freeze(ms: ModelSpace, s: np.ndarray, iterations: int, residual: float) -> 
 
 def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
                                  config: SolverConfig | None = None):
-    """Iterate Sylvester sweeps until the decoupling residual and the
-    relative step both drop below ``config.tol``.
+    """Iterate Sylvester sweeps until the relative step drops below
+    ``config.tol`` and the decoupling residual below ``config.tol * ||O||_F``.
+
+    The residual and the spectral gap scale with O, so both are judged
+    relative to ``||O||_F``. The step, the divergence cap and ``s`` itself
+    are invariant under ``O -> cO``, so they stay absolute.
 
     Returns ``(map, trace)``. Raises :class:`SylvesterSingular` when
     the diagonal blocks share spectrum, :class:`Diverged` past the norm
@@ -120,15 +130,18 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
         trace = SolverTrace((TraceStep(1, 0.0, 0.0, 0.0),), True)
         return _freeze(ms, np.zeros((0, d), dtype=np.complex128), 1, 0.0), trace
 
-    spec_a = np.linalg.eigvalsh(a)
-    spec_f = np.linalg.eigvalsh(f)
-    gap = float(np.abs(spec_a[:, None] - spec_f[None, :]).min())
-    if gap < tolerances.SPECTRA_DISJOINT_TOL:
+    scale = obs.norm
+    alpha, v = np.linalg.eigh(a)
+    phi, u = np.linalg.eigh(f)
+    denominator = phi[:, None] - alpha[None, :]
+    gap = float(np.abs(denominator).min())
+    gap_floor = tolerances.SPECTRA_DISJOINT_TOL * scale
+    if gap <= gap_floor:
         raise SylvesterSingular(
             f"model and complement diagonal blocks share an eigenvalue within "
-            f"{tolerances.SPECTRA_DISJOINT_TOL:.0e} (gap {gap:.3e}); "
-            "the sweep equation is singular"
+            f"{gap_floor:.3e} (gap {gap:.3e}); the sweep equation is singular"
         )
+    u_dag, v_dag = u.conj().T, v.conj().T
 
     if cfg.initial_s is None:
         s = np.zeros((nq, d), dtype=np.complex128)
@@ -142,7 +155,7 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     best_res = _reduce(partition, s).residual
     for k in range(1, cfg.max_iter + 1):
         rhs = s @ b @ s - b_dag
-        s_new = scipy.linalg.solve_sylvester(f, -a, rhs)
+        s_new = u @ ((u_dag @ rhs @ v) / denominator) @ v_dag
         step = float(np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s)))
         res = _reduce(partition, s_new).residual
         s = s_new
@@ -155,7 +168,7 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
                 f"iterate norm {s_norm:.3e} exceeded cap {tolerances.DIVERGENCE_CAP:.3e} "
                 f"at iteration {k}"
             )
-        if step <= cfg.tol and res <= cfg.tol:
+        if step <= cfg.tol and res <= cfg.tol * scale:
             trace = SolverTrace(tuple(steps), True)
             return _freeze(ms, s, k, res), trace
 

@@ -15,7 +15,6 @@ from functools import cached_property, cmp_to_key
 from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
 
 from . import tolerances, util
 from .errors import (
@@ -330,8 +329,18 @@ def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = toleranc
     return list(zip(map(tuple, (rows[order] + 1).tolist()), cond[order].tolist()))
 
 
+def _places(taken: list[int], n: int) -> list[int]:
+    """Rows in geqp3's place order after it took ``taken``: each pivot
+    swapped places with the row at the first untaken place."""
+    order = list(range(n))
+    for i, row in enumerate(taken):
+        place = order.index(row, i)
+        order[i], order[place] = row, order[i]
+    return order
+
+
 def pivoted_model_space(vectors) -> tuple[int, ...]:
-    """Well-conditioned model space chosen by column-pivoted QR.
+    """Well-conditioned model space chosen by greedy row pivoting.
 
     Takes an :class:`EigenSelection` or an (N, d) array of column vectors
     and returns the d row indices (1-based, ascending) whose square block
@@ -339,15 +348,43 @@ def pivoted_model_space(vectors) -> tuple[int, ...]:
     :func:`enumerate_model_spaces` when nothing else decides the choice:
     the condition number of a 1 x 1 block is identically one, so for
     d = 1 it cannot separate a healthy projection from a vanishing one.
+
+    Each step takes the row whose part outside the span of the rows
+    already taken has the largest norm. This is column-pivoted QR of the
+    adjoint (Businger & Golub 1965), and exact ties go to the first row
+    in LAPACK geqp3's place order, so the choice equals geqp3's.
     """
-    array = vectors.vectors if isinstance(vectors, EigenSelection) else None
-    if array is None:
+    if isinstance(vectors, EigenSelection):
+        array = np.ascontiguousarray(vectors.vectors, dtype=np.complex128)
+    else:
         array = util.as_complex_matrix(vectors, "vectors")
-    d = array.shape[1]
-    if not 1 <= d <= array.shape[0]:
+    n, d = array.shape
+    if not 1 <= d <= n:
         raise DimensionMismatch(f"need between 1 and N column vectors, got shape {array.shape}")
-    _, _, pivots = scipy.linalg.qr(array.conj().T, pivoting=True)
-    return tuple(sorted(int(i) + 1 for i in pivots[:d]))
+    flat = array.view(np.float64)
+    remaining = np.einsum("ij,ij->i", flat, flat)  # squared norms outside the span taken
+    # orthonormal directions of the taken rows, and every row's components along them
+    basis = np.zeros((d - 1, d), dtype=np.complex128)
+    components = np.zeros((n, d - 1), dtype=np.complex128)
+    taken: list[int] = []
+    for i in range(d):
+        row = int(remaining.argmax())  # the first NaN, if there is one
+        if not math.isfinite(remaining[row]):
+            raise NonFinite("vectors contain NaN or Inf entries, or entries too large to square")
+        if n - 1 - int(remaining[::-1].argmax()) != row:
+            row = max(_places(taken, n)[i:], key=remaining.__getitem__)
+        taken.append(row)
+        if i + 1 == d:
+            break
+        remaining[row] = -math.inf
+        residual = array[row] - components[row] @ basis if i else array[row]
+        length = math.sqrt(np.vdot(residual, residual).real)
+        if length == 0.0:  # every untaken row lies in the span already
+            continue
+        direction = np.divide(residual, length, out=basis[i])
+        along = components[:, i] = np.dot(array, direction.conj())
+        remaining -= (along * along.conj()).real
+    return tuple(sorted(row + 1 for row in taken))
 
 
 def retrieve_full_vector(alpha, dm: "DecouplingMap") -> np.ndarray:

@@ -32,9 +32,10 @@ COMM_RTOL = 1e-10         # pairwise commutator norm, relative to max ||O||_F ov
 EFFECTIVE_COMM_TOL = 1e-9 # absolute: commutator norm of first-type representatives
 CLUSTER_RTOL = 1e-8       # joint-basis cluster width and tuple gap, relative to 1 + max |value|
 
-# Fixed-point solver
-SOLVER_TOL = 1e-11            # absolute: residual and relative step at convergence
-SPECTRA_DISJOINT_TOL = 1e-10  # absolute: smallest gap between the spectra of a and f
+# Fixed-point solver; s is invariant under O -> cO, so what measures s stays absolute
+SOLVER_TOL = 1e-11            # residual at convergence, relative to ||O||_F;
+                              # absolute for the relative step ||ds||_F / max(1, ||s||_F)
+SPECTRA_DISJOINT_TOL = 1e-10  # smallest gap between the spectra of a and f, relative to ||O||_F
 DIVERGENCE_CAP = 1e8          # absolute: iterate norm ||s||_F that counts as divergence
 
 

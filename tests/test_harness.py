@@ -564,3 +564,35 @@ def test_cli_solve_iter_initial_s_k_mismatch_exits_one(tmp_path):
     assert result.returncode == 1
     assert result.stderr == (
         "error: --K (1, 2, 3) does not match the s-file header K=(1, 2, 4)\n")
+
+
+def test_seeded_generators_reject_negative_seeds():
+    with pytest.raises(InvalidSpec):
+        gap_separated(8, 3, seed=-1)
+    obs = generate(ProblemSpec("random_hermitian", dim=4, seed=1))
+    with pytest.raises(InvalidSpec):
+        commuting_partners(obs, 2, seed=-1)
+
+
+def test_cli_prints_a_library_warning_as_one_line(tmp_path):
+    # repeated eigenvalue tuples make the joint basis warn; the CLI reports it
+    # on one line and keeps its exit code (tier-1 turns warnings into errors,
+    # so this runs in a fresh process)
+    members = []
+    for name, values in (("m1.mat", [1.0, 1.0, 2.0]), ("m2.mat", [5.0, 5.0, 7.0])):
+        members.append(tmp_path / name)
+        write_observable(members[-1], validate_hermitian(np.diag(values)))
+    plan = tmp_path / "plan.txt"
+    plan.write_text("block: J=1 K=1\nblock: J=2 K=2\nblock: J=3 K=3\n")
+    result = _run_cli("decompose", "--set", ",".join(map(str, members)), "--plan", str(plan))
+    assert result.returncode == 0
+    assert result.stderr == ("warning: eigenvalue tuples are not all distinct; the commuting "
+                             "set does not single out a unique joint basis\n")
+    assert "member 2 spectrum union: pass" in result.stdout
+
+
+def test_import_does_not_load_scipy():
+    code = "import sys, effop, effop.harness.cli; print('scipy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            timeout=120, check=True)
+    assert result.stdout == "False\n"

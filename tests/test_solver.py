@@ -7,7 +7,12 @@ from effop.errors import DimensionMismatch, Diverged, MaxIterExceeded, Sylvester
 from effop.harness import gap_separated
 from effop.solver import SolverConfig, residual_history, solve_decoupling_fixed_point
 from effop.spaces import ModelSpace, eigendecompose, select_eigenvectors, validate_hermitian
-from effop.transform import construct_s_direct, decoupling_residual, transformed_blocks
+from effop.transform import (
+    construct_s_direct,
+    decoupling_residual,
+    partition_blocks,
+    transformed_blocks,
+)
 from effop.util import match_spectra
 
 WEAK_2X2 = validate_hermitian(np.array([[1.0, 0.1], [0.1, 3.0]]))
@@ -116,3 +121,52 @@ def test_full_model_space_trivially_converged():
     dm, trace = solve_decoupling_fixed_point(obs, ModelSpace(2, (1, 2)))
     assert trace.converged
     assert dm.s.shape == (0, 2)
+
+
+def test_zero_observable_is_singular():
+    # the gap floor is relative to ||O||_F, and O = 0 has no gap at all
+    obs = validate_hermitian(np.zeros((3, 3)))
+    with pytest.raises(SylvesterSingular):
+        solve_decoupling_fixed_point(obs, ModelSpace(3, (1,)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_solver_is_scale_invariant(seed):
+    # s is invariant under O -> cO: the same sweeps and the same map at every scale.
+    # (at c = 1e-12 an absolute gap floor raised; at c >= 1e6 an absolute residual
+    # target was never met)
+    obs = gap_separated(8, 3, seed=seed)
+    ms = ModelSpace(8, (1, 2, 3))
+    dm, trace = solve_decoupling_fixed_point(obs, ms)
+    for c in (1e-12, 1e-6, 1e6, 1e9, 1e12):
+        scaled, scaled_trace = solve_decoupling_fixed_point(
+            validate_hermitian(c * obs.matrix), ms)
+        assert scaled_trace.iterations == trace.iterations, c
+        assert np.linalg.norm(scaled.s - dm.s) <= 1e-14 * np.linalg.norm(dm.s), c
+
+
+def _sylvester_reference(obs, ms, tol=1e-11):
+    """The sweeps solved by scipy's Schur-based Sylvester solver, with the
+    solver's stopping rule; returns (s, sweeps)."""
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    a, b, b_dag, f = partition_blocks(obs, ms)
+    s = np.zeros((ms.total_dim - ms.dim, ms.dim), dtype=np.complex128)
+    for sweep in range(1, 501):
+        s_new = scipy_linalg.solve_sylvester(f, -a, s @ b @ s - b_dag)
+        step = np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s))
+        s = s_new
+        residual = np.linalg.norm(b_dag + f @ s - s @ (a + b @ s))
+        if step <= tol and residual <= tol * obs.norm:
+            return s, sweep
+    raise AssertionError("reference sweeps did not converge")
+
+
+@pytest.mark.parametrize("n, d, seed", [(8, 3, 0), (12, 2, 1), (24, 4, 2), (48, 4, 3),
+                                        (64, 8, 4), (100, 4, 5), (100, 16, 6)])
+def test_eigenbasis_sweeps_equal_sylvester_reference(n, d, seed):
+    obs = gap_separated(n, d, seed=seed)
+    ms = ModelSpace(n, tuple(range(1, d + 1)))
+    expected, sweeps = _sylvester_reference(obs, ms)
+    dm, trace = solve_decoupling_fixed_point(obs, ms)
+    assert trace.iterations == sweeps
+    assert np.linalg.norm(dm.s - expected) <= 1e-13 * np.linalg.norm(expected)

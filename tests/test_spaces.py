@@ -1,5 +1,8 @@
+import functools
 import itertools
 import math
+import statistics
+import time
 
 import numpy as np
 import pytest
@@ -13,7 +16,7 @@ from effop.errors import (
     NotHermitian,
     ValidationError,
 )
-from effop import spaces
+from effop import observables, spaces
 from effop.harness import ProblemSpec, generate
 from effop.spaces import (
     ModelSpace,
@@ -350,6 +353,88 @@ def test_pivoted_model_space_is_legitimate_and_well_conditioned():
     chosen_smin = np.linalg.svd(sel.vectors[np.asarray(chosen) - 1, :],
                                 compute_uv=False)[-1]
     assert chosen_smin >= 0.3 * best_smin
+
+
+def test_pivoted_model_space_breaks_exact_ties_by_place():
+    # rows e2, e2, 2 e1: the pivot 2 e1 swaps places with row 1, so the tie
+    # between the two e2 rows goes to row 2, which now stands first
+    vectors = np.array([[0, 1], [0, 1], [2, 0]], dtype=complex)
+    assert pivoted_model_space(vectors) == (2, 3)
+    assert pivoted_model_space(np.vstack([vectors[:2], [[0, 0]], vectors[2:]])) == (2, 4)
+    # identity columns and constant columns tie exactly at every step
+    assert pivoted_model_space(np.eye(6, 3)) == (1, 2, 3)
+    assert pivoted_model_space(np.eye(6, 3)[::-1]) == (4, 5, 6)
+    assert pivoted_model_space(np.ones((5, 3))) == (1, 2, 3)
+
+
+def test_pivoted_model_space_rejects_non_finite_vectors():
+    vectors = np.eye(4, 2)
+    vectors[3, 1] = np.nan
+    with pytest.raises(NonFinite):
+        pivoted_model_space(vectors)
+
+
+def _pivoting_cases():
+    """(N, d) column sets: eigenvector selections of every generated kind,
+    N 2-200 and d 1-16, plus matrices whose rows tie exactly."""
+    rng = np.random.default_rng(0)
+    for n in (2, 3, 5, 8, 12, 16, 32, 64, 128, 200):
+        dims = [d for d in (1, 2, 3, 4, 8, 16) if d <= n]
+        for kind in ("random_hermitian", "planted_spectrum", "tridiagonal_chain",
+                     "commuting_family"):
+            instance = generate(ProblemSpec(kind, n, n))
+            if kind == "commuting_family":
+                basis = instance.basis
+                select = functools.partial(observables.selection_from_basis, basis)
+            else:
+                select = functools.partial(select_eigenvectors, eigendecompose(instance))
+            for d in dims:
+                drawn = tuple(sorted(rng.choice(n, size=d, replace=False) + 1))
+                for j in (tuple(range(1, d + 1)), tuple(range(n - d + 1, n + 1)), drawn):
+                    yield select(j).vectors
+        for d in dims:
+            row = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+            yield np.eye(n, d, dtype=complex)
+            yield np.eye(n, d, dtype=complex)[::-1]
+            yield np.ones((n, d), dtype=complex)
+            yield np.tile(row, (n, 1))
+
+
+def _geqp3_model_space(scipy_linalg, vectors):
+    """The model space LAPACK's column-pivoted QR (geqp3) picks."""
+    array = vectors.vectors if isinstance(vectors, spaces.EigenSelection) else vectors
+    _, _, pivots = scipy_linalg.qr(array.conj().T, pivoting=True)
+    return tuple(sorted(int(i) + 1 for i in pivots[:array.shape[1]]))
+
+
+def test_pivoted_model_space_matches_lapack_geqp3():
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    for vectors in _pivoting_cases():
+        assert pivoted_model_space(vectors) == _geqp3_model_space(scipy_linalg, vectors), vectors
+
+
+@pytest.mark.parametrize("n, d", [(12, 3), (16, 3), (48, 4), (64, 4)])
+def test_pivoted_model_space_is_no_slower_than_geqp3(n, d):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    obs = generate(ProblemSpec("random_hermitian", n, n))
+    selection = select_eigenvectors(eigendecompose(obs), tuple(range(1, d + 1)))
+    calls = {
+        "numpy": lambda: pivoted_model_space(selection),
+        "geqp3": lambda: _geqp3_model_space(scipy_linalg, selection),
+    }
+    # 60 pairs of 10-call blocks, alternating which side goes first; the
+    # median of the paired ratios, so that load on the machine, which comes
+    # and goes, slows both sides of a pair alike
+    ratios = []
+    for block in range(60):
+        took = {}
+        for name in sorted(calls, reverse=block % 2 == 1):
+            start = time.perf_counter()
+            for _ in range(10):
+                calls[name]()
+            took[name] = time.perf_counter() - start
+        ratios.append(took["numpy"] / took["geqp3"])
+    assert statistics.median(ratios) <= 1.0, sorted(ratios)
 
 
 def test_retrieve_full_vector_hand_cases():
