@@ -76,21 +76,38 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
     return out
 
 
-def _decoupled_blocks(obs: ObservableMatrix, dm: DecouplingMap):
-    """Transformed blocks; raises :class:`NotDecoupled` when their
-    residual exceeds the limit."""
+def _decoupled(obs: ObservableMatrix, blocks) -> None:
+    """Raises :class:`NotDecoupled` when the blocks' residual exceeds the limit."""
     limit = tolerances.decoupled_tolerance(obs)
-    blocks = transformed_blocks(obs, dm)
     if blocks.residual > limit:
         raise NotDecoupled(
             f"decoupling residual {blocks.residual:.3e} exceeds {limit:.3e}",
             residual=blocks.residual,
         )
-    return blocks
 
 
 def _operator(matrix, obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectiveOperator:
     return EffectiveOperator(_frozen(matrix), dm.model_space, obs, dm, blocks.residual)
+
+
+def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectivePair:
+    """Both representatives from the blocks of (obs, dm); raises like :func:`first_type`."""
+    _decoupled(obs, blocks)
+    return EffectivePair(_operator(blocks.pp, obs, dm, blocks),
+                         _operator(blocks.second, obs, dm, blocks))
+
+
+def _factorization(obs: ObservableMatrix, blocks, match_rtol: float):
+    """:func:`q_block_and_factorization` on the blocks of (obs, dm)."""
+    _decoupled(obs, blocks)
+    spec_p, spec_q = blocks.block_spectra
+    report = util.match_spectra(np.concatenate([spec_p, spec_q]), obs.spectrum, rtol=match_rtol)
+    qq = blocks.qq
+    weight = 1.0 + np.abs(spec_q)
+    moments = (np.trace(qq), np.sum(qq * qq.T))
+    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * match_rtol * np.sum(weight ** k)
+               for k, moment in enumerate(moments, start=1))
+    return _frozen(qq), replace(report, matched=report.matched and tied)
 
 
 def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
@@ -100,7 +117,8 @@ def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     guarantee is void and :class:`NotDecoupled` is raised. The measured
     residual is kept on the result.
     """
-    blocks = _decoupled_blocks(obs, dm)
+    blocks = transformed_blocks(obs, dm)
+    _decoupled(obs, blocks)
     return _operator(blocks.pp, obs, dm, blocks)
 
 
@@ -115,13 +133,6 @@ def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     return _operator(blocks.second, obs, dm, blocks)
 
 
-def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap) -> EffectivePair:
-    """Both representatives from one reduction; raises like :func:`first_type`."""
-    blocks = _decoupled_blocks(obs, dm)
-    return EffectivePair(_operator(blocks.pp, obs, dm, blocks),
-                         _operator(blocks.second, obs, dm, blocks))
-
-
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
                               match_rtol: float = tolerances.SPECTRUM_MATCH_RTOL):
     """Complement block of the transformed observable, plus a report that
@@ -134,15 +145,7 @@ def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
     sum (1 + |mu|)^k for k = 1, 2, the most the k-th power sum can move
     when each value moves within its match tolerance.
     """
-    blocks = _decoupled_blocks(obs, dm)
-    spec_p, spec_q = blocks.block_spectra
-    report = util.match_spectra(np.concatenate([spec_p, spec_q]), obs.spectrum, rtol=match_rtol)
-    qq = blocks.qq
-    weight = 1.0 + np.abs(spec_q)
-    moments = (np.trace(qq), np.sum(qq * qq.T))
-    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * match_rtol * np.sum(weight ** k)
-               for k, moment in enumerate(moments, start=1))
-    return _frozen(qq), replace(report, matched=report.matched and tied)
+    return _factorization(obs, transformed_blocks(obs, dm), match_rtol)
 
 
 @dataclass(frozen=True)

@@ -80,10 +80,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     report.add("eigh_orthonormal",
                np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)), 1e-12 * max(1.0, n))
 
-    if n > 1:
-        distinct_spectrum = float(np.diff(values).min()) > 1e-8 * (1.0 + float(np.abs(values).max()))
-    else:
-        distinct_spectrum = True
+    distinct_spectrum = not spaces._degenerate_clusters(values, 1e-8)
 
     def complex_noise(size):
         return rng.standard_normal(size) + 1j * rng.standard_normal(size)
@@ -163,17 +160,17 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                    np.linalg.norm(spaces.retrieve_full_vector(alpha, dm) - member),
                    1e-10 * (1.0 + np.linalg.norm(member)))
 
-        operator = eff.first_type(obs, dm)
+        pair = eff._effective_pair(obs, dm, blocks)
+        operator, hermitian_rep = pair.first, pair.second
         report.add_flag("first_type_spectrum",
                         util.match_spectra(np.linalg.eigvals(operator.matrix),
                                            selection.values, rtol=1e-8).matched)
-        _, factor_report = eff.q_block_and_factorization(obs, dm)
+        _, factor_report = eff._factorization(obs, blocks, tolerances.SPECTRUM_MATCH_RTOL)
         report.add_flag("factorization_completeness", factor_report.matched)
         report.add("route_equivalence",
                    np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
                    1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
 
-        hermitian_rep = eff.second_type(obs, dm)
         report.add("second_type_hermitian",
                    np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
                    1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))

@@ -35,7 +35,7 @@ from .spaces import (
     validate_index_subset,
 )
 from .tolerances import commuting_tolerance, decoupled_tolerance, eigenpair_tolerance
-from .transform import DecouplingMap, construct_s_from_span
+from .transform import DecouplingMap, construct_s_from_span, transformed_blocks
 
 __all__ = [
     "CommutingSet",
@@ -70,14 +70,22 @@ class CommutingSet:
     def size(self) -> int:
         return len(self.members)
 
-    @property
-    def hamiltonian(self) -> ObservableMatrix:
-        return self.members[0]
-
     @cached_property
     def basis(self) -> SimultaneousBasis:
         """Joint eigenbasis, computed once, on first access."""
         return simultaneous_eigenbasis(self)
+
+
+def _commutator_norms(matrices) -> np.ndarray:
+    """Read-only symmetric (c, c) array of ||M_i M_j - M_j M_i||_F."""
+    c = len(matrices)
+    norms = np.zeros((c, c))
+    for i in range(c):
+        for j in range(i + 1, c):
+            mi, mj = matrices[i], matrices[j]
+            norms[i, j] = norms[j, i] = float(np.linalg.norm(mi @ mj - mj @ mi))
+    norms.setflags(write=False)
+    return norms
 
 
 def verify_commuting(members) -> CommutingSet:
@@ -94,21 +102,15 @@ def verify_commuting(members) -> CommutingSet:
         if m.dim != n:
             raise DimensionMismatch(f"member {k} has dim {m.dim}, expected {n}")
     tol = commuting_tolerance(obs)
-    c = len(obs)
-    norms = np.zeros((c, c))
-    for i in range(c):
-        for j in range(i + 1, c):
-            comm = obs[i].matrix @ obs[j].matrix - obs[j].matrix @ obs[i].matrix
-            norms[i, j] = norms[j, i] = float(np.linalg.norm(comm))
+    norms = _commutator_norms([m.matrix for m in obs])
     if norms.size and norms.max() > tol:
-        i, j = divmod(int(norms.argmax()), c)
+        i, j = divmod(int(norms.argmax()), len(obs))
         raise NotCommuting(
             f"members {i + 1} and {j + 1} have commutator norm "
             f"{norms[i, j]:.6e} (tol {tol:.3e})",
             pair=(i + 1, j + 1),
             norm=float(norms[i, j]),
         )
-    norms.setflags(write=False)
     return CommutingSet(obs, norms)
 
 
@@ -239,7 +241,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
     pairs: list[EffectivePair] = []
     for sig, member in enumerate(cset.members, start=1):
         try:
-            pairs.append(_effective_pair(member, dm))
+            pairs.append(_effective_pair(member, dm, transformed_blocks(member, dm)))
         except NotDecoupled as exc:
             raise NotDecoupled(
                 f"member {sig}: residual {exc.residual:.3e} "
@@ -247,13 +249,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
                 member=sig,
                 residual=exc.residual,
             ) from exc
-    c = len(pairs)
-    norms = np.zeros((c, c))
-    for i in range(c):
-        for j in range(i + 1, c):
-            fi, fj = pairs[i].first.matrix, pairs[j].first.matrix
-            norms[i, j] = norms[j, i] = float(np.linalg.norm(fi @ fj - fj @ fi))
-    norms.setflags(write=False)
+    norms = _commutator_norms([pair.first.matrix for pair in pairs])
     max_norm = float(norms.max()) if norms.size else 0.0
     return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
 

@@ -117,17 +117,9 @@ class ModelSpace:
         n = int(self.total_dim)
         if n < 1:
             raise DimensionMismatch(f"total_dim must be positive, got {n}")
-        idx = tuple(int(i) for i in self.indices)
-        if not idx:
-            raise ValidationError("model space needs at least one index")
-        for i in idx:
-            if not 1 <= i <= n:
-                raise IndexOutOfRange(f"model-space index {i} outside 1..{n}")
-        for a, b in itertools.pairwise(idx):
-            if a == b:
-                raise DuplicateIndex(f"model-space index {a} repeated")
-            if a > b:
-                raise ValidationError("model-space indices must be strictly increasing")
+        idx = validate_index_subset(self.indices, n, name="K")
+        if any(a > b for a, b in itertools.pairwise(idx)):
+            raise ValidationError("model-space indices must be strictly increasing")
         chosen = set(idx)
         complement = tuple(i for i in range(1, n + 1) if i not in chosen)
         object.__setattr__(self, "total_dim", n)

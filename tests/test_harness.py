@@ -377,12 +377,13 @@ def test_cli_exit_codes(tmp_path):
 
 
 def _count_calls(monkeypatch, original):
-    """Count calls of ``original`` through every effop namespace binding
-    it, so no call path escapes; returns the call list and the wrapper."""
+    """Record calls of ``original`` through every effop namespace binding
+    it, so no call path escapes; returns the list of positional argument
+    tuples (which keeps the arguments alive) and the wrapper."""
     calls = []
 
     def counted(*args, **kwargs):
-        calls.append(1)
+        calls.append(args)
         return original(*args, **kwargs)
 
     for name, module in list(sys.modules.items()):
@@ -509,6 +510,14 @@ def test_run_verification_computes_the_companion_basis_once(monkeypatch):
     calls, _ = _count_calls(monkeypatch, observables.simultaneous_eigenbasis)
     assert run_verification(obs, d=3, trials=2, seed=1).all_passed
     assert len(calls) == 1
+
+
+def test_run_verification_reduces_each_observable_and_map_once(monkeypatch):
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=1))
+    calls, _ = _count_calls(monkeypatch, transform.transformed_blocks)
+    assert run_verification(obs, d=3, trials=8, seed=1).all_passed
+    keys = [(id(o), id(dm)) for o, dm in calls]
+    assert calls and len(set(keys)) == len(keys)
 
 
 def test_common_s_equals_the_map_of_a_fresh_basis():

@@ -11,8 +11,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from effop.effective import EffectiveOperator, first_type, second_type
-from effop.harness.generate import ProblemSpec, generate
+from effop.effective import (
+    EffectiveOperator,
+    _effective_pair,
+    _factorization,
+    first_type,
+    q_block_and_factorization,
+    second_type,
+)
+from effop.errors import NotDecoupled
+from effop.harness.generate import ProblemSpec, commuting_partners, generate
 from effop.harness.matio import (
     read_decoupling_map,
     read_matrix,
@@ -21,6 +29,7 @@ from effop.harness.matio import (
     write_effective,
     write_observable,
 )
+from effop.observables import effective_set
 from effop.spaces import (
     ModelSpace,
     _degenerate_clusters,
@@ -29,6 +38,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
+from effop.tolerances import SPECTRUM_MATCH_RTOL
 from effop.transform import (
     DecouplingMap,
     DirectProvenance,
@@ -286,3 +296,39 @@ def test_rotated_block_spectra_equal_block_eigenvalues(problem):
         assert np.all(np.diff(rotated) >= 0.0)
         reference = np.sort(np.linalg.eigvals(block).real)
         assert np.abs(rotated - reference).max(initial=0.0) <= rounding
+
+
+def _same_operator(a: EffectiveOperator, b: EffectiveOperator):
+    assert a.matrix.tobytes() == b.matrix.tobytes()
+    assert a.residual == b.residual
+
+
+@PROPERTY_SETTINGS
+@given(direct_maps())
+def test_block_level_builders_equal_the_public_ones(problem):
+    """One reduction handed to the block-level builders gives bit for bit
+    what each public builder gives from its own reduction."""
+    obs, dm = problem
+    blocks = transformed_blocks(obs, dm)
+    pair = _effective_pair(obs, dm, blocks)
+    _same_operator(pair.first, first_type(obs, dm))
+    _same_operator(pair.second, second_type(obs, dm))
+    qq, report = _factorization(obs, blocks, SPECTRUM_MATCH_RTOL)
+    public_qq, public_report = q_block_and_factorization(obs, dm)
+    assert qq.tobytes() == public_qq.tobytes()
+    assert report == public_report
+
+    family = commuting_partners(obs, 2, seed=dm.model_space.dim)
+    pairs, _ = effective_set(family, dm)
+    for member, member_pair in zip(family.members, pairs):
+        _same_operator(member_pair.first, first_type(member, dm))
+        _same_operator(member_pair.second, second_type(member, dm))
+
+    if dm.s.size:
+        zero = DecouplingMap(dm.model_space, np.zeros_like(dm.s))
+        with pytest.raises(NotDecoupled) as public:
+            first_type(obs, zero)
+        with pytest.raises(NotDecoupled) as private:
+            _effective_pair(obs, zero, transformed_blocks(obs, zero))
+        assert private.value.residual == public.value.residual
+        assert str(private.value) == str(public.value)
