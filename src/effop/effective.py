@@ -267,32 +267,38 @@ def spectral_reconstruct(selection: EigenSelection, ms: ModelSpace) -> np.ndarra
     return overlap.basis @ weighted
 
 
+def _membership(vector, name: str, dm: DecouplingMap) -> tuple[np.ndarray, float]:
+    """``vector`` as a complex vector of the map's full space, and its
+    membership residual."""
+    v = util.as_complex_vector(vector, name)
+    ms = dm.model_space
+    if v.shape[0] != ms.total_dim:
+        raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
+    return v, float(np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows]))
+
+
 def membership_residual(vector, dm: DecouplingMap) -> float:
     """Distance of a vector from the map's invariant subspace: the norm of
     (complement components - s * model components)."""
-    v = util.as_complex_vector(vector, "vector")
-    ms = dm.model_space
-    if v.shape[0] != ms.total_dim:
-        raise DimensionMismatch(f"vector has {v.shape[0]} entries, expected {ms.total_dim}")
-    return float(np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows]))
+    return _membership(vector, "vector", dm)[1]
+
+
+def _member(vector, name: str, dm: DecouplingMap) -> np.ndarray:
+    """``vector`` as a complex vector of the map's full space; raises
+    :class:`NotInSubspace` when it lies off the invariant subspace."""
+    v, residual = _membership(vector, name, dm)
+    limit = tolerances.MEMBERSHIP_RTOL * float(np.linalg.norm(v))
+    if residual > limit:
+        raise NotInSubspace(f"{name}: membership residual {residual:.3e} exceeds {limit:.3e}")
+    return v
 
 
 def matrix_element(psi, phi, op: EffectiveOperator, dm: DecouplingMap) -> complex:
     """Matrix element of the original observable between two subspace
     vectors, evaluated from their model-space components alone."""
-    ms = dm.model_space
-    left = util.as_complex_vector(psi, "psi")
-    right = util.as_complex_vector(phi, "phi")
-    for name, v in (("psi", left), ("phi", right)):
-        if v.shape[0] != ms.total_dim:
-            raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
-        residual = membership_residual(v, dm)
-        limit = tolerances.MEMBERSHIP_RTOL * float(np.linalg.norm(v))
-        if residual > limit:
-            raise NotInSubspace(
-                f"{name}: membership residual {residual:.3e} exceeds {limit:.3e}"
-            )
-    return complex(np.vdot(left[ms.p_rows], op.matrix @ right[ms.p_rows]))
+    rows = dm.model_space.p_rows
+    left, right = _member(psi, "psi", dm), _member(phi, "phi", dm)
+    return complex(np.vdot(left[rows], op.matrix @ right[rows]))
 
 
 def expectation_first_type(op: EffectiveOperator, alpha) -> complex:
@@ -312,19 +318,11 @@ def expectation_second_type(op: EffectiveOperator, psi, dm: DecouplingMap) -> fl
     the quadratic form of the Hermitian representative on the model
     components, equal to the projection norm squared times the
     representative's expectation in the projected state."""
-    v = util.as_complex_vector(psi, "psi")
-    ms = dm.model_space
-    if v.shape[0] != ms.total_dim:
-        raise DimensionMismatch(f"psi has {v.shape[0]} entries, expected {ms.total_dim}")
-    scale = float(np.linalg.norm(v))
-    if scale == 0.0:
+    v = _member(psi, "psi", dm)
+    if np.linalg.norm(v) == 0.0:  # the zero vector lies in every subspace
         raise ZeroVector("expectation of the zero vector is undefined")
-    residual = membership_residual(v, dm)
-    limit = tolerances.MEMBERSHIP_RTOL * scale
-    if residual > limit:
-        raise NotInSubspace(f"membership residual {residual:.3e} exceeds {limit:.3e}")
-    value = np.vdot(v[ms.p_rows], op.matrix @ v[ms.p_rows])
-    return float(value.real)
+    rows = dm.model_space.p_rows
+    return float(np.vdot(v[rows], op.matrix @ v[rows]).real)
 
 
 def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,

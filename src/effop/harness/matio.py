@@ -164,7 +164,7 @@ def read_decoupling_map(path) -> DecouplingMap:
         kset = tuple(int(t) for t in fields["K"].split(","))
     except (KeyError, ValueError) as exc:
         raise MatrixFileError(f"{path}: malformed s-matrix header {header!r}") from exc
-    if rows == 0:
+    if rows == 0 == m.shape[0]:  # a file without data rows reads back as (0, 0)
         m = np.zeros((0, cols), dtype=np.complex128)
     if m.shape != (rows, cols):
         raise MatrixFileError(f"{path}: data shape {m.shape} does not match header ({rows}, {cols})")

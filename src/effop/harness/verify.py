@@ -28,29 +28,37 @@ __all__ = ["run_verification"]
 _BRUTE_FORCE_LIMIT = 20_000
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """One opaque key per row of an integer array, for membership tests."""
-    rows = np.ascontiguousarray(rows)
-    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+def _listed(selection, candidates) -> np.ndarray:
+    """Mask over the rows of the selection's subset table that ``candidates`` lists."""
+    rows, _ = selection._subset_singular_values
+    listed = np.array(list(dict(candidates)), dtype=np.intp).reshape(-1, selection.dim) - 1
+    key = np.dtype((np.void, rows.itemsize * selection.dim))  # one opaque key per subset
+    return np.isin(rows.view(key).ravel(), listed.view(key).ravel())
 
 
 def _enumeration_agrees(selection, candidates, cond_cap):
     """Independent rank test over every subset; skips the ambiguous band
     around the cap where the two tolerances may legitimately disagree."""
-    d = selection.dim
-    legitimate = _row_keys(np.array(list(dict(candidates)), dtype=np.intp).reshape(-1, d) - 1)
+    _, sv = selection._subset_singular_values
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
-    for rows, sv in spaces._subset_singular_values(selection.vectors):
-        with np.errstate(over="ignore"):  # a singular block's ratio is inf
-            ratio = sv[:, 0] / np.maximum(sv[:, -1], tiny)
-        ambiguous = (sv[:, 0] > 0.0) & (1e-2 * cond_cap <= ratio) & (ratio <= 1e2 * cond_cap)
-        # numpy's matrix_rank threshold, applied to the values just computed
-        rank = (sv > sv[:, :1] * d * eps).sum(axis=1)
-        independent = (rank == d) & (ratio <= cond_cap)
-        listed = np.isin(_row_keys(rows), legitimate)
-        if np.any((independent != listed) & ~ambiguous):
-            return False
-    return True
+    with np.errstate(over="ignore"):  # a singular block's ratio is inf
+        ratio = sv[:, 0] / np.maximum(sv[:, -1], tiny)
+    ambiguous = (sv[:, 0] > 0.0) & (1e-2 * cond_cap <= ratio) & (ratio <= 1e2 * cond_cap)
+    # numpy's matrix_rank threshold, applied to the table's values
+    rank = (sv > sv[:, :1] * selection.dim * eps).sum(axis=1)
+    independent = (rank == selection.dim) & (ratio <= cond_cap)
+    return not np.any((independent != _listed(selection, candidates)) & ~ambiguous)
+
+
+def _second_model_space(selection, candidates, k_best) -> tuple[int, ...]:
+    """The listed K other than ``k_best`` with the largest smallest singular
+    value, ties to the lexicographically largest K (condition number alone
+    cannot rank K for d=1)."""
+    rows, sv = selection._subset_singular_values
+    others = _listed(selection, candidates) & (rows != np.subtract(k_best, 1)).any(axis=1)
+    smallest = np.where(others, sv[:, -1], -np.inf)
+    # the table is in lexicographic order, so the last maximum is the largest K
+    return tuple((rows[np.flatnonzero(smallest == smallest.max())[-1]] + 1).tolist())
 
 
 def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
@@ -191,21 +199,13 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                 report.add_flag("membership_rejection", True)
 
         if candidates is not None and 1 < len(candidates) <= 5000:
-            # rank alternatives by the smallest singular value of the
-            # projected block, then by K; condition number alone cannot do
-            # this for d=1
-            others = np.array(list(dict(candidates)), dtype=np.intp)
-            others = others[(others != k_best).any(axis=1)]
-            if others.size:
-                smallest = np.linalg.svd(selection.vectors[others - 1], compute_uv=False)[:, -1]
-                best = np.lexsort((*others[:, ::-1].T, smallest))[-1]
-                k_second = tuple(others[best].tolist())
-                dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
-                operator2 = eff.first_type(obs, dm2)
-                t = eff.equivalence_transform(operator, operator2, selection)
-                report.add("equivalence_transform",
-                           np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
-                           1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
+            k_second = _second_model_space(selection, candidates, k_best)
+            dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
+            operator2 = eff.first_type(obs, dm2)
+            t = eff.equivalence_transform(operator, operator2, selection)
+            report.add("equivalence_transform",
+                       np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
+                       1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
 
     # Generic witness: the first-type representative is non-Hermitian in
     # general, which the user's matrix may be too special to show.
@@ -264,12 +264,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                1e-9 * (1.0 + max(m.norm for m in family.members)))
 
     # Decomposition over contiguous joint-basis blocks.
-    parts = []
-    start = 1
-    while start <= n:
-        stop = min(start + d - 1, n)
-        parts.append(tuple(range(start, stop + 1)))
-        start = stop + 1
+    parts = [tuple(range(start, min(start + d, n + 1))) for start in range(1, n + 1, d)]
     kparts = [
         spaces.pivoted_model_space(obsmod.selection_from_basis(basis, block))
         for block in parts

@@ -35,7 +35,7 @@ from .spaces import (
     validate_index_subset,
 )
 from .tolerances import commuting_tolerance, decoupled_tolerance, eigenpair_tolerance
-from .transform import DecouplingMap, construct_s_from_span, transformed_blocks
+from .transform import DecouplingMap, construct_s_direct, transformed_blocks
 
 __all__ = [
     "CommutingSet",
@@ -140,7 +140,8 @@ def _refine(vectors, members, level):
     sub = 0.5 * (sub + sub.conj().T)
     vals, rot = np.linalg.eigh(sub)
     out = vectors @ rot
-    for start, stop in _degenerate_clusters(vals, tolerances.CLUSTER_RTOL):
+    # later members may rotate only clusters narrower than this member's eigenpair tolerance
+    for start, stop in _degenerate_clusters(vals, tolerances.EIG_RTOL / len(vals)):
         out[:, start:stop] = _refine(out[:, start:stop], members, level + 1)
     return out
 
@@ -183,10 +184,10 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     values = values[:, order]
     vectors = vectors[:, order]
 
+    # every pair, not only neighbours: rounding can sort equal tuples apart
     sep = tolerances.CLUSTER_RTOL * (1.0 + float(np.abs(values).max()))
-    distinct = all(
-        float(np.abs(values[:, i + 1] - values[:, i]).max()) > sep for i in range(n - 1)
-    )
+    gaps = np.abs(values[:, :, np.newaxis] - values[:, np.newaxis, :]).max(axis=0)
+    distinct = bool((gaps[np.triu_indices(n, 1)] > sep).all())
     if not distinct:
         warnings.warn(
             "eigenvalue tuples are not all distinct; the commuting set does not "
@@ -214,8 +215,7 @@ def common_s(cset: CommutingSet, indices, model_indices) -> DecouplingMap:
     """One decoupling map serving every member, built from the shared
     eigenvectors at ``indices`` for the model space ``model_indices``."""
     selection = selection_from_basis(cset.basis, indices)
-    ms = ModelSpace(cset.dim, tuple(int(k) for k in model_indices))
-    return construct_s_from_span(selection.vectors, ms, indices=selection.indices)
+    return construct_s_direct(selection, ModelSpace(cset.dim, tuple(int(k) for k in model_indices)))
 
 
 @dataclass(frozen=True)

@@ -235,9 +235,18 @@ def validate_index_subset(indices, total: int, *, name: str = "J") -> tuple[int,
     return idx
 
 
+# d-row subsets per stacked SVD: bounds the (chunk, d, d) stack whatever C(N, d) is
+_SUBSET_CHUNK = 2048
+
+
 @dataclass(frozen=True)
 class EigenSelection:
-    """Chosen subset of eigenpairs; columns of ``vectors`` follow ``indices``."""
+    """Chosen subset of eigenpairs; columns of ``vectors`` follow ``indices``.
+
+    The singular values of every d-row block are computed once, on the
+    first enumeration, so ``vectors`` must not change after it; every
+    selection the library builds holds read-only arrays.
+    """
 
     source: object
     indices: tuple[int, ...]
@@ -251,6 +260,27 @@ class EigenSelection:
     @property
     def total_dim(self) -> int:
         return int(self.vectors.shape[0])
+
+    @cached_property
+    def _subset_singular_values(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(rows, sv)`` over every d-row subset of ``vectors``.
+
+        ``rows`` holds one subset per row as ascending 0-based indices, the
+        subsets in lexicographic order; ``sv`` holds the descending singular
+        values of each subset's d x d block, from one stacked SVD per chunk
+        of at most ``_SUBSET_CHUNK`` subsets.
+        """
+        n, d = self.vectors.shape
+        count = math.comb(n, d)
+        rows = np.fromiter(itertools.chain.from_iterable(itertools.combinations(range(n), d)),
+                           dtype=np.intp, count=count * d).reshape(count, d)
+        sv = np.empty(rows.shape)
+        for start in range(0, count, _SUBSET_CHUNK):
+            chunk = rows[start:start + _SUBSET_CHUNK]
+            sv[start:start + len(chunk)] = np.linalg.svd(self.vectors[chunk], compute_uv=False)
+        rows.setflags(write=False)
+        sv.setflags(write=False)
+        return rows, sv
 
 
 def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSelection:
@@ -268,29 +298,6 @@ def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSele
     return EigenSelection(decomposition.source, idx, values, vectors)
 
 
-# d-row subsets per stacked SVD: bounds the (chunk, d, d) stack whatever C(N, d) is
-_SUBSET_CHUNK = 2048
-
-
-def _subset_singular_values(vectors: np.ndarray):
-    """Yield ``(rows, sv)`` over every d-row subset of the (N, d) ``vectors``.
-
-    ``rows`` holds one subset per row as ascending 0-based indices, the
-    subsets in lexicographic order across chunks; ``sv`` holds the
-    descending singular values of each subset's d x d block, from one
-    stacked SVD per chunk of at most ``_SUBSET_CHUNK`` subsets.
-    """
-    d = vectors.shape[1]
-    combos = itertools.combinations(range(vectors.shape[0]), d)
-    while True:
-        flat = np.fromiter(itertools.chain.from_iterable(itertools.islice(combos, _SUBSET_CHUNK)),
-                           dtype=np.intp)
-        if not flat.size:
-            return
-        rows = flat.reshape(-1, d)
-        yield rows, np.linalg.svd(vectors[rows], compute_uv=False)
-
-
 def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = tolerances.COND_CAP):
     """All legitimate model spaces for the selected vectors.
 
@@ -300,24 +307,21 @@ def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = toleranc
     condition number, ties by K, and holds between 1 and C(N, d)
     entries; linear independence of the vectors guarantees at least one
     subset exists, so an empty result means the cap itself rejected
-    everything. Subsets are evaluated in fixed-size stacked batches.
+    everything. The singular values come from the selection's table of
+    every subset, computed once in fixed-size stacked batches.
     """
     n, d = selection.total_dim, selection.dim
-    kept_rows, kept_cond = [], []
-    for rows, sv in _subset_singular_values(selection.vectors):
-        cond = util._conditions(sv)
-        keep = np.isfinite(cond) & (cond <= cond_cap)
-        kept_rows.append(rows[keep])
-        kept_cond.append(cond[keep])
-    rows, cond = np.concatenate(kept_rows), np.concatenate(kept_cond)
-    if not cond.size:
+    rows, sv = selection._subset_singular_values
+    cond = util._conditions(sv)
+    keep = np.flatnonzero(np.isfinite(cond) & (cond <= cond_cap))
+    if not keep.size:
         raise CapTooTight(
             f"no subset of size {d} passed cond cap {cond_cap:.3e} "
             f"out of {math.comb(n, d)} candidates"
         )
-    # subsets arrive in lexicographic order, so a stable sort by condition
-    # number leaves ties ordered by K
-    order = np.argsort(cond, kind="stable")
+    # the table lists subsets in lexicographic order, so a stable sort by
+    # condition number leaves ties ordered by K
+    order = keep[np.argsort(cond[keep], kind="stable")]
     return list(zip(map(tuple, (rows[order] + 1).tolist()), cond[order].tolist()))
 
 

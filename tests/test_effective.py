@@ -16,6 +16,7 @@ from effop.effective import (
     spectral_reconstruct,
 )
 from effop.errors import (
+    DimensionMismatch,
     NotAnEigenvector,
     NotDecoupled,
     NotInSubspace,
@@ -353,6 +354,20 @@ def test_expectation_second_type_random_and_errors():
         expectation_second_type(rep, np.zeros(8), dm)
     with pytest.raises(NotInSubspace):
         expectation_second_type(rep, rng.standard_normal(8), dm)
+
+
+def test_subspace_vector_checks_name_the_vector():
+    _, _, _, dm = _sigma_x_setup()
+    rep = second_type(SIGMA_X, dm)
+    member, stray = np.array([1.0, 1.0]), np.array([1.0, 0.0])
+    for call in (lambda v: matrix_element(v, member, rep, dm),
+                 lambda v: expectation_second_type(rep, v, dm)):
+        with pytest.raises(NotInSubspace, match="^psi: membership residual "):
+            call(stray)
+        with pytest.raises(DimensionMismatch, match="^psi has 3 entries, expected 2$"):
+            call(np.ones(3))
+    with pytest.raises(NotInSubspace, match="^phi: membership residual "):
+        matrix_element(member, stray, rep, dm)
 
 
 def test_equivalence_same_space_is_identity():

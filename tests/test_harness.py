@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -25,7 +26,7 @@ from effop.harness import (
     write_observable,
 )
 from effop.harness import cli
-from effop.harness.verify import _enumeration_agrees
+from effop.harness.verify import _enumeration_agrees, _second_model_space
 from effop.spaces import (
     EigenSelection,
     ModelSpace,
@@ -192,6 +193,26 @@ def test_matio_decoupling_round_trip(tmp_path):
     assert back.provenance == DirectProvenance((2, 4))
 
 
+def test_matio_decoupling_zero_row_header_with_data_rows(tmp_path):
+    path = tmp_path / "s.mat"
+    path.write_text("# s-matrix rows=0 cols=2 K=1,2\n1\n5 0 7 0\n", encoding="utf-8")
+    with pytest.raises(MatrixFileError) as excinfo:
+        read_decoupling_map(path)
+    assert str(excinfo.value) == f"{path}: data shape (1, 2) does not match header (0, 2)"
+    matrix = tmp_path / "two.mat"
+    matrix.write_text("2\n1 0 0 0\n0 0 2 0\n", encoding="utf-8")
+    out = tmp_path / "eff.mat"
+    assert cli.main(["effective", "--matrix", str(matrix), "--s", str(path),
+                     "--out", str(out)]) == 1
+    assert not out.exists()
+    # a map onto the whole space has no data rows and reads back as (0, cols)
+    dm = DecouplingMap(ModelSpace(2, (1, 2)), np.zeros((0, 2), dtype=complex))
+    write_decoupling_map(path, dm)
+    back = read_decoupling_map(path)
+    assert back.model_space == dm.model_space
+    assert back.s.shape == (0, 2)
+
+
 def test_matio_decoupling_requires_header(tmp_path):
     path = tmp_path / "s.mat"
     write_matrix(path, np.zeros((1, 1), dtype=complex))
@@ -262,6 +283,71 @@ def test_enumeration_agreement_detects_mutated_candidates():
     deficient = (1, 2, 3)  # row 1 is zero
     assert deficient not in dict(candidates)
     assert not _enumeration_agrees(sel, [*candidates, (deficient, 1.0)], COND_CAP)
+
+
+def _two_chunk_selection():
+    """25 random rows, every fourth zero: C(25, 3) subsets span two SVD stacks."""
+    rng = np.random.default_rng(3)
+    vectors = rng.standard_normal((25, 3)) + 1j * rng.standard_normal((25, 3))
+    vectors[::4] = 0.0
+    return EigenSelection(None, (1, 2, 3), np.zeros(3), vectors)
+
+
+def _stacked_svds(monkeypatch):
+    """Record the stack length of every ``np.linalg.svd`` call on 3-D input."""
+    stacks = []
+    original = np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        if np.ndim(a) == 3:
+            stacks.append(len(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return stacks
+
+
+def test_run_verification_does_one_stacked_svd_per_enumerating_trial(monkeypatch):
+    # the first three trials enumerate; C(12, 3) = 220 subsets fit one stack
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=1))
+    stacks = _stacked_svds(monkeypatch)
+    assert run_verification(obs, d=3, trials=8, seed=1).all_passed
+    assert stacks == [220] * 3
+
+
+def test_enumeration_and_its_cross_check_read_one_table(monkeypatch):
+    sel = _two_chunk_selection()
+    stacks = _stacked_svds(monkeypatch)
+    candidates = enumerate_model_spaces(sel)
+    assert enumerate_model_spaces(sel) == candidates
+    assert _enumeration_agrees(sel, candidates, COND_CAP)
+    assert stacks == [spaces._SUBSET_CHUNK, math.comb(25, 3) - spaces._SUBSET_CHUNK]
+
+
+def _lexsort_pick(sel, candidates, k_best):
+    """The listed K other than k_best by one SVD of the candidates' blocks
+    and a lexsort: largest smallest singular value, then largest K."""
+    others = np.array(list(dict(candidates)), dtype=np.intp)
+    others = others[(others != k_best).any(axis=1)]
+    smallest = np.linalg.svd(sel.vectors[others - 1], compute_uv=False)[:, -1]
+    return tuple(others[np.lexsort((*others[:, ::-1].T, smallest))[-1]].tolist())
+
+
+@pytest.mark.parametrize("unit_rows", [False, True])
+def test_second_model_space_breaks_ties_like_lexsort(unit_rows):
+    # with unit rows scaled by 1 or 2 every accepted block is a scaled
+    # permutation matrix, so its smallest singular value is 1 or 2 and most
+    # candidates tie
+    if unit_rows:
+        vectors = np.eye(3)[np.arange(25) % 3] * (1.0 + np.arange(25) % 2)[:, None]
+        vectors[::4] = 0.0
+        sel = EigenSelection(None, (1, 2, 3), np.zeros(3), vectors.astype(complex))
+    else:
+        sel = _two_chunk_selection()
+    candidates = enumerate_model_spaces(sel)
+    for listed in (candidates, candidates[::3]):
+        for k_best in [k for k, _ in listed[:40]] + [(1, 2, 3)]:
+            assert _second_model_space(sel, listed, k_best) == _lexsort_pick(sel, listed, k_best)
 
 
 def test_cli_gen_solve_direct_hand(tmp_path):

@@ -11,6 +11,7 @@ from effop.errors import (
     SingularProjection,
 )
 from effop.harness import ProblemSpec, generate
+from effop.harness.generate import haar_unitary
 from effop.observables import (
     common_s,
     decompose_space,
@@ -21,6 +22,7 @@ from effop.observables import (
     verify_commuting,
 )
 from effop.spaces import ModelSpace, enumerate_model_spaces, validate_hermitian
+from effop.tolerances import eigenpair_tolerance
 from effop.transform import DecouplingMap, decoupling_residual
 from effop.util import match_spectra
 
@@ -123,6 +125,25 @@ def test_simultaneous_warns_on_repeated_tuples():
     assert not basis.distinct
 
 
+@pytest.mark.parametrize("exact", [
+    # member 1 splits the pair below the cluster width; member 2 is scalar on it
+    [[-1.0, -1.0 + 1e-9], [1.0, 1.0]],
+    # member 1 is scalar, so rounding alone orders its values; two tuples repeat
+    [[-1.0, -1.0, -1.0], [0.0, 1.0, 1.0]],
+])
+def test_simultaneous_near_degenerate_tuples(exact):
+    for seed in range(8):
+        v = haar_unitary(len(exact[0]), np.random.default_rng(seed))
+        cset = verify_commuting([validate_hermitian((v * np.array(row)) @ v.conj().T)
+                                 for row in exact])
+        with pytest.warns(UserWarning, match="tuples are not all distinct"):
+            basis = simultaneous_eigenbasis(cset)
+        assert not basis.distinct
+        for member, row in zip(cset.members, basis.values):
+            residual = np.linalg.norm(member.matrix @ basis.vectors - basis.vectors * row, axis=0)
+            assert residual.max() <= eigenpair_tolerance(member)
+
+
 def test_common_s_hand():
     cset = _a_a2_set()
     dm = common_s(cset, (2,), (1,))
@@ -148,6 +169,13 @@ def test_common_s_random_triple_decouples_every_member():
     dm = common_s(cset, (1, 2), k_best)
     for member in cset.members:
         assert decoupling_residual(member, dm) <= 1e-10
+
+
+def test_common_s_rejects_model_space_of_another_size():
+    cset = _a_a2_set()
+    with pytest.raises(DimensionMismatch) as excinfo:
+        common_s(cset, (1, 2), (1,))
+    assert str(excinfo.value) == "selection is 2x2, model space wants 2x1"
 
 
 def test_common_s_singular_projection():

@@ -20,7 +20,7 @@ from effop.effective import (
     second_type,
 )
 from effop.errors import NotDecoupled
-from effop.harness.generate import ProblemSpec, commuting_partners, generate
+from effop.harness.generate import ProblemSpec, commuting_partners, generate, haar_unitary
 from effop.harness.matio import (
     read_decoupling_map,
     read_matrix,
@@ -29,7 +29,7 @@ from effop.harness.matio import (
     write_effective,
     write_observable,
 )
-from effop.observables import effective_set
+from effop.observables import effective_set, simultaneous_eigenbasis, verify_commuting
 from effop.spaces import (
     ModelSpace,
     _degenerate_clusters,
@@ -38,7 +38,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.tolerances import SPECTRUM_MATCH_RTOL
+from effop.tolerances import CLUSTER_RTOL, SPECTRUM_MATCH_RTOL, eigenpair_tolerance
 from effop.transform import (
     DecouplingMap,
     DirectProvenance,
@@ -332,3 +332,46 @@ def test_block_level_builders_equal_the_public_ones(problem):
             _effective_pair(obs, zero, transformed_blocks(obs, zero))
         assert private.value.residual == public.value.residual
         assert str(private.value) == str(public.value)
+
+
+@st.composite
+def degenerate_families(draw):
+    """Two commuting members in one Haar basis, with their exact eigenvalue
+    rows. Member 1 has up to three levels, the k-th state of a level moved
+    by k times a split of 0, 1e-14, 1e-11, 1e-9 or 1e-7; member 2 takes
+    distinct values, or only 0 and 1, which may leave tuples repeated."""
+    n = draw(st.integers(2, 8))
+    levels = draw(st.integers(1, 3))
+    split = draw(st.sampled_from([0.0, 1e-14, 1e-11, 1e-9, 1e-7]))
+    separating = draw(st.booleans())
+    rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
+    level = np.sort(rng.integers(0, levels, size=n))
+    rank = np.arange(n) - np.searchsorted(level, level)  # place inside the level
+    first = 1.5 * level - 1.0 + split * rank
+    second = rng.permutation(n) - 3.0 if separating else rng.integers(0, 2, size=n) * 1.0
+    basis = haar_unitary(n, rng)
+    exact = np.array([first, second])
+    members = [validate_hermitian((basis * row) @ basis.conj().T) for row in exact]
+    return verify_commuting(members), exact
+
+
+@PROPERTY_SETTINGS
+@given(degenerate_families())
+def test_joint_basis_of_degenerate_families(family):
+    cset, exact = family
+    n = cset.dim
+    sep = CLUSTER_RTOL * (1.0 + float(np.abs(exact).max()))
+    gaps = np.abs(exact[:, :, None] - exact[:, None, :]).max(axis=0)
+    separated = bool((gaps[np.triu_indices(n, 1)] > sep).all())
+    if separated:
+        basis = simultaneous_eigenbasis(cset)
+    else:
+        with pytest.warns(UserWarning, match="tuples are not all distinct"):
+            basis = simultaneous_eigenbasis(cset)
+    vectors, values = basis.vectors, basis.values
+    for member, row in zip(cset.members, values):
+        residual = np.linalg.norm(member.matrix @ vectors - vectors * row, axis=0).max()
+        assert residual <= eigenpair_tolerance(member)
+    assert np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)) <= 1e-12 * n
+    assert np.array_equal(np.lexsort(values[::-1]), np.arange(n))
+    assert basis.distinct == separated
