@@ -151,9 +151,11 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
 
     Degenerate clusters of the mix are refined by sub-diagonalizing the
     members in order. Columns are sorted by their eigenvalue tuples
-    (member 1 first). A warning is emitted when tuples repeat: the set
-    then fails to pin one-dimensional joint eigenspaces, though every
-    construction downstream stays valid.
+    (member 1 first), where a member's values in one ``CLUSTER_RTOL``
+    cluster count as equal, so repeated tuples stay adjacent. A warning
+    is emitted when tuples repeat: the set then fails to pin
+    one-dimensional joint eigenspaces, though every construction
+    downstream stays valid.
     """
     n = cset.dim
     rng = np.random.default_rng(_MIX_SEED)
@@ -180,7 +182,16 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
                 f"member {sig + 1}: joint eigenpair residual {residual:.3e} above {limit:.3e}"
             )
 
-    order = np.lexsort(values[::-1])
+    # sort by each member's cluster ids, not its raw values, so that
+    # rounding inside a cluster cannot split a repeated tuple
+    ids = np.empty((cset.size, n), dtype=np.intp)
+    for sig, row in enumerate(values):
+        ranks = np.argsort(row, kind="stable")
+        cluster = np.arange(n)
+        for start, stop in _degenerate_clusters(row[ranks], tolerances.CLUSTER_RTOL):
+            cluster[start:stop] = start
+        ids[sig, ranks] = cluster
+    order = np.lexsort(ids[::-1])
     values = values[:, order]
     vectors = vectors[:, order]
 

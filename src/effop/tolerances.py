@@ -30,7 +30,8 @@ DECOMPOSITION_MATCH_RTOL = 1e-9   # union of the block spectra of a decompositio
 # Commuting sets
 COMM_RTOL = 1e-10         # pairwise commutator norm, relative to max ||O||_F over members
 EFFECTIVE_COMM_TOL = 1e-9 # absolute: commutator norm of first-type representatives
-CLUSTER_RTOL = 1e-8       # joint-basis mix cluster and tuple gap, relative to 1 + max |value|
+CLUSTER_RTOL = 1e-8       # joint-basis mix cluster, tuple-order cluster and tuple gap,
+                          # relative to 1 + max |value|
 
 # Fixed-point solver; s is invariant under O -> cO, so what measures s stays absolute
 SOLVER_TOL = 1e-11            # residual at convergence, relative to ||O||_F;

@@ -26,6 +26,7 @@ from effop.harness import (
     write_observable,
 )
 from effop.harness import cli
+from effop.harness import verify as verify_module
 from effop.harness.verify import _enumeration_agrees, _second_model_space
 from effop.spaces import (
     EigenSelection,
@@ -555,6 +556,18 @@ def test_verify_emits_the_benchmark_check_set(n, d, enumerates):
     assert report.all_passed, [c.name for c in report.checks if not c.passed]
 
 
+def _recorded_shapes(monkeypatch, *names):
+    """Record the argument shape of every call of each named ``np.linalg``
+    function; returns one list of shapes per name."""
+    shapes = {name: [] for name in names}
+    for name, calls in shapes.items():
+        def counted(a, *args, _original=getattr(np.linalg, name), _calls=calls, **kwargs):
+            _calls.append(np.shape(a))
+            return _original(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return shapes
+
+
 def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
     """Eight factorization reports on one observable and eight maps run no
     non-Hermitian eigensolver and take the N x N spectrum once."""
@@ -566,18 +579,57 @@ def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
         selection = select_eigenvectors(decomposition, (first, first + 4, first + 8))
         maps.append(transform.construct_s_direct(
             selection, ModelSpace(n, pivoted_model_space(selection))))
-    shapes = {"eigvals": [], "eigvalsh": []}
-    for name, calls in shapes.items():
-        def counted(a, *args, _original=getattr(np.linalg, name), _calls=calls, **kwargs):
-            _calls.append(np.shape(a))
-            return _original(a, *args, **kwargs)
-        monkeypatch.setattr(np.linalg, name, counted)
-
+    shapes = _recorded_shapes(monkeypatch, "eigvals", "eigvalsh")
     for dm in maps:
         _, report = effop.q_block_and_factorization(obs, dm)
         assert report.matched
     assert shapes["eigvals"] == []
     assert shapes["eigvalsh"].count((n, n)) == 1
+
+
+def test_run_verification_solves_no_dense_nonhermitian_eigenproblem(monkeypatch):
+    """The enclosure decides spectrum_preserved on every trial, so the
+    non-Hermitian eigensolver sees no matrix larger than a d x d block."""
+    d = 4
+    obs = generate(ProblemSpec("random_hermitian", dim=48, seed=48))
+    shapes = _recorded_shapes(monkeypatch, "eigvals")
+    assert run_verification(obs, d=d, trials=8, seed=1).all_passed
+    assert shapes["eigvals"] and max(rows for rows, _ in shapes["eigvals"]) <= d
+
+
+def _spectrum_check(monkeypatch, similarity):
+    """spectrum_preserved of a four-trial 12 x 12 verify run whose dense
+    transform, as harness.verify sees it, is ``similarity(obs, dm)``, and
+    the shapes passed to ``np.linalg.eigvals``."""
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=5))
+    monkeypatch.setattr(verify_module.transform, "similarity_transform", similarity)
+    shapes = _recorded_shapes(monkeypatch, "eigvals")
+    report = run_verification(obs, d=3, trials=4, seed=1)
+    check, = [c for c in report.checks if c.name == "spectrum_preserved"]
+    return check, shapes["eigvals"]
+
+
+def test_spectrum_preserved_fails_on_a_perturbed_entry(monkeypatch):
+    exact = transform.similarity_transform
+
+    def perturbed(obs, dm):
+        dense = exact(obs, dm)
+        dense[0, 1] += 1e-8 * obs.norm
+        return dense
+
+    check, _ = _spectrum_check(monkeypatch, perturbed)
+    assert not check.passed
+
+
+def test_spectrum_preserved_falls_back_on_swapped_factors(monkeypatch):
+    # (1 + S) O (1 - S) is still a similarity, but (1 - S) V is not its
+    # eigenbasis, so only the eigensolver can confirm it
+    def swapped(obs, dm):
+        return transform.exp_s(dm, 1) @ obs.matrix @ transform.exp_s(dm, -1)
+
+    check, shapes = _spectrum_check(monkeypatch, swapped)
+    assert check.passed
+    assert shapes.count((12, 12)) == 4
 
 
 def test_basis_computed_once_per_commuting_set(monkeypatch):

@@ -144,6 +144,25 @@ def test_simultaneous_near_degenerate_tuples(exact):
             assert residual.max() <= eigenpair_tolerance(member)
 
 
+@pytest.mark.parametrize("exact", [
+    # member 1 is scalar, so only member 2 can order the columns
+    [[-1.0, -1.0, -1.0], [0.0, 1.0, 1.0]],
+    [[-1.0, -1.0, -1.0, -1.0], [1.0, 0.0, 1.0, 0.0]],
+    [[2.0, 2.0, 2.0, 5.0], [1.0, 0.0, 1.0, 3.0], [4.0, 4.0, 4.0, 4.0]],
+])
+def test_simultaneous_repeated_tuples_are_contiguous(exact):
+    for seed in range(8):
+        v = haar_unitary(len(exact[0]), np.random.default_rng(seed))
+        cset = verify_commuting([validate_hermitian((v * np.array(row)) @ v.conj().T)
+                                 for row in exact])
+        with pytest.warns(UserWarning, match="tuples are not all distinct"):
+            basis = simultaneous_eigenbasis(cset)
+        tuples = [tuple(np.round(column, 6)) for column in basis.values.T]
+        runs = [t for k, t in enumerate(tuples) if k == 0 or t != tuples[k - 1]]
+        assert len(runs) == len(set(tuples)), (seed, tuples)
+        assert runs == sorted(runs), (seed, tuples)
+
+
 def test_common_s_hand():
     cset = _a_a2_set()
     dm = common_s(cset, (2,), (1,))
