@@ -24,6 +24,7 @@ from .errors import (
     NotDecoupled,
     NotInSubspace,
     SingularProjection,
+    ValidationError,
     ZeroVector,
 )
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
@@ -133,19 +134,19 @@ def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     return _operator(blocks.second, obs, dm, blocks)
 
 
-def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap, *,
-                              match_rtol: float = tolerances.SPECTRUM_MATCH_RTOL):
+def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap):
     """Complement block of the transformed observable, plus a report that
-    its spectrum joined with the model block's rebuilds the full one.
+    its spectrum joined with the model block's rebuilds the full one,
+    each pair within ``rtol = SPECTRUM_MATCH_RTOL``.
 
     The two block spectra come from the rotation behind
     :attr:`TransformedBlocks.block_spectra`. The returned block ``qq``
     is tied to the complement values mu by its first two moments: the
-    report matches only if |trace(qq^k) - sum mu^k| <= k match_rtol
+    report matches only if |trace(qq^k) - sum mu^k| <= k rtol
     sum (1 + |mu|)^k for k = 1, 2, the most the k-th power sum can move
     when each value moves within its match tolerance.
     """
-    return _factorization(obs, transformed_blocks(obs, dm), match_rtol)
+    return _factorization(obs, transformed_blocks(obs, dm), tolerances.SPECTRUM_MATCH_RTOL)
 
 
 @dataclass(frozen=True)
@@ -178,7 +179,12 @@ class EigenvectorClassification:
 
 def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
                          value) -> EigenvectorClassification:
-    """Classify an eigenvector of the transformed observable."""
+    """Classify an eigenvector of the transformed observable.
+
+    Raises :class:`NotDecoupled` unless the map decouples the observable,
+    as :func:`first_type` does; both block spectra come from
+    :attr:`TransformedBlocks.block_spectra`.
+    """
     tol = tolerances.CLASSIFY_RTOL
     phi = util.as_complex_vector(vector, "vector")
     ms = dm.model_space
@@ -189,39 +195,35 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
         raise NotAnEigenvector("the zero vector is not an eigenvector")
     value = complex(value)
     blocks = transformed_blocks(obs, dm)
+    _decoupled(obs, blocks)
     p_part = phi[ms.p_rows]
     q_part = phi[ms.q_rows]
     residual = math.hypot(
         np.linalg.norm(blocks.pp @ p_part + blocks.pq @ q_part - value * p_part),
         np.linalg.norm(blocks.qp @ p_part + blocks.qq @ q_part - value * q_part),
     )
-    if residual > tol * (1.0 + abs(value)) * scale:
+    near = tolerances.scaled(tol, abs(value))
+    if residual > near * scale:
         raise NotAnEigenvector(
             f"residual {residual:.3e} too large for value {value} (tol scale {tol:.0e})"
         )
     p_part.setflags(write=False)
     q_part.setflags(write=False)
 
-    spec_p = np.linalg.eigvals(blocks.pp)
-    spec_q = np.linalg.eigvals(blocks.qq)
-
     def owns(spectrum):
-        return spectrum.size > 0 and np.abs(spectrum - value).min() <= tol * (1.0 + abs(value))
+        return spectrum.size > 0 and np.abs(spectrum - value).min() <= near
 
-    intersect = bool(owns(spec_p) and owns(spec_q))
+    intersect = bool(all(owns(spectrum) for spectrum in blocks.block_spectra))
     p_norm = float(np.linalg.norm(p_part))
-    p_is_eig = bool(
-        p_norm > tol * scale
-        and np.linalg.norm(blocks.pp @ p_part - value * p_part)
-        <= tol * (1.0 + abs(value)) * p_norm
-    )
+    p_is_eig = bool(p_norm > tol * scale
+                    and np.linalg.norm(blocks.pp @ p_part - value * p_part) <= near * p_norm)
     q_norm = float(np.linalg.norm(q_part))
     if q_norm <= tol * scale:
         case = "model_space"
         shares = False
     else:
         case = "complement"
-        shares = bool(np.linalg.norm(blocks.pq @ q_part) <= tol * (1.0 + obs.norm) * q_norm)
+        shares = bool(np.linalg.norm(blocks.pq @ q_part) <= tolerances.scaled(tol, obs.norm) * q_norm)
     return EigenvectorClassification(case, value, p_part, q_part, shares, intersect, p_is_eig)
 
 
@@ -238,8 +240,7 @@ def overlap_matrix(selection: EigenSelection, ms: ModelSpace) -> OverlapMatrix:
     if selection.total_dim != ms.total_dim or selection.dim != ms.dim:
         raise DimensionMismatch("selection and model space disagree on dimensions")
     basis = selection.vectors[ms.p_rows, :].copy()
-    if not np.isfinite(util.condition_number(basis)):
-        raise SingularProjection("projected eigenvectors are numerically dependent")
+    util._require_conditioned(basis, "projected eigenvectors")
     gamma = basis.conj().T @ basis
     if float(np.linalg.eigvalsh(gamma).min()) <= 0.0:
         raise SingularProjection("overlap matrix is not positive definite")
@@ -293,9 +294,22 @@ def _member(vector, name: str, dm: DecouplingMap) -> np.ndarray:
     return v
 
 
+def _same_map(op: EffectiveOperator, dm: DecouplingMap) -> None:
+    """Raises :class:`ValidationError` when ``op`` was built with a map
+    other than ``dm``: another model space or another s."""
+    built = op.decoupling
+    if built is None or built is dm:
+        return
+    if built.model_space != dm.model_space or not np.array_equal(built.s, dm.s):
+        raise ValidationError(f"the representative was built with another decoupling map "
+                              f"(K={built.model_space.indices}; given K={dm.model_space.indices})")
+
+
 def matrix_element(psi, phi, op: EffectiveOperator, dm: DecouplingMap) -> complex:
     """Matrix element of the original observable between two subspace
-    vectors, evaluated from their model-space components alone."""
+    vectors, evaluated from their model-space components alone. ``dm``
+    must be the map ``op`` was built with, or an equal one."""
+    _same_map(op, dm)
     rows = dm.model_space.p_rows
     left, right = _member(psi, "psi", dm), _member(phi, "phi", dm)
     return complex(np.vdot(left[rows], op.matrix @ right[rows]))
@@ -317,7 +331,9 @@ def expectation_second_type(op: EffectiveOperator, psi, dm: DecouplingMap) -> fl
     """Expectation of the original observable in a unit subspace vector:
     the quadratic form of the Hermitian representative on the model
     components, equal to the projection norm squared times the
-    representative's expectation in the projected state."""
+    representative's expectation in the projected state. ``dm`` must be
+    the map ``op`` was built with, or an equal one."""
+    _same_map(op, dm)
     v = _member(psi, "psi", dm)
     if np.linalg.norm(v) == 0.0:  # the zero vector lies in every subspace
         raise ZeroVector("expectation of the zero vector is undefined")
@@ -341,9 +357,5 @@ def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,
     pv = selection.vectors[ms.p_rows, :]
     pv2 = selection.vectors[ms2.p_rows, :]
     for name, block in (("first", pv), ("second", pv2)):
-        cond = util.condition_number(block)
-        if not (np.isfinite(cond) and cond <= tolerances.COND_CAP):
-            raise SingularProjection(
-                f"{name} model space: condition {cond:.3e} exceeds cap {tolerances.COND_CAP:.3e}"
-            )
+        util._require_conditioned(block, f"{name} model-space components")
     return np.linalg.solve(pv2.T, pv.T).T

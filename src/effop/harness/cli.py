@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _indices(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(token) for token in text.split(",") if token)
+        return matio._parse_indices(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
 
@@ -150,7 +150,7 @@ def _cmd_enumerate(args) -> int:
     decomposition = spaces.eigendecompose(obs)
     selection = spaces.select_eigenvectors(decomposition, args.j)
     for k, cond in spaces.enumerate_model_spaces(selection, args.cond_cap):
-        print("K=" + ",".join(str(i) for i in k) + f" cond={cond:.6e}")
+        print(f"K={matio._format_indices(k)} cond={cond:.6e}")
     return 0
 
 
@@ -162,13 +162,9 @@ def _read_plan(path):
             continue
         if not text.startswith("block:"):
             raise ValidationError(f"{path}:{ln}: expected 'block: J=<ids> K=<ids>'")
-        fields = {}
-        for token in text[len("block:"):].split():
-            key, _, value = token.partition("=")
-            fields[key] = value
+        fields = matio._parse_fields(text[len("block:"):])
         try:
-            j = tuple(int(t) for t in fields["J"].split(","))
-            k = tuple(int(t) for t in fields["K"].split(","))
+            j, k = matio._parse_indices(fields["J"]), matio._parse_indices(fields["K"])
         except (KeyError, ValueError) as exc:
             raise ValidationError(f"{path}:{ln}: malformed block line {text!r}") from exc
         blocks.append((j, k))
@@ -187,9 +183,8 @@ def _cmd_decompose(args) -> int:
     decomposed = obsmod.decompose_space(cset, [j for j, _ in plan], [k for _, k in plan])
     for r, block in enumerate(decomposed.blocks, start=1):
         worst = max(pair.first.residual for pair in block.pairs)
-        print(f"block {r}: J=" + ",".join(map(str, block.indices))
-              + " K=" + ",".join(map(str, block.model_space.indices))
-              + f" max_residual={worst:.6e}")
+        print(f"block {r}: J={matio._format_indices(block.indices)} "
+              f"K={matio._format_indices(block.model_space.indices)} max_residual={worst:.6e}")
     ok = True
     for sig, check in enumerate(decomposed.spectrum_checks, start=1):
         word = "pass" if check.matched else "fail"

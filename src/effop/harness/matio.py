@@ -133,7 +133,18 @@ def write_observable(path, obs: ObservableMatrix, comments=()) -> None:
     write_matrix(path, obs.matrix, comments)
 
 
+def _format_indices(indices) -> str:
+    """``1,2,4``: an index set as files and the command line write it."""
+    return ",".join(str(i) for i in indices)
+
+
+def _parse_indices(text: str) -> tuple[int, ...]:
+    """Inverse of :func:`_format_indices`; ValueError on a token that is not an integer."""
+    return tuple(int(token) for token in text.split(","))
+
+
 def _parse_fields(comment: str) -> dict[str, str]:
+    """``key=value`` tokens of a whitespace-separated line; other tokens are skipped."""
     out = {}
     for token in comment.split():
         if "=" in token:
@@ -144,10 +155,10 @@ def _parse_fields(comment: str) -> dict[str, str]:
 
 def write_decoupling_map(path, dm: DecouplingMap, extra_comments=()) -> None:
     ms = dm.model_space
-    k = ",".join(str(i) for i in ms.indices)
+    k = _format_indices(ms.indices)
     comments = [f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={k}"]
     if isinstance(dm.provenance, DirectProvenance) and dm.provenance.indices:
-        comments.append("J=" + ",".join(str(i) for i in dm.provenance.indices))
+        comments.append("J=" + _format_indices(dm.provenance.indices))
     comments.extend(extra_comments)
     write_matrix(path, dm.s, comments)
 
@@ -161,7 +172,7 @@ def read_decoupling_map(path) -> DecouplingMap:
     try:
         rows = int(fields["rows"])
         cols = int(fields["cols"])
-        kset = tuple(int(t) for t in fields["K"].split(","))
+        kset = _parse_indices(fields["K"])
     except (KeyError, ValueError) as exc:
         raise MatrixFileError(f"{path}: malformed s-matrix header {header!r}") from exc
     if rows == 0 == m.shape[0]:  # a file without data rows reads back as (0, 0)
@@ -173,7 +184,7 @@ def read_decoupling_map(path) -> DecouplingMap:
         extra = _parse_fields(comment)
         if "J" in extra:
             try:
-                indices = tuple(int(t) for t in extra["J"].split(","))
+                indices = _parse_indices(extra["J"])
             except ValueError as exc:
                 raise MatrixFileError(f"{path}: malformed J field in {comment!r}") from exc
     ms = ModelSpace(rows + cols, kset)
@@ -185,10 +196,10 @@ def read_decoupling_map(path) -> DecouplingMap:
 def write_effective(path, op, *, residual: float | None = None, extra_comments=()) -> None:
     """Effective-operator file with provenance comments (K, J, residual)."""
     ms = op.model_space
-    comments = ["K=" + ",".join(str(i) for i in ms.indices)]
+    comments = ["K=" + _format_indices(ms.indices)]
     provenance = getattr(op.decoupling, "provenance", None)
     if isinstance(provenance, DirectProvenance) and provenance.indices:
-        comments.append("J=" + ",".join(str(i) for i in provenance.indices))
+        comments.append("J=" + _format_indices(provenance.indices))
     if residual is not None:
         comments.append(f"residual={residual:.6e}")
     comments.extend(extra_comments)

@@ -92,7 +92,7 @@ def _spectrum_enclosed(dense, basis, values, rtol) -> bool:
     group[order] = np.concatenate(([0], np.cumsum(starts)))
     # reach[i, j] = |c_j - values[i]| + r_j, compared with values[i]'s tolerance
     reach = np.abs(centres - values[:, np.newaxis]) + radii
-    within = reach <= (rtol * (1.0 + np.abs(values)))[:, np.newaxis]
+    within = reach <= tolerances.scaled(rtol, np.abs(values))[:, np.newaxis]
     return bool(np.all(within | (group[:, np.newaxis] != group)))
 
 
@@ -116,10 +116,11 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     })
     decomposition = spaces.eigendecompose(obs)
     values, vectors = decomposition.values, decomposition.vectors
-    scale = obs.norm if obs.norm > 0.0 else 1.0
+    scale = obs.norm if obs.norm > 0.0 else 1.0  # ||O||_F; 1 only for O = 0
 
     reconstructed = (vectors * values) @ vectors.conj().T
     report.add("eigh_reconstruct", np.linalg.norm(reconstructed - obs.matrix), 1e-10 * scale)
+    # V'V - I is scale-free; its rounding grows with the dimension n
     report.add("eigh_orthonormal",
                np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)), 1e-12 * max(1.0, n))
 
@@ -155,7 +156,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         s_norm = float(np.linalg.norm(dm.s))
         blocks = transform.transformed_blocks(obs, dm)
         report.add("decoupling_residual_direct",
-                   blocks.residual, transform.decoupled_tolerance(obs))
+                   blocks.residual, tolerances.decoupled_tolerance(obs))
 
         forward, backward = transform.exp_s(dm, 1), transform.exp_s(dm, -1)
         embedded = forward - np.eye(n)
@@ -163,6 +164,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         report.add("transform_inverse_exact", np.abs(forward @ backward - np.eye(n)).max(), 0.0)
 
         dense = transform.similarity_transform(obs, dm)
+        # ||O||_F floored at 1; the (1 + ||s||)^2 of the two factors is scale-free
         report.add("blocks_assembly",
                    np.linalg.norm(transform.assemble_blocks(blocks, ms) - dense),
                    1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
@@ -172,10 +174,12 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                         or util.match_spectra(np.linalg.eigvals(dense), values, rtol=1e-9).matched)
 
         pv = selection.vectors[ms.p_rows, :]
+        # ||pv||, components of unit eigenvectors, is scale-free and floored at 1
         report.add("effective_block_owns_projections",
                    np.linalg.norm(blocks.pp @ pv - pv * selection.values),
-                   1e-9 * (1.0 + obs.norm) * max(1.0, np.linalg.norm(pv)))
+                   tolerances.scaled(1e-9, obs.norm) * max(1.0, np.linalg.norm(pv)))
         mapped = backward @ selection.vectors
+        # scale-free: s does not follow O -> cO
         report.add("selected_vectors_mapped",
                    np.linalg.norm(mapped[ms.q_rows, :]), 1e-9 * (1.0 + s_norm))
 
@@ -187,6 +191,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         while util.condition_number(mixer) > 1e3:  # inf when singular
             mixer = complex_noise((d, d))
         remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms)
+        # scale-free: s does not follow O -> cO
         report.add("basis_change_invariance",
                    np.linalg.norm(remixed.s - dm.s), 1e-10 * (1.0 + s_norm))
 
@@ -201,6 +206,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
 
         member = selection.vectors @ complex_noise(d)
         alpha = (backward @ member)[ms.p_rows]
+        # scale-free: member combines unit eigenvectors
         report.add("retrieve_round_trip",
                    np.linalg.norm(spaces.retrieve_full_vector(alpha, dm) - member),
                    1e-10 * (1.0 + np.linalg.norm(member)))
@@ -214,8 +220,9 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         report.add_flag("factorization_completeness", factor_report.matched)
         report.add("route_equivalence",
                    np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
-                   1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
+                   tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
 
+        # the representative's norm, floored at 1
         report.add("second_type_hermitian",
                    np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
                    1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
@@ -225,7 +232,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                                         hermitian_rep, dm))
                for i in range(d) for j in range(d)
            )
-        report.add("matrix_element_gram", gram_dev, 1e-9 * (1.0 + obs.norm))
+        report.add("matrix_element_gram", gram_dev, tolerances.scaled(1e-9, obs.norm))
 
         if d < n:
             stray = complex_noise(n)
@@ -242,7 +249,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             t = eff.equivalence_transform(operator, operator2, selection)
             report.add("equivalence_transform",
                        np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
-                       1e-9 * (1.0 + np.linalg.norm(operator.matrix)))
+                       tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
 
     # Generic witness: the first-type representative is non-Hermitian in
     # general, which the user's matrix may be too special to show.
@@ -264,6 +271,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     inst_dec = spaces.eigendecompose(instance)
     direct_dm = transform.construct_s_direct(
             spaces.select_eigenvectors(inst_dec, (1, 2, 3)), inst_ms)
+    # scale-free: s does not follow O -> cO
     report.add("solver_gap_consistency",
                np.linalg.norm(iter_dm.s - direct_dm.s),
                1e-8 * (1.0 + np.linalg.norm(direct_dm.s)))
@@ -278,7 +286,8 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     # Commuting companions of the input observable.
     family = commuting_partners(obs, 2, seed=int(rng.integers(0, 2**63 - 1)))
     report.add_flag("commuting_companions_valid",
-                    float(family.commutator_norms.max()) <= obsmod.commuting_tolerance(family.members))
+                    float(family.commutator_norms.max())
+                    <= tolerances.commuting_tolerance(family.members))
     with warnings.catch_warnings():
         # degenerate user input may yield repeated tuples; that is allowed here
         warnings.simplefilter("ignore")
@@ -289,7 +298,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     pairs, commutator_report = obsmod.effective_set(family, shared_dm)
     report.add("common_s_all_members",
                max(pair.first.residual for pair in pairs),
-               max(transform.decoupled_tolerance(m) for m in family.members))
+               max(tolerances.decoupled_tolerance(m) for m in family.members))
     report.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
     pv_basis = basis.vectors[:, :d][shared_dm.model_space.p_rows, :]
     joint_dev = max(
@@ -298,7 +307,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
            for sig in range(family.size)
        )
     report.add("simultaneous_effective_eigvecs", joint_dev,
-               1e-9 * (1.0 + max(m.norm for m in family.members)))
+               tolerances.scaled(1e-9, max(m.norm for m in family.members)))
 
     # Decomposition over contiguous joint-basis blocks.
     parts = [tuple(range(start, min(start + d, n + 1))) for start in range(1, n + 1, d)]

@@ -196,7 +196,7 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     vectors = vectors[:, order]
 
     # every pair, not only neighbours: rounding can sort equal tuples apart
-    sep = tolerances.CLUSTER_RTOL * (1.0 + float(np.abs(values).max()))
+    sep = tolerances.scaled(tolerances.CLUSTER_RTOL, float(np.abs(values).max()))
     gaps = np.abs(values[:, :, np.newaxis] - values[:, np.newaxis, :]).max(axis=0)
     distinct = bool((gaps[np.triu_indices(n, 1)] > sep).all())
     if not distinct:
@@ -290,14 +290,14 @@ class SpaceDecomposition:
         return all(check.matched for check in self.spectrum_checks)
 
 
-def decompose_space(cset: CommutingSet, partition, model_spaces, *,
-                    match_rtol: float = tolerances.DECOMPOSITION_MATCH_RTOL) -> SpaceDecomposition:
+def decompose_space(cset: CommutingSet, partition, model_spaces) -> SpaceDecomposition:
     """Split the whole space into invariant blocks and reduce every member
     inside each block.
 
     ``partition`` lists disjoint 1-based index blocks covering {1..N} in
     the joint-basis ordering; ``model_spaces`` gives one model index set
-    per block.
+    per block. Each member's block spectra, joined, are matched against
+    its own spectrum at ``DECOMPOSITION_MATCH_RTOL``.
     """
     blocks_idx = [tuple(int(i) for i in block) for block in partition]
     spaces_idx = [tuple(int(i) for i in k) for k in model_spaces]
@@ -330,5 +330,5 @@ def decompose_space(cset: CommutingSet, partition, model_spaces, *,
         approx = np.concatenate(
             [np.linalg.eigvals(red.pairs[sig].first.matrix) for red in reductions]
         )
-        checks.append(util.match_spectra(approx, member.spectrum, rtol=match_rtol))
+        checks.append(util.match_spectra(approx, member.spectrum, tolerances.DECOMPOSITION_MATCH_RTOL))
     return SpaceDecomposition(tuple(reductions), tuple(checks))

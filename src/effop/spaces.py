@@ -178,7 +178,7 @@ def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
 def _degenerate_clusters(values, rtol: float) -> list[tuple[int, int]]:
     """``(start, stop)`` of each run of two or more ascending values whose
     neighbours lie within ``rtol * (1 + max |value|)`` of each other."""
-    tie = rtol * (1.0 + float(np.abs(values).max()))
+    tie = tolerances.scaled(rtol, float(np.abs(values).max()))
     edges = [0, *(np.flatnonzero(np.diff(values) > tie) + 1).tolist(), len(values)]
     return [(start, stop) for start, stop in itertools.pairwise(edges) if stop - start > 1]
 

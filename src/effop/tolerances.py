@@ -2,7 +2,8 @@
 
 A relative tolerance is multiplied by the scale named in its comment; an
 absolute one is compared as it stands, so it does not follow ``O -> cO``.
-The ``*_tolerance`` helpers take anything with a Frobenius ``norm``.
+:func:`scaled` is the one place the ``1 + x`` scale is applied; the
+``*_tolerance`` helpers take anything with a Frobenius ``norm``.
 """
 
 # Input and eigendecomposition
@@ -40,14 +41,21 @@ SPECTRA_DISJOINT_TOL = 1e-10  # smallest gap between the spectra of a and f, rel
 DIVERGENCE_CAP = 1e8          # absolute: iterate norm ||s||_F that counts as divergence
 
 
+def scaled(rtol, magnitude):
+    """``rtol * (1 + magnitude)``: a relative tolerance on a quantity that
+    follows ``O -> cO``, floored at ``rtol`` where the magnitude is small.
+    Elementwise on arrays."""
+    return rtol * (1.0 + magnitude)
+
+
 def decoupled_tolerance(obs) -> float:
     """Residual level below which an observable counts as decoupled."""
-    return DECOUPLED_RTOL * (1.0 + obs.norm)
+    return scaled(DECOUPLED_RTOL, obs.norm)
 
 
 def eigenpair_tolerance(obs) -> float:
     """Eigenpair residual level accepted for an observable."""
-    return EIG_RTOL * (1.0 + obs.norm)
+    return scaled(EIG_RTOL, obs.norm)
 
 
 def commuting_tolerance(members) -> float:

@@ -17,8 +17,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import tolerances, util
-from .errors import DimensionMismatch, SingularProjection, ValidationError
+from . import util
+from .errors import DimensionMismatch, ValidationError
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
 from .tolerances import decoupled_tolerance
 
@@ -92,12 +92,7 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
     if v.shape != (ms.total_dim, ms.dim):
         raise DimensionMismatch(f"span has shape {v.shape}, expected {(ms.total_dim, ms.dim)}")
     pv = v[ms.p_rows, :]
-    cond = util.condition_number(pv)
-    if not (np.isfinite(cond) and cond <= tolerances.COND_CAP):
-        raise SingularProjection(
-            f"model-space components have condition {cond:.3e} (cap {tolerances.COND_CAP:.3e}); "
-            "choose another index set"
-        )
+    util._require_conditioned(pv, "model-space components")
     if ms.dim == ms.total_dim:
         s = np.zeros((0, ms.dim), dtype=np.complex128)
     else:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances
-from .errors import DimensionMismatch
+from .errors import DimensionMismatch, SingularProjection
 
 __all__ = ["SpectrumMatch", "match_spectra"]
 
@@ -34,6 +34,15 @@ def condition_number(m) -> float:
     if sv.size == 0:
         return 1.0
     return float(_conditions(sv))
+
+
+def _require_conditioned(block, what: str) -> None:
+    """Raises :class:`SingularProjection` unless ``block``'s condition
+    number is finite and at most ``COND_CAP``; ``what`` names the block."""
+    cond = condition_number(block)
+    if not (np.isfinite(cond) and cond <= tolerances.COND_CAP):
+        raise SingularProjection(f"{what} have condition {cond:.3e} "
+                                 f"(cap {tolerances.COND_CAP:.3e}); choose another index set")
 
 
 def _conditions(sv: np.ndarray) -> np.ndarray:
@@ -77,7 +86,7 @@ def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
     spare = e.size - a.size
     if spare < 0 or (spare and not subset):
         return SpectrumMatch(False, float("inf"), rtol)
-    tol = rtol * (1.0 + _modulus(e))
+    tol = tolerances.scaled(rtol, _modulus(e))
     pool = e
     if spare:
         keep, j = [], 0

@@ -80,7 +80,7 @@ def test_criterion_01_eigenvalue_reproduction(batch):
         operator = first_type(obs, dm)
         assert match_spectra(np.linalg.eigvals(operator.matrix),
                              sel.values, rtol=1e-8).matched
-        _, report = q_block_and_factorization(obs, dm, match_rtol=1e-8)
+        _, report = q_block_and_factorization(obs, dm)
         assert report.matched
     _announce(1, "eigenvalue-reproduction")
 
@@ -234,7 +234,7 @@ def test_criterion_10_decomposition_completeness():
         pivoted_model_space(selection_from_basis(basis, block))
         for block in parts
     ]
-    decomposition = decompose_space(family, parts, kparts, match_rtol=1e-9)
+    decomposition = decompose_space(family, parts, kparts)
     assert decomposition.complete
     for check in decomposition.spectrum_checks:
         assert check.max_deviation <= 1e-9 * (1.0 + 10.0)

@@ -21,9 +21,10 @@ from effop.errors import (
     NotDecoupled,
     NotInSubspace,
     SingularProjection,
+    ValidationError,
     ZeroVector,
 )
-from effop.harness import ProblemSpec, generate
+from effop.harness import ProblemSpec, generate, read_decoupling_map, write_decoupling_map
 from effop.spaces import (
     EigenSelection,
     ModelSpace,
@@ -159,6 +160,13 @@ def test_classify_rejects_non_eigenvector():
     _, _, _, dm = _sigma_x_setup()
     with pytest.raises(NotAnEigenvector):
         classify_eigenvector(SIGMA_X, dm, np.array([1.0, 0.0]), -1.0)
+
+
+def test_classify_requires_decoupling():
+    # (1, 1)/sqrt(2) is an eigenvector of sigma_x, which the zero map leaves coupled
+    dm = DecouplingMap(ModelSpace(2, (1,)), np.zeros((1, 1), dtype=complex))
+    with pytest.raises(NotDecoupled):
+        classify_eigenvector(SIGMA_X, dm, np.array([INV_SQRT2, INV_SQRT2]), 1.0)
 
 
 def _selection(vectors, values=None):
@@ -368,6 +376,29 @@ def test_subspace_vector_checks_name_the_vector():
             call(np.ones(3))
     with pytest.raises(NotInSubspace, match="^phi: membership residual "):
         matrix_element(member, stray, rep, dm)
+
+
+def test_second_type_is_used_only_with_its_own_map(tmp_path):
+    # psi lies in the subspace of both maps, so no membership check can tell them apart
+    obs = generate(ProblemSpec("random_hermitian", dim=6, seed=2))
+    sel = select_eigenvectors(eigendecompose(obs), (1, 2))
+    dm = construct_s_direct(sel, ModelSpace(6, (1, 5)))
+    rep = second_type(obs, dm)
+    psi = sel.vectors[:, 0]
+    exact = float(np.vdot(psi, obs.matrix @ psi).real)
+    other_k = construct_s_direct(sel, ModelSpace(6, (2, 3)))
+    other_s = DecouplingMap(dm.model_space, dm.s + 1e-3)
+    for other in (other_k, other_s):
+        with pytest.raises(ValidationError, match="another decoupling map"):
+            matrix_element(psi, psi, rep, other)
+        with pytest.raises(ValidationError, match="another decoupling map"):
+            expectation_second_type(rep, psi, other)
+    path = tmp_path / "s.txt"
+    write_decoupling_map(path, dm)
+    reread = read_decoupling_map(path)
+    assert reread is not dm
+    assert matrix_element(psi, psi, rep, reread) == pytest.approx(exact, abs=1e-9)
+    assert expectation_second_type(rep, psi, reread) == pytest.approx(exact, abs=1e-9)
 
 
 def test_equivalence_same_space_is_identity():
