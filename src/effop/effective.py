@@ -46,7 +46,6 @@ __all__ = [
     "expectation_first_type",
     "expectation_second_type",
     "equivalence_transform",
-    "membership_residual",
 ]
 
 
@@ -71,12 +70,6 @@ class EffectivePair:
     second: EffectiveOperator
 
 
-def _frozen(matrix: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(matrix)
-    out.setflags(write=False)
-    return out
-
-
 def _decoupled(obs: ObservableMatrix, blocks) -> None:
     """Raises :class:`NotDecoupled` when the blocks' residual exceeds the limit."""
     limit = tolerances.decoupled_tolerance(obs)
@@ -88,7 +81,7 @@ def _decoupled(obs: ObservableMatrix, blocks) -> None:
 
 
 def _operator(matrix, obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectiveOperator:
-    return EffectiveOperator(_frozen(matrix), dm.model_space, obs, dm, blocks.residual)
+    return EffectiveOperator(util._frozen(matrix), dm.model_space, obs, dm, blocks.residual)
 
 
 def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectivePair:
@@ -98,17 +91,17 @@ def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap, blocks) -> Effecti
                          _operator(blocks.second, obs, dm, blocks))
 
 
-def _factorization(obs: ObservableMatrix, blocks, match_rtol: float):
+def _factorization(obs: ObservableMatrix, blocks):
     """:func:`q_block_and_factorization` on the blocks of (obs, dm)."""
     _decoupled(obs, blocks)
     spec_p, spec_q = blocks.block_spectra
-    report = util.match_spectra(np.concatenate([spec_p, spec_q]), obs.spectrum, rtol=match_rtol)
+    report = util.match_spectra(np.concatenate([spec_p, spec_q]), obs.spectrum)
     qq = blocks.qq
     weight = 1.0 + np.abs(spec_q)
     moments = (np.trace(qq), np.sum(qq * qq.T))
-    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * match_rtol * np.sum(weight ** k)
+    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * report.rtol * np.sum(weight ** k)
                for k, moment in enumerate(moments, start=1))
-    return _frozen(qq), replace(report, matched=report.matched and tied)
+    return util._frozen(qq), replace(report, matched=report.matched and tied)
 
 
 def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
@@ -146,7 +139,7 @@ def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap):
     sum (1 + |mu|)^k for k = 1, 2, the most the k-th power sum can move
     when each value moves within its match tolerance.
     """
-    return _factorization(obs, transformed_blocks(obs, dm), tolerances.SPECTRUM_MATCH_RTOL)
+    return _factorization(obs, transformed_blocks(obs, dm))
 
 
 @dataclass(frozen=True)
@@ -245,7 +238,7 @@ def overlap_matrix(selection: EigenSelection, ms: ModelSpace) -> OverlapMatrix:
     if float(np.linalg.eigvalsh(gamma).min()) <= 0.0:
         raise SingularProjection("overlap matrix is not positive definite")
     basis.setflags(write=False)
-    return OverlapMatrix(_frozen(gamma), basis)
+    return OverlapMatrix(util._frozen(gamma), basis)
 
 
 def expansion_coefficients(chi, overlap: OverlapMatrix) -> np.ndarray:
@@ -268,26 +261,16 @@ def spectral_reconstruct(selection: EigenSelection, ms: ModelSpace) -> np.ndarra
     return overlap.basis @ weighted
 
 
-def _membership(vector, name: str, dm: DecouplingMap) -> tuple[np.ndarray, float]:
-    """``vector`` as a complex vector of the map's full space, and its
-    membership residual."""
+def _member(vector, name: str, dm: DecouplingMap) -> np.ndarray:
+    """``vector`` as a complex vector of the map's full space; raises
+    :class:`NotInSubspace` when its membership residual, the norm of
+    (complement components - s * model components), says it lies off the
+    invariant subspace."""
     v = util.as_complex_vector(vector, name)
     ms = dm.model_space
     if v.shape[0] != ms.total_dim:
         raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
-    return v, float(np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows]))
-
-
-def membership_residual(vector, dm: DecouplingMap) -> float:
-    """Distance of a vector from the map's invariant subspace: the norm of
-    (complement components - s * model components)."""
-    return _membership(vector, "vector", dm)[1]
-
-
-def _member(vector, name: str, dm: DecouplingMap) -> np.ndarray:
-    """``vector`` as a complex vector of the map's full space; raises
-    :class:`NotInSubspace` when it lies off the invariant subspace."""
-    v, residual = _membership(vector, name, dm)
+    residual = float(np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows]))
     limit = tolerances.MEMBERSHIP_RTOL * float(np.linalg.norm(v))
     if residual > limit:
         raise NotInSubspace(f"{name}: membership residual {residual:.3e} exceeds {limit:.3e}")

@@ -46,14 +46,14 @@ def _indices(text: str) -> tuple[int, ...]:
 
 def _floats(text: str) -> tuple[float, ...]:
     try:
-        return tuple(float(token) for token in text.split(",") if token)
+        return tuple(float(token) for token in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
 def _fmt(z: complex) -> str:
     z = complex(z)
-    if abs(z.imag) <= 1e-12 * (1.0 + abs(z)):
+    if abs(z.imag) <= tolerances.scaled(1e-12, abs(z)):
         return f"{z.real:.12g}"
     return f"{z.real:.12g}{z.imag:+.12g}j"
 
@@ -115,8 +115,8 @@ def _cmd_solve_iter(args) -> int:
     initial = _read_map(args.initial_s, args.k).s if args.initial_s else None
     config = solvermod.SolverConfig(tol=args.tol, max_iter=args.max_iter, initial_s=initial)
     dm, trace = solvermod.solve_decoupling_fixed_point(obs, ms, config)
-    for iteration, residual in solvermod.residual_history(trace):
-        print(f"iter {iteration} residual {residual:.6e}")
+    for step in trace.steps:
+        print(f"iter {step.iteration} residual {step.residual:.6e}")
     print(f"converged in {trace.iterations} iterations; "
           f"residual monotone: {trace.monotone_decreasing}")
     if dm.s.size <= 16:
@@ -139,8 +139,7 @@ def _cmd_effective(args) -> int:
     dm = _read_map(args.s, args.k)
     kind = "second-type" if args.second_type else "first-type"
     operator = (eff.second_type if args.second_type else eff.first_type)(obs, dm)
-    matio.write_effective(args.out, operator, residual=operator.residual,
-                          extra_comments=[f"type={kind}"])
+    matio.write_effective(args.out, operator, extra_comments=[f"type={kind}"])
     print(f"{kind} operator written to {args.out}")
     return 0
 
@@ -184,7 +183,8 @@ def _cmd_decompose(args) -> int:
     for r, block in enumerate(decomposed.blocks, start=1):
         worst = max(pair.first.residual for pair in block.pairs)
         print(f"block {r}: J={matio._format_indices(block.indices)} "
-              f"K={matio._format_indices(block.model_space.indices)} max_residual={worst:.6e}")
+              f"K={matio._format_indices(block.decoupling.model_space.indices)} "
+              f"max_residual={worst:.6e}")
     ok = True
     for sig, check in enumerate(decomposed.spectrum_checks, start=1):
         word = "pass" if check.matched else "fail"

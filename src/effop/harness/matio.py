@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .. import util
 from ..errors import DimensionMismatch, MatrixFileError
 from ..spaces import ModelSpace, ObservableMatrix, validate_hermitian
 from ..transform import DecouplingMap, DirectProvenance
@@ -188,19 +189,17 @@ def read_decoupling_map(path) -> DecouplingMap:
             except ValueError as exc:
                 raise MatrixFileError(f"{path}: malformed J field in {comment!r}") from exc
     ms = ModelSpace(rows + cols, kset)
-    s = np.ascontiguousarray(m)
-    s.setflags(write=False)
-    return DecouplingMap(ms, s, DirectProvenance(indices) if indices else None)
+    return DecouplingMap(ms, util._frozen(m), DirectProvenance(indices) if indices else None)
 
 
-def write_effective(path, op, *, residual: float | None = None, extra_comments=()) -> None:
+def write_effective(path, op, *, extra_comments=()) -> None:
     """Effective-operator file with provenance comments (K, J, residual)."""
     ms = op.model_space
     comments = ["K=" + _format_indices(ms.indices)]
     provenance = getattr(op.decoupling, "provenance", None)
     if isinstance(provenance, DirectProvenance) and provenance.indices:
         comments.append("J=" + _format_indices(provenance.indices))
-    if residual is not None:
-        comments.append(f"residual={residual:.6e}")
+    if op.residual is not None:
+        comments.append(f"residual={op.residual:.6e}")
     comments.extend(extra_comments)
     write_matrix(path, op.matrix, comments)

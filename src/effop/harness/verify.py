@@ -36,10 +36,11 @@ def _listed(selection, candidates) -> np.ndarray:
     return np.isin(rows.view(key).ravel(), listed.view(key).ravel())
 
 
-def _enumeration_agrees(selection, candidates, cond_cap):
+def _enumeration_agrees(selection, candidates):
     """Independent rank test over every subset; skips the ambiguous band
-    around the cap where the two tolerances may legitimately disagree."""
+    around ``COND_CAP`` where the two tolerances may legitimately disagree."""
     _, sv = selection._subset_singular_values
+    cond_cap = tolerances.COND_CAP
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
     with np.errstate(over="ignore"):  # a singular block's ratio is inf
         ratio = sv[:, 0] / np.maximum(sv[:, -1], tiny)
@@ -140,7 +141,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             candidates = spaces.enumerate_model_spaces(selection)
             report.add_flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
             report.add_flag("enumeration_rank_agreement",
-                            _enumeration_agrees(selection, candidates, tolerances.COND_CAP))
+                            _enumeration_agrees(selection, candidates))
             report.add_flag("enumeration_contains_pivoted",
                             k_best in dict(candidates))
 
@@ -216,7 +217,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         report.add_flag("first_type_spectrum",
                         util.match_spectra(np.linalg.eigvals(operator.matrix),
                                            selection.values, rtol=1e-8).matched)
-        _, factor_report = eff._factorization(obs, blocks, tolerances.SPECTRUM_MATCH_RTOL)
+        _, factor_report = eff._factorization(obs, blocks)
         report.add_flag("factorization_completeness", factor_report.matched)
         report.add("route_equivalence",
                    np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
@@ -226,10 +227,10 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         report.add("second_type_hermitian",
                    np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
                    1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
+        gram = selection.vectors.conj().T @ obs.matrix @ selection.vectors
         gram_dev = max(
-               abs(complex(np.vdot(selection.vectors[:, i], obs.matrix @ selection.vectors[:, j]))
-                   - eff.matrix_element(selection.vectors[:, i], selection.vectors[:, j],
-                                        hermitian_rep, dm))
+               abs(gram[i, j] - eff.matrix_element(selection.vectors[:, i], selection.vectors[:, j],
+                                                   hermitian_rep, dm))
                for i in range(d) for j in range(d)
            )
         report.add("matrix_element_gram", gram_dev, tolerances.scaled(1e-9, obs.norm))

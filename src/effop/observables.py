@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from . import tolerances, util
-from .effective import EffectivePair, _effective_pair, second_type
+from .effective import EffectivePair, _effective_pair
 from .errors import (
     DimensionMismatch,
     NotCommuting,
@@ -48,7 +48,6 @@ __all__ = [
     "selection_from_basis",
     "common_s",
     "effective_set",
-    "second_type_only",
     "decompose_space",
 ]
 
@@ -126,10 +125,6 @@ class SimultaneousBasis:
     @property
     def dim(self) -> int:
         return int(self.vectors.shape[0])
-
-    def value_tuple(self, index: int) -> tuple[float, ...]:
-        """Eigenvalue tuple of the 1-based column ``index``."""
-        return tuple(float(x) for x in self.values[:, index - 1])
 
 
 def _refine(vectors, members, level):
@@ -265,15 +260,11 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
     return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
 
 
-second_type_only = second_type  # for observables outside the set; needs no decoupling
-
-
 @dataclass(frozen=True)
 class BlockReduction:
-    """One invariant block: its index set, model space, map and pairs."""
+    """One invariant block: its index set, map and pairs."""
 
     indices: tuple[int, ...]
-    model_space: ModelSpace
     decoupling: DecouplingMap
     pairs: tuple[EffectivePair, ...]
 
@@ -323,7 +314,7 @@ def decompose_space(cset: CommutingSet, partition, model_spaces) -> SpaceDecompo
             raise NotDecoupled(
                 f"block {r} (J={block}): {exc}", member=exc.member, residual=exc.residual
             ) from exc
-        reductions.append(BlockReduction(block, dm.model_space, dm, tuple(pairs)))
+        reductions.append(BlockReduction(block, dm, tuple(pairs)))
 
     checks = []
     for sig, member in enumerate(cset.members):

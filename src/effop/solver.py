@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tolerances
+from . import tolerances, util
 from .errors import (
     DimensionMismatch,
     Diverged,
@@ -49,7 +49,6 @@ __all__ = [
     "TraceStep",
     "SolverTrace",
     "solve_decoupling_fixed_point",
-    "residual_history",
 ]
 
 
@@ -94,15 +93,8 @@ class SolverTrace:
         return all(later <= earlier for earlier, later in zip(res, res[1:]))
 
 
-def residual_history(trace: SolverTrace) -> list[tuple[int, float]]:
-    """(iteration, residual) pairs from a solver run."""
-    return [(s.iteration, s.residual) for s in trace.steps]
-
-
 def _freeze(ms: ModelSpace, s: np.ndarray, iterations: int, residual: float) -> DecouplingMap:
-    out = np.ascontiguousarray(s)
-    out.setflags(write=False)
-    return DecouplingMap(ms, out, IterativeProvenance(iterations, residual))
+    return DecouplingMap(ms, util._frozen(s), IterativeProvenance(iterations, residual))
 
 
 def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,

@@ -104,7 +104,7 @@ class ModelSpace:
     """Index subset K of {1..N} selecting the model-space axes.
 
     ``indices`` must be strictly increasing. The complement keeps its
-    natural order; ``permutation`` lists K first, complement second.
+    natural order.
     ``p_rows`` and ``q_rows`` are the read-only 0-based numpy indices of
     the model-space and complement axes, and ``perm_rows`` is the two
     joined, all built once with the index sets.
@@ -138,11 +138,6 @@ class ModelSpace:
     @property
     def complement(self) -> tuple[int, ...]:
         return self._complement
-
-    @property
-    def permutation(self) -> tuple[int, ...]:
-        """Basis reordering that lists model-space axes first (1-based)."""
-        return self.indices + self.complement
 
 
 def projectors(ms: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
@@ -395,6 +390,5 @@ def retrieve_full_vector(alpha, dm: "DecouplingMap") -> np.ndarray:
         raise DimensionMismatch(f"alpha has {a.shape[0]} entries, model space has {ms.dim}")
     out = np.zeros(ms.total_dim, dtype=np.complex128)
     out[ms.p_rows] = a
-    if ms.dim < ms.total_dim:
-        out[ms.q_rows] = dm.s @ a
+    out[ms.q_rows] = dm.s @ a
     return out

@@ -20,7 +20,6 @@ import numpy as np
 from . import util
 from .errors import DimensionMismatch, ValidationError
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
-from .tolerances import decoupled_tolerance
 
 __all__ = [
     "DirectProvenance",
@@ -35,8 +34,6 @@ __all__ = [
     "assemble_blocks",
     "partition_blocks",
     "decoupling_residual",
-    "decoupled_tolerance",
-    "is_decoupled",
 ]
 
 
@@ -93,15 +90,9 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
         raise DimensionMismatch(f"span has shape {v.shape}, expected {(ms.total_dim, ms.dim)}")
     pv = v[ms.p_rows, :]
     util._require_conditioned(pv, "model-space components")
-    if ms.dim == ms.total_dim:
-        s = np.zeros((0, ms.dim), dtype=np.complex128)
-    else:
-        qv = v[ms.q_rows, :]
-        s = np.linalg.solve(pv.T, qv.T).T
-    s = np.ascontiguousarray(s)
-    s.setflags(write=False)
+    s = np.linalg.solve(pv.T, v[ms.q_rows, :].T).T
     idx = None if indices is None else tuple(int(i) for i in indices)
-    return DecouplingMap(ms, s, DirectProvenance(idx))
+    return DecouplingMap(ms, util._frozen(s), DirectProvenance(idx))
 
 
 def construct_s_direct(selection: EigenSelection, ms: ModelSpace) -> DecouplingMap:
@@ -121,8 +112,7 @@ def exp_s(dm: DecouplingMap, sign: int) -> np.ndarray:
         raise ValidationError(f"sign must be +1 or -1, got {sign}")
     ms = dm.model_space
     out = np.eye(ms.total_dim, dtype=np.complex128)
-    if ms.dim < ms.total_dim:
-        out[np.ix_(ms.q_rows, ms.p_rows)] = sign * dm.s
+    out[np.ix_(ms.q_rows, ms.p_rows)] = sign * dm.s
     return out
 
 
@@ -206,7 +196,3 @@ def assemble_blocks(blocks: TransformedBlocks, ms: ModelSpace) -> np.ndarray:
 def decoupling_residual(obs: ObservableMatrix, dm: DecouplingMap) -> float:
     """Frobenius norm of the lower-left block of the transformed observable."""
     return transformed_blocks(obs, dm).residual
-
-
-def is_decoupled(obs: ObservableMatrix, dm: DecouplingMap) -> bool:
-    return decoupling_residual(obs, dm) <= decoupled_tolerance(obs)

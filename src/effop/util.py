@@ -28,6 +28,13 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     return a
 
 
+def _frozen(matrix: np.ndarray) -> np.ndarray:
+    """A read-only C-contiguous array; copies only when ``matrix`` is not contiguous."""
+    out = np.ascontiguousarray(matrix)
+    out.setflags(write=False)
+    return out
+
+
 def condition_number(m) -> float:
     """2-norm condition number via SVD; inf when numerically singular."""
     sv = np.linalg.svd(m, compute_uv=False)

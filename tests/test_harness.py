@@ -37,7 +37,6 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.tolerances import COND_CAP
 from effop.transform import DecouplingMap, DirectProvenance
 
 
@@ -275,15 +274,14 @@ def test_enumeration_agreement_detects_mutated_candidates():
     vectors[::4] = 0.0
     sel = EigenSelection(None, (1, 2, 3), np.zeros(3), vectors)
     candidates = enumerate_model_spaces(sel)
-    assert _enumeration_agrees(sel, candidates, COND_CAP)
+    assert _enumeration_agrees(sel, candidates)
     # the lexicographically last candidate lies in the second chunk
     last = max(range(len(candidates)), key=lambda i: candidates[i][0])
     for dropped in (0, last):
-        assert not _enumeration_agrees(sel, candidates[:dropped] + candidates[dropped + 1:],
-                                       COND_CAP)
+        assert not _enumeration_agrees(sel, candidates[:dropped] + candidates[dropped + 1:])
     deficient = (1, 2, 3)  # row 1 is zero
     assert deficient not in dict(candidates)
-    assert not _enumeration_agrees(sel, [*candidates, (deficient, 1.0)], COND_CAP)
+    assert not _enumeration_agrees(sel, [*candidates, (deficient, 1.0)])
 
 
 def _two_chunk_selection():
@@ -321,7 +319,7 @@ def test_enumeration_and_its_cross_check_read_one_table(monkeypatch):
     stacks = _stacked_svds(monkeypatch)
     candidates = enumerate_model_spaces(sel)
     assert enumerate_model_spaces(sel) == candidates
-    assert _enumeration_agrees(sel, candidates, COND_CAP)
+    assert _enumeration_agrees(sel, candidates)
     assert stacks == [spaces._SUBSET_CHUNK, math.comb(25, 3) - spaces._SUBSET_CHUNK]
 
 
@@ -698,6 +696,21 @@ def test_cli_negative_seed_is_a_validation_error(tmp_path):
     assert result.returncode == 1
     assert result.stderr.startswith("error:")
     assert "Traceback" not in result.stderr
+
+
+@pytest.mark.parametrize("flag, text, kind", [("--spectrum", "1,,2,3", "floats"),
+                                               ("--K", "1,2,", "integers")])
+def test_cli_list_flags_reject_empty_tokens(tmp_path, capsys, flag, text, kind):
+    matrix = tmp_path / "m.mat"
+    if flag == "--spectrum":
+        argv = ["gen", "--kind", "planted_spectrum", "--dim", "3", "--seed", "1",
+                "--spectrum", text, "--out", str(matrix)]
+    else:
+        matrix.write_text("2\n1 0 0 0\n0 0 2 0\n")
+        argv = ["solve-iter", "--matrix", str(matrix), "--K", text]
+    assert cli.main(argv) == 1
+    assert f"expected comma-separated {kind}, got '{text}'" in capsys.readouterr().err
+    assert flag == "--K" or not matrix.exists()
 
 
 def test_cli_solve_iter_initial_s_k_mismatch_exits_one(tmp_path):

@@ -18,21 +18,17 @@ EFFOP_NAMES = [
     "DecouplingMap", "DirectProvenance", "IterativeProvenance", "TransformedBlocks",
     "construct_s_direct", "construct_s_from_span", "exp_s", "similarity_transform",
     "transformed_blocks", "assemble_blocks", "partition_blocks", "decoupling_residual",
-    "decoupled_tolerance", "is_decoupled",
     # solver
     "SolverConfig", "SolverTrace", "TraceStep", "solve_decoupling_fixed_point",
-    "residual_history",
     # effective
     "EffectiveOperator", "EffectivePair", "OverlapMatrix", "EigenvectorClassification",
     "first_type", "second_type", "q_block_and_factorization", "classify_eigenvector",
     "overlap_matrix", "expansion_coefficients", "spectral_reconstruct", "matrix_element",
     "expectation_first_type", "expectation_second_type", "equivalence_transform",
-    "membership_residual",
     # observables
     "CommutingSet", "SimultaneousBasis", "CommutatorReport", "BlockReduction",
     "SpaceDecomposition", "verify_commuting", "simultaneous_eigenbasis",
-    "selection_from_basis", "common_s", "effective_set", "second_type_only",
-    "decompose_space",
+    "selection_from_basis", "common_s", "effective_set", "decompose_space",
     # util
     "SpectrumMatch", "match_spectra",
 ]
@@ -76,3 +72,11 @@ def test_package_names_are_their_modules_objects(package, names, modules, subpac
         module = importlib.import_module(f"{package.__name__}.{module_name}")
         for name in module.__all__:
             assert getattr(package, name) is getattr(module, name), (module_name, name)
+
+
+@pytest.mark.parametrize("package", [effop, effop.harness])
+def test_no_public_name_is_an_alias(package):
+    bound = {}
+    for name in package.__all__:
+        other = bound.setdefault(id(getattr(package, name)), name)
+        assert other == name, f"{name} is an alias of {other}"

@@ -16,7 +16,6 @@ from effop.observables import (
     common_s,
     decompose_space,
     effective_set,
-    second_type_only,
     selection_from_basis,
     simultaneous_eigenbasis,
     verify_commuting,
@@ -69,8 +68,8 @@ def test_simultaneous_diagonal_pair():
         validate_hermitian(np.diag([5.0, 5.0])),
     ])
     basis = simultaneous_eigenbasis(cset)
-    assert basis.value_tuple(1) == pytest.approx((1.0, 5.0))
-    assert basis.value_tuple(2) == pytest.approx((2.0, 5.0))
+    assert tuple(basis.values[:, 0]) == pytest.approx((1.0, 5.0))
+    assert tuple(basis.values[:, 1]) == pytest.approx((2.0, 5.0))
     assert basis.distinct
 
 
@@ -256,7 +255,7 @@ def test_effective_set_reports_offending_member():
 def test_second_type_only_sigma_z_hand():
     cset = verify_commuting([SIGMA_X])
     dm = common_s(cset, (2,), (1,))
-    rep = second_type_only(SIGMA_Z, dm)
+    rep = second_type(SIGMA_Z, dm)
     assert abs(rep.matrix[0, 0]) < 1e-12
     psi = np.array([INV_SQRT2, INV_SQRT2])
     assert matrix_element(psi, psi, rep, dm) == pytest.approx(0.0, abs=1e-12)
@@ -265,7 +264,7 @@ def test_second_type_only_sigma_z_hand():
 def test_second_type_only_identity_congruence():
     cset = verify_commuting([SIGMA_X])
     dm = common_s(cset, (2,), (1,))
-    rep = second_type_only(validate_hermitian(np.eye(2)), dm)
+    rep = second_type(validate_hermitian(np.eye(2)), dm)
     expected = 1.0 + abs(dm.s[0, 0]) ** 2
     assert rep.matrix[0, 0] == pytest.approx(expected, abs=1e-12)
 
@@ -277,7 +276,7 @@ def test_second_type_only_random_transition_block():
     k_best = enumerate_model_spaces(sel)[0][0]
     dm = common_s(cset, (1, 2, 3), k_best)
     outside = generate(ProblemSpec("random_hermitian", dim=7, seed=96))
-    rep = second_type_only(outside, dm)
+    rep = second_type(outside, dm)
     assert rep.matrix.shape == (3, 3)
     rng = np.random.default_rng(97)
     for _ in range(4):

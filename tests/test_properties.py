@@ -39,7 +39,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.tolerances import CLUSTER_RTOL, SPECTRUM_MATCH_RTOL, eigenpair_tolerance
+from effop.tolerances import CLUSTER_RTOL, eigenpair_tolerance
 from effop.transform import (
     DecouplingMap,
     DirectProvenance,
@@ -179,8 +179,8 @@ def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
               f"J={_ids(dm.provenance.indices)}"]
     assert (root / "s.mat").read_text() == _reference_text(dm.s, header)
 
-    op = EffectiveOperator(effective, ms, obs, dm)
-    write_effective(root / "e.mat", op, residual=1.5e-13)
+    op = EffectiveOperator(effective, ms, obs, dm, residual=1.5e-13)
+    write_effective(root / "e.mat", op)
     matrix, comments = read_matrix(root / "e.mat")
     assert matrix.tobytes() == effective.tobytes()
     assert comments == [f"K={_ids(ms.indices)}", f"J={_ids(dm.provenance.indices)}",
@@ -316,7 +316,7 @@ def test_block_level_builders_equal_the_public_ones(problem):
     pair = _effective_pair(obs, dm, blocks)
     _same_operator(pair.first, first_type(obs, dm))
     _same_operator(pair.second, second_type(obs, dm))
-    qq, report = _factorization(obs, blocks, SPECTRUM_MATCH_RTOL)
+    qq, report = _factorization(obs, blocks)
     public_qq, public_report = q_block_and_factorization(obs, dm)
     assert qq.tobytes() == public_qq.tobytes()
     assert report == public_report

@@ -5,7 +5,7 @@ import pytest
 
 from effop.errors import DimensionMismatch, Diverged, MaxIterExceeded, SylvesterSingular
 from effop.harness import gap_separated
-from effop.solver import SolverConfig, residual_history, solve_decoupling_fixed_point
+from effop.solver import SolverConfig, solve_decoupling_fixed_point
 from effop.spaces import ModelSpace, eigendecompose, select_eigenvectors, validate_hermitian
 from effop.transform import (
     construct_s_direct,
@@ -48,9 +48,8 @@ def test_equal_diagonal_blocks_raise():
 
 def test_residual_history_converged_run():
     _, trace = solve_decoupling_fixed_point(WEAK_2X2, ModelSpace(2, (1,)))
-    history = residual_history(trace)
-    assert [k for k, _ in history] == list(range(1, trace.iterations + 1))
-    assert history[-1][1] <= 1e-11
+    assert [step.iteration for step in trace.steps] == list(range(1, trace.iterations + 1))
+    assert trace.steps[-1].residual <= 1e-11
     assert isinstance(trace.monotone_decreasing, bool)
 
 

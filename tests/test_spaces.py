@@ -176,7 +176,7 @@ def test_model_space_validation():
     ms = ModelSpace(4, (2, 4))
     assert ms.dim == 2
     assert ms.complement == (1, 3)
-    assert ms.permutation == (2, 4, 1, 3)
+    assert tuple(ms.perm_rows + 1) == (2, 4, 1, 3)
     with pytest.raises(DuplicateIndex):
         ModelSpace(4, (2, 2))
     with pytest.raises(IndexOutOfRange):

@@ -1,26 +1,34 @@
 import numpy as np
 import pytest
 
+from effop.effective import first_type, second_type
 from effop.errors import DimensionMismatch, SingularProjection
-from effop.harness import ProblemSpec, generate
+from effop.harness import (
+    ProblemSpec,
+    generate,
+    read_decoupling_map,
+    run_verification,
+    write_decoupling_map,
+)
+from effop.solver import solve_decoupling_fixed_point
 from effop.spaces import (
     EigenSelection,
     ModelSpace,
     eigendecompose,
     enumerate_model_spaces,
+    retrieve_full_vector,
     select_eigenvectors,
     validate_hermitian,
 )
+from effop.tolerances import decoupled_tolerance
 from effop.transform import (
     DecouplingMap,
     DirectProvenance,
     assemble_blocks,
     construct_s_direct,
     construct_s_from_span,
-    decoupled_tolerance,
     decoupling_residual,
     exp_s,
-    is_decoupled,
     partition_blocks,
     similarity_transform,
     transformed_blocks,
@@ -152,7 +160,7 @@ def test_decoupling_residual_hand_values():
     assert decoupling_residual(SIGMA_X, _plus_state_map()) < 1e-12
     zero_map = DecouplingMap(ModelSpace(2, (1,)), np.zeros((1, 1), dtype=complex))
     assert decoupling_residual(SIGMA_X, zero_map) == pytest.approx(1.0)
-    assert not is_decoupled(SIGMA_X, zero_map)
+    assert decoupling_residual(SIGMA_X, zero_map) > decoupled_tolerance(SIGMA_X)
 
 
 def test_decoupling_residual_direct_small():
@@ -162,7 +170,7 @@ def test_decoupling_residual_direct_small():
     k_best = enumerate_model_spaces(sel)[0][0]
     dm = construct_s_direct(sel, ModelSpace(8, k_best))
     assert decoupling_residual(obs, dm) <= 1e-10
-    assert is_decoupled(obs, dm)
+    assert decoupling_residual(obs, dm) <= decoupled_tolerance(obs)
 
 
 def test_basis_change_invariance():
@@ -271,3 +279,26 @@ def test_partition_blocks_equal_four_gathers():
                 assert block.shape == reference.shape
                 assert block.tobytes() == reference.tobytes()
                 assert not block.flags.writeable
+
+
+@pytest.mark.parametrize("n", [2, 7])
+def test_full_model_space_end_to_end(n, tmp_path):
+    """d = N: the complement is empty, s is 0 x N, and every route leaves
+    the observable and its vectors as they are."""
+    obs = generate(ProblemSpec("random_hermitian", dim=n, seed=n))
+    ms = ModelSpace(n, tuple(range(1, n + 1)))
+    dm = construct_s_direct(select_eigenvectors(eigendecompose(obs), ms.indices), ms)
+    assert dm.s.shape == (0, n) and not dm.s.flags.writeable
+    write_decoupling_map(tmp_path / "s.mat", dm)
+    assert read_decoupling_map(tmp_path / "s.mat").s.shape == (0, n)
+    for sign in (1, -1):
+        assert np.array_equal(exp_s(dm, sign), np.eye(n))
+    alpha = np.arange(n) + 1j
+    assert np.array_equal(retrieve_full_vector(alpha, dm), alpha)
+    for build in (first_type, second_type):
+        op = build(obs, dm)
+        assert np.array_equal(op.matrix, obs.matrix) and op.residual == 0.0
+    iterated, trace = solve_decoupling_fixed_point(obs, ms)
+    assert iterated.s.shape == (0, n) and trace.converged
+    report = run_verification(obs, d=n, trials=3, seed=1)
+    assert report.all_passed, [c.name for c in report.checks if not c.passed]
