@@ -51,13 +51,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EffectiveOperator:
-    """A d x d representative on the model space: first-type (spectral,
-    generally non-Hermitian) or second-type (Hermitian), with the
-    decoupling residual of its map measured when it was built."""
+    """A d x d representative on the model space ``decoupling.model_space``:
+    first-type (spectral, generally non-Hermitian) or second-type
+    (Hermitian), with the residual of its map measured when it was built."""
 
     matrix: np.ndarray
-    model_space: ModelSpace
-    source: ObservableMatrix
     decoupling: DecouplingMap
     residual: float | None = None
 
@@ -80,15 +78,15 @@ def _decoupled(obs: ObservableMatrix, blocks) -> None:
         )
 
 
-def _operator(matrix, obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectiveOperator:
-    return EffectiveOperator(util._frozen(matrix), dm.model_space, obs, dm, blocks.residual)
+def _operator(matrix, dm: DecouplingMap, blocks) -> EffectiveOperator:
+    return EffectiveOperator(util._frozen(matrix), dm, blocks.residual)
 
 
 def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectivePair:
     """Both representatives from the blocks of (obs, dm); raises like :func:`first_type`."""
     _decoupled(obs, blocks)
-    return EffectivePair(_operator(blocks.pp, obs, dm, blocks),
-                         _operator(blocks.second, obs, dm, blocks))
+    return EffectivePair(_operator(blocks.pp, dm, blocks),
+                         _operator(blocks.second, dm, blocks))
 
 
 def _factorization(obs: ObservableMatrix, blocks):
@@ -113,7 +111,7 @@ def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     """
     blocks = transformed_blocks(obs, dm)
     _decoupled(obs, blocks)
-    return _operator(blocks.pp, obs, dm, blocks)
+    return _operator(blocks.pp, dm, blocks)
 
 
 def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
@@ -124,7 +122,7 @@ def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     of the map is recorded on the result, not enforced.
     """
     blocks = transformed_blocks(obs, dm)
-    return _operator(blocks.second, obs, dm, blocks)
+    return _operator(blocks.second, dm, blocks)
 
 
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap):
@@ -332,7 +330,7 @@ def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,
     T is the model components for the first space times the inverse of
     the model components for the second.
     """
-    ms, ms2 = op.model_space, other.model_space
+    ms, ms2 = op.decoupling.model_space, other.decoupling.model_space
     if ms.total_dim != ms2.total_dim or ms.dim != ms2.dim:
         raise DimensionMismatch("representatives live in different spaces")
     if selection.total_dim != ms.total_dim or selection.dim != ms.dim:

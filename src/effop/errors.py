@@ -8,7 +8,12 @@ to exit code 1 and the latter to exit code 2.
 
 
 class EffopError(Exception):
-    """Base class for every error raised by this package."""
+    """Base class for every error raised by this package; keyword
+    arguments are diagnostics, kept as attributes of the same name."""
+
+    def __init__(self, *args, **diagnostics):
+        super().__init__(*args)
+        self.__dict__.update(diagnostics)
 
 
 class ValidationError(EffopError):
@@ -62,10 +67,8 @@ class NotAnEigenvector(ValidationError):
 class NotCommuting(ValidationError):
     """A pair of set members has a commutator above tolerance."""
 
-    def __init__(self, message, pair=None, norm=None):
-        super().__init__(message)
-        self.pair = pair
-        self.norm = norm
+    pair = None
+    norm = None
 
 
 class PartitionInvalid(ValidationError):
@@ -87,10 +90,8 @@ class SolverFailure(NumericalError):
 class NotDecoupled(NumericalError):
     """Decoupling residual is too large for the requested construction."""
 
-    def __init__(self, message, member=None, residual=None):
-        super().__init__(message)
-        self.member = member
-        self.residual = residual
+    member = None
+    residual = None
 
 
 class SylvesterSingular(NumericalError):
@@ -100,11 +101,9 @@ class SylvesterSingular(NumericalError):
 class MaxIterExceeded(NumericalError):
     """Iteration budget exhausted before convergence."""
 
-    def __init__(self, message, best=None, residual=None, trace=None):
-        super().__init__(message)
-        self.best = best
-        self.residual = residual
-        self.trace = trace
+    best = None
+    residual = None
+    trace = None
 
 
 class Diverged(NumericalError):

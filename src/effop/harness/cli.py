@@ -29,14 +29,6 @@ from .verify import run_verification
 __all__ = ["main", "build_parser"]
 
 
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage problems by default; 2 is reserved for
-    # numerical failures here, so usage problems become exit 1.
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
-
-
 def _indices(text: str) -> tuple[int, ...]:
     try:
         return matio._parse_indices(text)
@@ -129,7 +121,7 @@ def _cmd_solve_iter(args) -> int:
     eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
     print("O_eff eigenvalues: " + " ".join(_fmt(z) for z in eigenvalues))
     if args.out_s:
-        matio.write_decoupling_map(args.out_s, dm, [f"residual={trace.final_residual:.6e}"])
+        matio.write_decoupling_map(args.out_s, dm, [f"residual={dm.provenance.residual:.6e}"])
         print(f"s written to {args.out_s}")
     return 0
 
@@ -204,7 +196,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="effop", description=__doc__)
+    parser = argparse.ArgumentParser(prog="effop", description=__doc__)
     sub = parser.add_subparsers(dest="command")
 
     gen = sub.add_parser("gen", help="write a seeded problem instance")
@@ -288,10 +280,9 @@ def main(argv=None) -> int:
                 return 1
             return args.func(args)
         except SystemExit as exc:
-            code = exc.code
-            if code is None:
-                return 0
-            return code if isinstance(code, int) else 1
+            # argparse exits 0 after --help and 2 on usage problems; 2 is
+            # reserved for numerical failures here, so usage problems exit 1.
+            return 1 if exc.code else 0
         except ValidationError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1

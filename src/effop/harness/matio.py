@@ -154,14 +154,18 @@ def _parse_fields(comment: str) -> dict[str, str]:
     return out
 
 
+def _j_comment(dm: DecouplingMap) -> list[str]:
+    """``["J=<ids>"]`` for a map built from known eigenvectors, else ``[]``."""
+    if isinstance(dm.provenance, DirectProvenance) and dm.provenance.indices:
+        return ["J=" + _format_indices(dm.provenance.indices)]
+    return []
+
+
 def write_decoupling_map(path, dm: DecouplingMap, extra_comments=()) -> None:
     ms = dm.model_space
     k = _format_indices(ms.indices)
-    comments = [f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={k}"]
-    if isinstance(dm.provenance, DirectProvenance) and dm.provenance.indices:
-        comments.append("J=" + _format_indices(dm.provenance.indices))
-    comments.extend(extra_comments)
-    write_matrix(path, dm.s, comments)
+    header = f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={k}"
+    write_matrix(path, dm.s, [header, *_j_comment(dm), *extra_comments])
 
 
 def read_decoupling_map(path) -> DecouplingMap:
@@ -194,11 +198,8 @@ def read_decoupling_map(path) -> DecouplingMap:
 
 def write_effective(path, op, *, extra_comments=()) -> None:
     """Effective-operator file with provenance comments (K, J, residual)."""
-    ms = op.model_space
-    comments = ["K=" + _format_indices(ms.indices)]
-    provenance = getattr(op.decoupling, "provenance", None)
-    if isinstance(provenance, DirectProvenance) and provenance.indices:
-        comments.append("J=" + _format_indices(provenance.indices))
+    dm = op.decoupling
+    comments = ["K=" + _format_indices(dm.model_space.indices), *_j_comment(dm)]
     if op.residual is not None:
         comments.append(f"residual={op.residual:.6e}")
     comments.extend(extra_comments)

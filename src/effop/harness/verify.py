@@ -281,8 +281,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                         np.linalg.eigvals(transform.transformed_blocks(instance, iter_dm).pp),
                         inst_dec.values, rtol=1e-8, subset=True).matched)
     iter_dm2, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
-    report.add("solver_deterministic",
-               np.abs(iter_dm.s - iter_dm2.s).max() if iter_dm.s.size else 0.0, 0.0)
+    report.add("solver_deterministic", np.abs(iter_dm.s - iter_dm2.s).max(), 0.0)
 
     # Commuting companions of the input observable.
     family = commuting_partners(obs, 2, seed=int(rng.integers(0, 2**63 - 1)))

@@ -32,7 +32,7 @@ from .spaces import (
     ObservableMatrix,
     _degenerate_clusters,
     _normalize_phases,
-    validate_index_subset,
+    _select,
 )
 from .tolerances import commuting_tolerance, decoupled_tolerance, eigenpair_tolerance
 from .transform import DecouplingMap, construct_s_direct, transformed_blocks
@@ -102,7 +102,7 @@ def verify_commuting(members) -> CommutingSet:
             raise DimensionMismatch(f"member {k} has dim {m.dim}, expected {n}")
     tol = commuting_tolerance(obs)
     norms = _commutator_norms([m.matrix for m in obs])
-    if norms.size and norms.max() > tol:
+    if norms.max() > tol:
         i, j = divmod(int(norms.argmax()), len(obs))
         raise NotCommuting(
             f"members {i + 1} and {j + 1} have commutator norm "
@@ -208,13 +208,7 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
 def selection_from_basis(basis: SimultaneousBasis, indices) -> EigenSelection:
     """Eigen selection drawn from a joint basis, labeled by member 1's values;
     its ``source`` is the basis."""
-    idx = validate_index_subset(indices, basis.dim, name="J")
-    cols = np.asarray(idx, dtype=np.intp) - 1
-    values = basis.values[0, cols].copy()
-    vectors = basis.vectors[:, cols].copy()
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenSelection(basis, idx, values, vectors)
+    return _select(basis, basis.values[0], basis.vectors, indices)
 
 
 def common_s(cset: CommutingSet, indices, model_indices) -> DecouplingMap:
@@ -256,7 +250,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
                 residual=exc.residual,
             ) from exc
     norms = _commutator_norms([pair.first.matrix for pair in pairs])
-    max_norm = float(norms.max()) if norms.size else 0.0
+    max_norm = float(norms.max())
     return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
 
 

@@ -83,10 +83,6 @@ class SolverTrace:
         return len(self.steps)
 
     @property
-    def final_residual(self) -> float:
-        return self.steps[-1].residual if self.steps else float("inf")
-
-    @property
     def monotone_decreasing(self) -> bool:
         """Whether residuals never increased; reported, not enforced."""
         res = [s.residual for s in self.steps]
@@ -117,16 +113,11 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     d = ms.dim
     nq = ms.total_dim - d
 
-    if nq == 0:
-        # Full model space: nothing to decouple.
-        trace = SolverTrace((TraceStep(1, 0.0, 0.0, 0.0),), True)
-        return _freeze(ms, np.zeros((0, d), dtype=np.complex128), 1, 0.0), trace
-
     scale = obs.norm
     alpha, v = np.linalg.eigh(a)
     phi, u = np.linalg.eigh(f)
     denominator = phi[:, None] - alpha[None, :]
-    gap = float(np.abs(denominator).min())
+    gap = float(np.abs(denominator).min(initial=np.inf))  # inf for the empty complement
     gap_floor = tolerances.SPECTRA_DISJOINT_TOL * scale
     if gap <= gap_floor:
         raise SylvesterSingular(

@@ -278,19 +278,21 @@ class EigenSelection:
         return rows, sv
 
 
+def _select(source, values: np.ndarray, vectors: np.ndarray, indices) -> EigenSelection:
+    """Read-only copies of the pairs at the 1-based positions ``indices`` (J)."""
+    idx = validate_index_subset(indices, len(values), name="J")
+    cols = np.asarray(idx, dtype=np.intp) - 1
+    return EigenSelection(source, idx, util._frozen(values[cols]), util._frozen(vectors[:, cols]))
+
+
 def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSelection:
     """Pick the eigenpairs at the given 1-based positions."""
-    idx = validate_index_subset(indices, decomposition.dim, name="J")
-    cols = np.asarray(idx, dtype=np.intp) - 1
-    values = decomposition.values[cols].copy()
-    vectors = decomposition.vectors[:, cols].copy()
-    if np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() > tolerances.UNIT_NORM_TOL:
+    selection = _select(decomposition.source, decomposition.values, decomposition.vectors, indices)
+    if np.abs(np.linalg.norm(selection.vectors, axis=0) - 1.0).max() > tolerances.UNIT_NORM_TOL:
         raise ValidationError("selected eigenvectors are not unit norm")
-    if not np.isfinite(util.condition_number(vectors)):
+    if not np.isfinite(util.condition_number(selection.vectors)):
         raise ValidationError("selected eigenvectors are numerically dependent")
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return EigenSelection(decomposition.source, idx, values, vectors)
+    return selection
 
 
 def enumerate_model_spaces(selection: EigenSelection, cond_cap: float = tolerances.COND_CAP):

@@ -39,9 +39,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DirectProvenance:
-    """Map built from selected eigenvector components (indices if known)."""
+    """Map built from the selected eigenvectors at the 1-based ``indices`` (J)."""
 
-    indices: tuple[int, ...] | None
+    indices: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -91,8 +91,8 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
     pv = v[ms.p_rows, :]
     util._require_conditioned(pv, "model-space components")
     s = np.linalg.solve(pv.T, v[ms.q_rows, :].T).T
-    idx = None if indices is None else tuple(int(i) for i in indices)
-    return DecouplingMap(ms, util._frozen(s), DirectProvenance(idx))
+    provenance = None if indices is None else DirectProvenance(tuple(int(i) for i in indices))
+    return DecouplingMap(ms, util._frozen(s), provenance)
 
 
 def construct_s_direct(selection: EigenSelection, ms: ModelSpace) -> DecouplingMap:

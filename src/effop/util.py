@@ -38,8 +38,6 @@ def _frozen(matrix: np.ndarray) -> np.ndarray:
 def condition_number(m) -> float:
     """2-norm condition number via SVD; inf when numerically singular."""
     sv = np.linalg.svd(m, compute_uv=False)
-    if sv.size == 0:
-        return 1.0
     return float(_conditions(sv))
 
 

@@ -328,7 +328,7 @@ def test_expectation_first_type_non_normal():
     alpha = np.array([1.0, 1.0])
     oracle = np.vdot(alpha, matrix @ alpha) / np.vdot(alpha, alpha)
     ms = ModelSpace(4, (1, 2))
-    operator = EffectiveOperator(matrix, ms, None, None)
+    operator = EffectiveOperator(matrix, DecouplingMap(ms, np.zeros((2, 2), dtype=complex)))
     value = expectation_first_type(operator, alpha)
     assert value == pytest.approx(oracle)
     assert value == pytest.approx(2.0)

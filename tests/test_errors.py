@@ -7,7 +7,10 @@ from effop import effective, observables, solver, spaces, transform, util
 from effop.errors import (
     DimensionMismatch,
     MatrixFileError,
+    MaxIterExceeded,
     NotAnEigenvector,
+    NotCommuting,
+    NotDecoupled,
     SingularProjection,
     ValidationError,
 )
@@ -133,3 +136,18 @@ def test_input_check_raises_its_type(case, tmp_path):
     with pytest.raises(error, match=message) as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+def test_typed_errors_keep_keyword_diagnostics():
+    error = NotDecoupled("m", member=2, residual=1.0)
+    assert (str(error), error.member, error.residual) == ("m", 2, 1.0)
+    error = NotCommuting("c", pair=(1, 2), norm=0.5)
+    assert (error.pair, error.norm) == ((1, 2), 0.5)
+    # a diagnostic not given reads None
+    assert NotDecoupled("m").member is None
+    assert NotCommuting("c").pair is None
+    error = MaxIterExceeded("budget", residual=3.0)
+    assert (error.best, error.residual, error.trace) == (None, 3.0, None)
+    with pytest.raises(ValidationError) as info:
+        raise ValidationError
+    assert info.value.args == ()

@@ -184,13 +184,16 @@ def test_matio_decoupling_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     ms = ModelSpace(5, (1, 3))
     s = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    dm = DecouplingMap(ms, s, DirectProvenance((2, 4)))
-    path = tmp_path / "s.mat"
-    write_decoupling_map(path, dm)
-    back = read_decoupling_map(path)
-    assert back.model_space == ms
-    assert np.array_equal(back.s, s)
-    assert back.provenance == DirectProvenance((2, 4))
+    # a map from a span without a J reads back as built: without provenance
+    spanned = transform.construct_s_from_span(rng.standard_normal((5, 2)), ms)
+    for dm in (DecouplingMap(ms, s, DirectProvenance((2, 4))), spanned):
+        path = tmp_path / "s.mat"
+        write_decoupling_map(path, dm)
+        back = read_decoupling_map(path)
+        assert back.model_space == ms
+        assert np.array_equal(back.s, dm.s)
+        assert back.provenance == dm.provenance
+    assert spanned.provenance is None
 
 
 def test_matio_decoupling_zero_row_header_with_data_rows(tmp_path):
@@ -440,7 +443,7 @@ def test_cli_verify_green(tmp_path):
     assert "fail" not in result.stdout
 
 
-def test_cli_exit_codes(tmp_path):
+def test_cli_exit_codes(tmp_path, capsys):
     matrix = tmp_path / "sx.mat"
     matrix.write_text("2\n0 0 1 0\n1 0 0 0\n")
     # validation failure: J out of range
@@ -459,6 +462,14 @@ def test_cli_exit_codes(tmp_path):
     # usage error also exits 1
     result = _run_cli("solve-direct", "--matrix", str(matrix))
     assert result.returncode == 1
+    assert result.stderr.startswith("usage: effop solve-direct")
+    assert "effop solve-direct: error: the following arguments are required" in result.stderr
+    # argparse's own exits go through main's one mapping: help 0, usage 1
+    capsys.readouterr()
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: effop")
+    assert cli.main([]) == 1
+    assert capsys.readouterr().err.startswith("usage: effop")
 
 
 def _count_calls(monkeypatch, original):

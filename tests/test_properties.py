@@ -179,7 +179,7 @@ def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
               f"J={_ids(dm.provenance.indices)}"]
     assert (root / "s.mat").read_text() == _reference_text(dm.s, header)
 
-    op = EffectiveOperator(effective, ms, obs, dm, residual=1.5e-13)
+    op = EffectiveOperator(effective, dm, residual=1.5e-13)
     write_effective(root / "e.mat", op)
     matrix, comments = read_matrix(root / "e.mat")
     assert matrix.tobytes() == effective.tobytes()

@@ -5,9 +5,10 @@ import pytest
 
 from effop.errors import DimensionMismatch, Diverged, MaxIterExceeded, SylvesterSingular
 from effop.harness import gap_separated
-from effop.solver import SolverConfig, solve_decoupling_fixed_point
+from effop.solver import SolverConfig, TraceStep, solve_decoupling_fixed_point
 from effop.spaces import ModelSpace, eigendecompose, select_eigenvectors, validate_hermitian
 from effop.transform import (
+    IterativeProvenance,
     construct_s_direct,
     decoupling_residual,
     partition_blocks,
@@ -116,10 +117,15 @@ def test_solver_deterministic():
 
 
 def test_full_model_space_trivially_converged():
-    obs = validate_hermitian(np.diag([1.0, 2.0]))
-    dm, trace = solve_decoupling_fixed_point(obs, ModelSpace(2, (1, 2)))
-    assert trace.converged
-    assert dm.s.shape == (0, 2)
+    # one empty sweep: nothing to decouple, and no gap to fall below, even for O = 0
+    for diagonal in ([1.0, 2.0], [0.0, 0.0]):
+        obs = validate_hermitian(np.diag(diagonal))
+        dm, trace = solve_decoupling_fixed_point(obs, ModelSpace(2, (1, 2)))
+        assert trace.converged
+        assert trace.steps == (TraceStep(1, 0.0, 0.0, 0.0),)
+        assert dm.provenance == IterativeProvenance(1, 0.0)
+        assert dm.s.shape == (0, 2)
+        assert dm.s.dtype == np.complex128 and not dm.s.flags.writeable
 
 
 def test_zero_observable_is_singular():
