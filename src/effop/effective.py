@@ -259,19 +259,21 @@ def spectral_reconstruct(selection: EigenSelection, ms: ModelSpace) -> np.ndarra
     return overlap.basis @ weighted
 
 
-def _member(vector, name: str, dm: DecouplingMap) -> np.ndarray:
-    """``vector`` as a complex vector of the map's full space; raises
-    :class:`NotInSubspace` when its membership residual, the norm of
-    (complement components - s * model components), says it lies off the
-    invariant subspace."""
-    v = util.as_complex_vector(vector, name)
+def _member(vectors, name: str, dm: DecouplingMap) -> np.ndarray:
+    """A vector or (N, k) column block as an (N, k) block; raises :class:`NotInSubspace` naming the
+    first column whose norm of (complement part - s * model part) puts it off the subspace."""
+    block = np.ndim(vectors) == 2
+    v = (util.as_complex_matrix(vectors, name) if block
+         else util.as_complex_vector(vectors, name)[:, np.newaxis])
     ms = dm.model_space
     if v.shape[0] != ms.total_dim:
         raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
-    residual = float(np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows]))
-    limit = tolerances.MEMBERSHIP_RTOL * float(np.linalg.norm(v))
-    if residual > limit:
-        raise NotInSubspace(f"{name}: membership residual {residual:.3e} exceeds {limit:.3e}")
+    residual = np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows], axis=0)
+    limit = tolerances.MEMBERSHIP_RTOL * np.linalg.norm(v, axis=0)
+    for col in np.flatnonzero(residual > limit)[:1]:
+        where = f"{name}[:, {col}]" if block else name
+        raise NotInSubspace(f"{where}: membership residual {residual[col]:.3e} "
+                            f"exceeds {limit[col]:.3e}")
     return v
 
 
@@ -286,14 +288,15 @@ def _same_map(op: EffectiveOperator, dm: DecouplingMap) -> None:
                               f"(K={built.model_space.indices}; given K={dm.model_space.indices})")
 
 
-def matrix_element(psi, phi, op: EffectiveOperator, dm: DecouplingMap) -> complex:
-    """Matrix element of the original observable between two subspace
-    vectors, evaluated from their model-space components alone. ``dm``
-    must be the map ``op`` was built with, or an equal one."""
+def matrix_element(psi, phi, op: EffectiveOperator, dm: DecouplingMap) -> complex | np.ndarray:
+    """Matrix element of the original observable between two subspace vectors, from their
+    model-space components alone; (N, k) column blocks give the (k, k') array of every pair,
+    so ``matrix_element(V, V, op, dm)`` is V'OV. ``dm`` must be op's map, or an equal one."""
     _same_map(op, dm)
     rows = dm.model_space.p_rows
-    left, right = _member(psi, "psi", dm), _member(phi, "phi", dm)
-    return complex(np.vdot(left[rows], op.matrix @ right[rows]))
+    left, right = _member(psi, "psi", dm)[rows], _member(phi, "phi", dm)[rows]
+    gram = left.conj().T @ (op.matrix @ right)
+    return gram if np.ndim(psi) == 2 or np.ndim(phi) == 2 else complex(gram[0, 0])
 
 
 def expectation_first_type(op: EffectiveOperator, alpha) -> complex:
@@ -314,12 +317,11 @@ def expectation_second_type(op: EffectiveOperator, psi, dm: DecouplingMap) -> fl
     components, equal to the projection norm squared times the
     representative's expectation in the projected state. ``dm`` must be
     the map ``op`` was built with, or an equal one."""
-    _same_map(op, dm)
-    v = _member(psi, "psi", dm)
+    v = util.as_complex_vector(psi, "psi")
+    value = matrix_element(v, v, op, dm)
     if np.linalg.norm(v) == 0.0:  # the zero vector lies in every subspace
         raise ZeroVector("expectation of the zero vector is undefined")
-    rows = dm.model_space.p_rows
-    return float(np.vdot(v[rows], op.matrix @ v[rows]).real)
+    return value.real
 
 
 def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,

@@ -10,6 +10,7 @@ flags only carry index sets and real scalars.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import sys
 import warnings
@@ -264,12 +265,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # one per process; every parse starts afresh
+
+
 def _show_warning(message, category, filename, lineno, file=None, line=None):
     print(f"warning: {message}", file=sys.stderr)
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     with warnings.catch_warnings():
         # a library warning is a diagnostic line, not a source listing
         warnings.showwarning = _show_warning

@@ -129,10 +129,9 @@ def gap_separated(dim: int, d: int, *, gap: float = 1.0, coupling: float = 0.1,
 def commuting_partners(obs: ObservableMatrix, count: int, seed: int = 0) -> CommutingSet:
     """Commuting family sharing the eigenbasis of ``obs`` (member 1)."""
     _check_seed(seed)
-    decomposition = eigendecompose(obs)
     rng = np.random.default_rng(seed)
     members = [obs]
-    v = decomposition.vectors
+    v = eigendecompose(obs).vectors
     for _ in range(count):
         lam = rng.uniform(-4.0, 4.0, size=obs.dim)
         members.append(validate_hermitian((v * lam) @ v.conj().T))

@@ -18,9 +18,9 @@ from pathlib import Path
 import numpy as np
 
 from .. import util
-from ..errors import DimensionMismatch, MatrixFileError
+from ..errors import DimensionMismatch, MatrixFileError, ValidationError
 from ..spaces import ModelSpace, ObservableMatrix, validate_hermitian
-from ..transform import DecouplingMap, DirectProvenance
+from ..transform import DecouplingMap, DirectProvenance, _direct_provenance
 
 __all__ = [
     "write_matrix",
@@ -184,16 +184,16 @@ def read_decoupling_map(path) -> DecouplingMap:
         m = np.zeros((0, cols), dtype=np.complex128)
     if m.shape != (rows, cols):
         raise MatrixFileError(f"{path}: data shape {m.shape} does not match header ({rows}, {cols})")
-    indices = None
+    ms = ModelSpace(rows + cols, kset)
+    provenance = None
     for comment in comments:
         extra = _parse_fields(comment)
         if "J" in extra:
             try:
-                indices = _parse_indices(extra["J"])
-            except ValueError as exc:
-                raise MatrixFileError(f"{path}: malformed J field in {comment!r}") from exc
-    ms = ModelSpace(rows + cols, kset)
-    return DecouplingMap(ms, util._frozen(m), DirectProvenance(indices) if indices else None)
+                provenance = _direct_provenance(_parse_indices(extra["J"]), ms)
+            except (ValueError, ValidationError) as exc:
+                raise MatrixFileError(f"{path}: malformed J field in {comment!r}: {exc}") from exc
+    return DecouplingMap(ms, util._frozen(m), provenance)
 
 
 def write_effective(path, op, *, extra_comments=()) -> None:

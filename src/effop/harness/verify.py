@@ -28,12 +28,26 @@ __all__ = ["run_verification"]
 _BRUTE_FORCE_LIMIT = 20_000
 
 
-def _listed(selection, candidates) -> np.ndarray:
-    """Mask over the rows of the selection's subset table that ``candidates`` lists."""
-    rows, _ = selection._subset_singular_values
-    listed = np.array(list(dict(candidates)), dtype=np.intp).reshape(-1, selection.dim) - 1
-    key = np.dtype((np.void, rows.itemsize * selection.dim))  # one opaque key per subset
-    return np.isin(rows.view(key).ravel(), listed.view(key).ravel())
+def _subset_ranks(rows: np.ndarray, n: int) -> np.ndarray:
+    """Lexicographic rank of each ascending row among the d-subsets of 0..n-1: its row in
+    the subset table. ``below[i, y]`` sums, over x < y, the C(n-1-x, d-1-i) ways to fill
+    the places after i once place i holds x."""
+    d = rows.shape[1]
+    below = np.array([np.cumsum([0, *(math.comb(n - 1 - x, d - 1 - i) for x in range(n))])
+                      for i in range(d)])
+    place, start = np.arange(d), np.pad(rows[:, :-1] + 1, ((0, 0), (1, 0)))
+    return (below[place, rows] - below[place, start]).sum(axis=1)
+
+
+def _listed(selection, candidates) -> np.ndarray | None:
+    """Mask over the rows of the selection's subset table that ``candidates`` lists;
+    None when a K is not a strictly increasing d-subset of 1..N, or is listed twice."""
+    n, d = selection.total_dim, selection.dim
+    listed = np.array([k for k, _ in candidates], dtype=np.intp).reshape(len(candidates), d) - 1
+    if np.any(listed < 0) or np.any(listed >= n) or np.any(np.diff(listed, axis=1) <= 0):
+        return None
+    counts = np.bincount(_subset_ranks(listed, n), minlength=math.comb(n, d))
+    return counts == 1 if counts.max(initial=0) <= 1 else None
 
 
 def _enumeration_agrees(selection, candidates):
@@ -48,7 +62,8 @@ def _enumeration_agrees(selection, candidates):
     # numpy's matrix_rank threshold, applied to the table's values
     rank = (sv > sv[:, :1] * selection.dim * eps).sum(axis=1)
     independent = (rank == selection.dim) & (ratio <= cond_cap)
-    return not np.any((independent != _listed(selection, candidates)) & ~ambiguous)
+    listed = _listed(selection, candidates)
+    return listed is not None and not np.any((independent != listed) & ~ambiguous)
 
 
 def _second_model_space(selection, candidates, k_best) -> tuple[int, ...]:
@@ -228,12 +243,9 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                    np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
                    1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
         gram = selection.vectors.conj().T @ obs.matrix @ selection.vectors
-        gram_dev = max(
-               abs(gram[i, j] - eff.matrix_element(selection.vectors[:, i], selection.vectors[:, j],
-                                                   hermitian_rep, dm))
-               for i in range(d) for j in range(d)
-           )
-        report.add("matrix_element_gram", gram_dev, tolerances.scaled(1e-9, obs.norm))
+        reduced = eff.matrix_element(selection.vectors, selection.vectors, hermitian_rep, dm)
+        report.add("matrix_element_gram", np.abs(gram - reduced).max(),
+                   tolerances.scaled(1e-9, obs.norm))
 
         if d < n:
             stray = complex_noise(n)

@@ -74,6 +74,20 @@ class ObservableMatrix:
         values.setflags(write=False)
         return values
 
+    @cached_property
+    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only arrays of :func:`eigendecompose`; without a back reference, so no cycle."""
+        tol = eigenpair_tolerance(self)
+        try:
+            values, vectors = np.linalg.eigh(self.matrix)
+        except np.linalg.LinAlgError as exc:
+            raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
+        values, vectors = _order_ties(values, _normalize_phases(vectors))
+        residual = float(np.linalg.norm(self.matrix @ vectors - vectors * values, axis=0).max())
+        if residual > tol:
+            raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
+        return util._frozen(values), util._frozen(vectors)
+
 
 def validate_hermitian(matrix) -> ObservableMatrix:
     """Check squareness, finiteness and Hermiticity, then symmetrize.
@@ -199,22 +213,11 @@ def _order_ties(values: np.ndarray, vectors: np.ndarray):
 def eigendecompose(obs: ObservableMatrix) -> Eigendecomposition:
     """Dense Hermitian eigendecomposition with a reproducible ordering.
 
-    Values come back ascending; ties are broken by lexicographic order
-    of the phase-normalized eigenvectors. Column residuals above
-    :func:`eigenpair_tolerance` raise :class:`SolverFailure`.
+    Values come back ascending; ties are broken by lexicographic order of the
+    phase-normalized eigenvectors. Column residuals above :func:`eigenpair_tolerance`
+    raise :class:`SolverFailure`. Later calls share the first call's read-only arrays.
     """
-    tol = eigenpair_tolerance(obs)
-    try:
-        values, vectors = np.linalg.eigh(obs.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
-    values, vectors = _order_ties(values, _normalize_phases(vectors))
-    residual = float(np.linalg.norm(obs.matrix @ vectors - vectors * values, axis=0).max())
-    if residual > tol:
-        raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
-    values.setflags(write=False)
-    vectors.setflags(write=False)
-    return Eigendecomposition(values, vectors, obs)
+    return Eigendecomposition(*obs._eigenpairs, obs)
 
 
 def validate_index_subset(indices, total: int, *, name: str = "J") -> tuple[int, ...]:

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import util
 from .errors import DimensionMismatch, ValidationError
-from .spaces import EigenSelection, ModelSpace, ObservableMatrix
+from .spaces import EigenSelection, ModelSpace, ObservableMatrix, validate_index_subset
 
 __all__ = [
     "DirectProvenance",
@@ -91,8 +91,16 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
     pv = v[ms.p_rows, :]
     util._require_conditioned(pv, "model-space components")
     s = np.linalg.solve(pv.T, v[ms.q_rows, :].T).T
-    provenance = None if indices is None else DirectProvenance(tuple(int(i) for i in indices))
+    provenance = None if indices is None else _direct_provenance(indices, ms)
     return DecouplingMap(ms, util._frozen(s), provenance)
+
+
+def _direct_provenance(indices, ms: ModelSpace) -> DirectProvenance:
+    """Provenance of a map built from the eigenvectors at J, d distinct indices of 1..N."""
+    j = validate_index_subset(indices, ms.total_dim, name="J")
+    if len(j) != ms.dim:
+        raise DimensionMismatch(f"J has {len(j)} indices, the model space has {ms.dim}")
+    return DirectProvenance(j)
 
 
 def construct_s_direct(selection: EigenSelection, ms: ModelSpace) -> DecouplingMap:

@@ -27,7 +27,7 @@ from effop.harness import (
 )
 from effop.harness import cli
 from effop.harness import verify as verify_module
-from effop.harness.verify import _enumeration_agrees, _second_model_space
+from effop.harness.verify import _enumeration_agrees, _second_model_space, _subset_ranks
 from effop.spaces import (
     EigenSelection,
     ModelSpace,
@@ -285,6 +285,23 @@ def test_enumeration_agreement_detects_mutated_candidates():
     deficient = (1, 2, 3)  # row 1 is zero
     assert deficient not in dict(candidates)
     assert not _enumeration_agrees(sel, [*candidates, (deficient, 1.0)])
+    # a K that is no subset of the table, or one listed twice
+    rng = np.random.default_rng(3)
+    small = EigenSelection(None, (1, 2, 3), np.zeros(3),
+                           rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
+    candidates = enumerate_model_spaces(small)
+    assert _enumeration_agrees(small, candidates)
+    for bogus in (((7, 8, 9), 1.0), ((2, 1, 3), 1.0), candidates[0]):
+        assert not _enumeration_agrees(small, [*candidates, bogus]), bogus
+
+
+@pytest.mark.parametrize("n, d", [(25, 3), (8, 1), (8, 8), (9, 4)])
+def test_subset_table_rows_rank_to_their_row_numbers(n, d):
+    rng = np.random.default_rng(n + d)
+    sel = EigenSelection(None, tuple(range(1, d + 1)), np.zeros(d),
+                         rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
+    rows, _ = sel._subset_singular_values
+    assert np.array_equal(_subset_ranks(rows, n), np.arange(len(rows)))
 
 
 def _two_chunk_selection():
@@ -470,6 +487,61 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert capsys.readouterr().out.startswith("usage: effop")
     assert cli.main([]) == 1
     assert capsys.readouterr().err.startswith("usage: effop")
+
+
+def test_cli_reuses_one_parser_safely(tmp_path, capsys):
+    cli._parser.cache_clear()
+    matrix, s_path = tmp_path / "o.mat", tmp_path / "s.mat"
+    assert cli.main(["gen", "--kind", "random_hermitian", "--dim", "6", "--seed", "1",
+                     "--out", str(matrix)]) == 0
+    solve = ["solve-direct", "--matrix", str(matrix), "--J", "1,2", "--K", "1,2"]
+    capsys.readouterr()
+    assert cli.main([*solve, "--out-s", str(s_path)]) == 0
+    written = capsys.readouterr().out
+    assert s_path.is_file() and written.endswith(f"s written to {s_path}\n")
+    # a flag given to one call is not remembered by the next
+    s_path.unlink()
+    assert cli.main(solve) == 0
+    plain = capsys.readouterr().out
+    assert not s_path.exists() and written.startswith(plain) and "written" not in plain
+    # a usage error leaves the parser as it was
+    assert cli.main(["solve-direct", "--matrix", str(matrix)]) == 1
+    assert "the following arguments are required" in capsys.readouterr().err
+    assert cli.main(solve) == 0
+    assert capsys.readouterr().out == plain
+    assert cli.main(["--help"]) == 0
+    help_text = capsys.readouterr().out
+    # build_parser ran once for the six calls, and still returns a new parser
+    assert cli._parser.cache_info().misses == 1
+    fresh = cli.build_parser()
+    assert fresh is not cli._parser()
+    assert help_text == fresh.format_help()
+    assert help_text.startswith("usage: effop")
+    for command in ("gen", "solve-direct", "solve-iter", "effective", "enumerate",
+                    "decompose", "verify"):
+        assert command in help_text
+    # the same call through a newly built parser prints the same
+    cli._parser.cache_clear()
+    assert cli.main(solve) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_run_verification_diagonalizes_its_input_once(monkeypatch):
+    """The input's eigendecomposition is shared by the trials and the
+    commuting companions; the other 16 x 16 eigh is the joint-basis mix."""
+    n = 16
+    obs = generate(ProblemSpec("random_hermitian", dim=n, seed=n))
+    arguments = []
+
+    def counted(a, *args, **kwargs):
+        arguments.append(a)
+        return original(a, *args, **kwargs)
+
+    original = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    assert run_verification(obs, d=3, trials=4, seed=1).all_passed
+    assert sum(a is obs.matrix for a in arguments) == 1
+    assert [np.shape(a) for a in arguments].count((n, n)) == 2
 
 
 def _count_calls(monkeypatch, original):

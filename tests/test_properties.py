@@ -16,10 +16,11 @@ from effop.effective import (
     _effective_pair,
     _factorization,
     first_type,
+    matrix_element,
     q_block_and_factorization,
     second_type,
 )
-from effop.errors import NotDecoupled
+from effop.errors import NotDecoupled, NotInSubspace
 from effop.harness.generate import ProblemSpec, commuting_partners, generate, haar_unitary
 from effop.harness.verify import _spectrum_enclosed
 from effop.harness.matio import (
@@ -39,7 +40,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.tolerances import CLUSTER_RTOL, eigenpair_tolerance
+from effop.tolerances import CLUSTER_RTOL, eigenpair_tolerance, scaled
 from effop.transform import (
     DecouplingMap,
     DirectProvenance,
@@ -271,6 +272,36 @@ def test_second_type_is_the_metric_times_first_type(problem):
     assert "qq" not in vars(blocks)
     _, b, _, f = partition_blocks(obs, dm.model_space)
     assert np.array_equal(blocks.qq, f - s @ b)
+
+
+@PROPERTY_SETTINGS
+@given(problems(), st.integers(1, 4), st.integers(1, 4))
+def test_matrix_element_block_equals_the_scalar_double_loop(problem, k, k2):
+    """An (N, k) and an (N, k') block of subspace vectors give the (k, k')
+    array of scalar matrix elements, and a stray column is named."""
+    obs, selection, ms, rng = problem
+    dm = construct_s_direct(selection, ms)
+    rep = second_type(obs, dm)
+    n, d = selection.total_dim, selection.dim
+
+    def noise(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    psi, phi = selection.vectors @ noise(d, k), selection.vectors @ noise(d, k2)
+    block = matrix_element(psi, phi, rep, dm)
+    assert block.shape == (k, k2)
+    for i in range(k):
+        for j in range(k2):
+            entry = matrix_element(psi[:, i], phi[:, j], rep, dm)
+            assert isinstance(entry, complex)
+            assert abs(block[i, j] - entry) <= scaled(1e-12, abs(entry))
+    for name, left, right in (("psi", psi, phi), ("phi", phi, psi)):
+        col = int(rng.integers(left.shape[1]))
+        stray = left.copy()
+        stray[:, col] = noise(n)
+        args = (stray, right) if name == "psi" else (right, stray)
+        with pytest.raises(NotInSubspace, match=rf"^{name}\[:, {col}\]: membership residual "):
+            matrix_element(*args, rep, dm)
 
 
 @st.composite

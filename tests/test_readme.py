@@ -1,4 +1,4 @@
-"""The README's command-line example, run line by line in-process."""
+"""The README's Library tour and command-line example, run in-process."""
 
 import shlex
 from pathlib import Path
@@ -6,6 +6,12 @@ from pathlib import Path
 from effop.harness import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_library_tour_runs():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Library tour", 1)[1]
+    exec(section.split("```python\n", 1)[1].split("```", 1)[0], {})
 
 
 def _command_block() -> list[str]:

@@ -1,8 +1,10 @@
 import functools
+import gc
 import itertools
 import math
 import statistics
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,18 @@ def test_eigendecompose_orthonormal_and_deterministic():
     assert np.linalg.norm(dec1.vectors.conj().T @ dec1.vectors - np.eye(10)) < 1e-12
     assert np.array_equal(dec1.values, dec2.values)
     assert np.array_equal(dec1.vectors, dec2.vectors)
+    for array in (dec1.values, dec1.vectors, dec2.values, dec2.vectors):
+        assert not array.flags.writeable
+    # the arrays are cached on the observable without a reference cycle, so
+    # reference counting alone frees it
+    assert dec1.source is obs and dec2.source is obs
+    alive = weakref.ref(obs)
+    gc.disable()
+    try:
+        del obs, dec1, dec2
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_eigendecompose_phase_anchor_positive():

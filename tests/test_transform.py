@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from effop.effective import first_type, second_type
-from effop.errors import DimensionMismatch, SingularProjection
+from effop.errors import (
+    DimensionMismatch,
+    DuplicateIndex,
+    IndexOutOfRange,
+    MatrixFileError,
+    SingularProjection,
+    ValidationError,
+)
 from effop.harness import (
     ProblemSpec,
     generate,
@@ -48,6 +55,27 @@ def test_construct_s_direct_hand():
     dm = _plus_state_map()
     assert abs(dm.s[0, 0] - 1.0) < 1e-12
     assert dm.provenance == DirectProvenance((2,))
+
+
+INVALID_J = [((), ValidationError), ((1, 1), DuplicateIndex), ((9,), IndexOutOfRange),
+             ((0,), IndexOutOfRange), ((1, 2), DimensionMismatch)]
+
+
+@pytest.mark.parametrize("j, error", INVALID_J)
+def test_construct_s_from_span_rejects_an_invalid_j(j, error):
+    """J must hold d distinct indices of 1..N, like a selection's."""
+    with pytest.raises(error):
+        construct_s_from_span(np.array([[1.0], [2.0], [3.0]]), ModelSpace(3, (1,)), indices=j)
+
+
+@pytest.mark.parametrize("j", ["1,1", "9", "0", "1,2"])
+def test_read_decoupling_map_rejects_an_invalid_j(tmp_path, j):
+    path = tmp_path / "s.mat"
+    path.write_text(f"# s-matrix rows=2 cols=1 K=1\n# J={j}\n2\n2 0\n3 0\n", encoding="utf-8")
+    with pytest.raises(MatrixFileError, match="malformed J field"):
+        read_decoupling_map(path)
+    path.write_text(path.read_text().replace(f"J={j}", "J=3"), encoding="utf-8")
+    assert read_decoupling_map(path).provenance == DirectProvenance((3,))
 
 
 def test_construct_s_direct_zero_when_aligned():
