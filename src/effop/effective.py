@@ -230,12 +230,11 @@ def overlap_matrix(selection: EigenSelection, ms: ModelSpace) -> OverlapMatrix:
     """Inner products of the model-space components of the selected vectors."""
     if selection.total_dim != ms.total_dim or selection.dim != ms.dim:
         raise DimensionMismatch("selection and model space disagree on dimensions")
-    basis = selection.vectors[ms.p_rows, :].copy()
+    basis = util._frozen(selection.vectors[ms.p_rows, :])
     util._require_conditioned(basis, "projected eigenvectors")
     gamma = basis.conj().T @ basis
     if float(np.linalg.eigvalsh(gamma).min()) <= 0.0:
         raise SingularProjection("overlap matrix is not positive definite")
-    basis.setflags(write=False)
     return OverlapMatrix(util._frozen(gamma), basis)
 
 

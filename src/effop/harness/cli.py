@@ -198,7 +198,7 @@ def _cmd_verify(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="effop", description=__doc__)
-    sub = parser.add_subparsers(dest="command")
+    sub = parser.add_subparsers(dest="command", required=True)
 
     gen = sub.add_parser("gen", help="write a seeded problem instance")
     gen.add_argument("--kind", required=True, choices=KINDS)
@@ -279,9 +279,6 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             args = parser.parse_args(argv)
-            if not hasattr(args, "func"):
-                parser.print_usage(sys.stderr)
-                return 1
             return args.func(args)
         except SystemExit as exc:
             # argparse exits 0 after --help and 2 on usage problems; 2 is

@@ -177,14 +177,17 @@ def read_decoupling_map(path) -> DecouplingMap:
     try:
         rows = int(fields["rows"])
         cols = int(fields["cols"])
-        kset = _parse_indices(fields["K"])
+        ms = ModelSpace(rows + cols, _parse_indices(fields["K"]))
+        if ms.dim != cols:
+            raise DimensionMismatch(f"K has {ms.dim} indices, cols={cols}")
     except (KeyError, ValueError) as exc:
         raise MatrixFileError(f"{path}: malformed s-matrix header {header!r}") from exc
+    except ValidationError as exc:
+        raise MatrixFileError(f"{path}: malformed s-matrix header {header!r}: {exc}") from exc
     if rows == 0 == m.shape[0]:  # a file without data rows reads back as (0, 0)
         m = np.zeros((0, cols), dtype=np.complex128)
     if m.shape != (rows, cols):
         raise MatrixFileError(f"{path}: data shape {m.shape} does not match header ({rows}, {cols})")
-    ms = ModelSpace(rows + cols, kset)
     provenance = None
     for comment in comments:
         extra = _parse_fields(comment)

@@ -224,7 +224,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         alpha = (backward @ member)[ms.p_rows]
         # scale-free: member combines unit eigenvectors
         report.add("retrieve_round_trip",
-                   np.linalg.norm(spaces.retrieve_full_vector(alpha, dm) - member),
+                   np.linalg.norm(transform.retrieve_full_vector(alpha, dm) - member),
                    1e-10 * (1.0 + np.linalg.norm(member)))
 
         pair = eff._effective_pair(obs, dm, blocks)

@@ -34,7 +34,7 @@ from .spaces import (
     _normalize_phases,
     _select,
 )
-from .tolerances import commuting_tolerance, decoupled_tolerance, eigenpair_tolerance
+from .tolerances import commuting_tolerance, eigenpair_tolerance
 from .transform import DecouplingMap, construct_s_direct, transformed_blocks
 
 __all__ = [
@@ -121,10 +121,6 @@ class SimultaneousBasis:
     values: np.ndarray    # (c, N) real
     vectors: np.ndarray   # (N, N) complex
     distinct: bool        # all eigenvalue tuples separated (completeness witness)
-
-    @property
-    def dim(self) -> int:
-        return int(self.vectors.shape[0])
 
 
 def _refine(vectors, members, level):
@@ -243,12 +239,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
         try:
             pairs.append(_effective_pair(member, dm, transformed_blocks(member, dm)))
         except NotDecoupled as exc:
-            raise NotDecoupled(
-                f"member {sig}: residual {exc.residual:.3e} "
-                f"exceeds {decoupled_tolerance(member):.3e}",
-                member=sig,
-                residual=exc.residual,
-            ) from exc
+            raise NotDecoupled(f"member {sig}: {exc}", member=sig, residual=exc.residual) from exc
     norms = _commutator_norms([pair.first.matrix for pair in pairs])
     max_norm = float(norms.max())
     return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
@@ -302,12 +293,8 @@ def decompose_space(cset: CommutingSet, partition, model_spaces) -> SpaceDecompo
         try:
             dm = common_s(cset, block, kset)
             pairs, _ = effective_set(cset, dm)
-        except SingularProjection as exc:
-            raise SingularProjection(f"block {r} (J={block}, K={kset}): {exc}") from exc
-        except NotDecoupled as exc:
-            raise NotDecoupled(
-                f"block {r} (J={block}): {exc}", member=exc.member, residual=exc.residual
-            ) from exc
+        except (SingularProjection, NotDecoupled) as exc:
+            raise type(exc)(f"block {r} (J={block}, K={kset}): {exc}", **vars(exc)) from exc
         reductions.append(BlockReduction(block, dm, tuple(pairs)))
 
     checks = []

@@ -12,7 +12,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, cmp_to_key
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -29,9 +28,6 @@ from .errors import (
 )
 from .tolerances import eigenpair_tolerance
 
-if TYPE_CHECKING:  # pragma: no cover
-    from .transform import DecouplingMap
-
 __all__ = [
     "ObservableMatrix",
     "ModelSpace",
@@ -43,7 +39,6 @@ __all__ = [
     "select_eigenvectors",
     "enumerate_model_spaces",
     "pivoted_model_space",
-    "retrieve_full_vector",
 ]
 
 
@@ -168,10 +163,6 @@ class Eigendecomposition:
     values: np.ndarray    # (N,) real, ascending
     vectors: np.ndarray   # (N, N) complex, one eigenvector per column
     source: ObservableMatrix
-
-    @property
-    def dim(self) -> int:
-        return int(self.values.shape[0])
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
@@ -351,9 +342,8 @@ def pivoted_model_space(vectors) -> tuple[int, ...]:
     in LAPACK geqp3's place order, so the choice equals geqp3's.
     """
     if isinstance(vectors, EigenSelection):
-        array = np.ascontiguousarray(vectors.vectors, dtype=np.complex128)
-    else:
-        array = util.as_complex_matrix(vectors, "vectors")
+        vectors = vectors.vectors
+    array = util.as_complex_matrix(vectors, "vectors")
     n, d = array.shape
     if not 1 <= d <= n:
         raise DimensionMismatch(f"need between 1 and N column vectors, got shape {array.shape}")
@@ -381,19 +371,3 @@ def pivoted_model_space(vectors) -> tuple[int, ...]:
         along = components[:, i] = np.dot(array, direction.conj())
         remaining -= (along * along.conj()).real
     return tuple(sorted(row + 1 for row in taken))
-
-
-def retrieve_full_vector(alpha, dm: "DecouplingMap") -> np.ndarray:
-    """Rebuild the full-space vector whose model components are ``alpha``.
-
-    The complement components follow from the decoupling map; the result
-    comes back in the original (un-permuted) index order.
-    """
-    ms = dm.model_space
-    a = util.as_complex_vector(alpha, "alpha")
-    if a.shape[0] != ms.dim:
-        raise DimensionMismatch(f"alpha has {a.shape[0]} entries, model space has {ms.dim}")
-    out = np.zeros(ms.total_dim, dtype=np.complex128)
-    out[ms.p_rows] = a
-    out[ms.q_rows] = dm.s @ a
-    return out

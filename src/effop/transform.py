@@ -26,6 +26,7 @@ __all__ = [
     "IterativeProvenance",
     "DecouplingMap",
     "TransformedBlocks",
+    "retrieve_full_vector",
     "construct_s_direct",
     "construct_s_from_span",
     "exp_s",
@@ -65,6 +66,22 @@ class DecouplingMap:
         expected = (ms.total_dim - ms.dim, ms.dim)
         if self.s.shape != expected:
             raise DimensionMismatch(f"s has shape {self.s.shape}, expected {expected}")
+
+
+def retrieve_full_vector(alpha, dm: DecouplingMap) -> np.ndarray:
+    """Rebuild the full-space vector whose model components are ``alpha``.
+
+    The complement components follow from the decoupling map; the result
+    comes back in the original (un-permuted) index order.
+    """
+    ms = dm.model_space
+    a = util.as_complex_vector(alpha, "alpha")
+    if a.shape[0] != ms.dim:
+        raise DimensionMismatch(f"alpha has {a.shape[0]} entries, model space has {ms.dim}")
+    out = np.zeros(ms.total_dim, dtype=np.complex128)
+    out[ms.p_rows] = a
+    out[ms.q_rows] = dm.s @ a
+    return out
 
 
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):

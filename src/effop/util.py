@@ -21,8 +21,6 @@ def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
 
 def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     a = np.asarray(v, dtype=np.complex128)
-    if a.ndim == 2 and 1 in a.shape:
-        a = a.ravel()
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {a.shape}")
     return a

@@ -104,6 +104,9 @@ CASES = {
     "as_complex_vector shape": (
         DimensionMismatch, "must be 1-D",
         lambda tmp: util.as_complex_vector(np.ones((2, 2)))),
+    "retrieve 2-D alpha": (
+        DimensionMismatch, r"alpha must be 1-D, got shape \(1, 1\)",
+        lambda tmp: transform.retrieve_full_vector(np.ones((1, 1)), DM)),
     "write_matrix 1-D": (
         DimensionMismatch, "only write 2-D",
         lambda tmp: matio.write_matrix(tmp / "m.txt", np.ones(3))),
@@ -118,6 +121,22 @@ CASES = {
         MatrixFileError, "malformed J field",
         lambda tmp: matio.read_decoupling_map(
             _file(tmp, "# s-matrix rows=1 cols=1 K=1\n# J=1,x\n1\n0 0\n"))),
+    "s-matrix K out of range": (
+        MatrixFileError, r"m\.txt: malformed s-matrix header .*K index 9 outside 1\.\.3",
+        lambda tmp: matio.read_decoupling_map(
+            _file(tmp, "# s-matrix rows=2 cols=1 K=9\n2\n0 0\n0 0\n"))),
+    "s-matrix K repeated": (
+        MatrixFileError, r"m\.txt: malformed s-matrix header .*repeated indices",
+        lambda tmp: matio.read_decoupling_map(
+            _file(tmp, "# s-matrix rows=1 cols=2 K=1,1\n1\n0 0 0 0\n"))),
+    "s-matrix K not increasing": (
+        MatrixFileError, r"m\.txt: malformed s-matrix header .*strictly increasing",
+        lambda tmp: matio.read_decoupling_map(
+            _file(tmp, "# s-matrix rows=1 cols=2 K=2,1\n1\n0 0 0 0\n"))),
+    "s-matrix K length": (
+        MatrixFileError, r"m\.txt: malformed s-matrix header .*K has 2 indices, cols=1",
+        lambda tmp: matio.read_decoupling_map(
+            _file(tmp, "# s-matrix rows=2 cols=1 K=1,2\n2\n0 0\n0 0\n"))),
     "run_verification d": (
         ValidationError, "d must lie",
         lambda tmp: run_verification(OBS, d=4)),

@@ -486,7 +486,9 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert cli.main(["--help"]) == 0
     assert capsys.readouterr().out.startswith("usage: effop")
     assert cli.main([]) == 1
-    assert capsys.readouterr().err.startswith("usage: effop")
+    err = capsys.readouterr().err
+    assert err.startswith("usage: effop")
+    assert "effop: error: the following arguments are required: command" in err
 
 
 def test_cli_reuses_one_parser_safely(tmp_path, capsys):

@@ -1,7 +1,10 @@
 """The package namespaces: each public name is declared once, in its
-module's ``__all__``, and the packages export exactly those names."""
+module's ``__all__``, and the packages export exactly those names; and
+each module imports only from the layers below it."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -13,9 +16,10 @@ EFFOP_NAMES = [
     # spaces
     "ObservableMatrix", "ModelSpace", "Eigendecomposition", "EigenSelection",
     "validate_hermitian", "eigendecompose", "projectors", "select_eigenvectors",
-    "enumerate_model_spaces", "pivoted_model_space", "retrieve_full_vector",
+    "enumerate_model_spaces", "pivoted_model_space",
     # transform
     "DecouplingMap", "DirectProvenance", "IterativeProvenance", "TransformedBlocks",
+    "retrieve_full_vector",
     "construct_s_direct", "construct_s_from_span", "exp_s", "similarity_transform",
     "transformed_blocks", "assemble_blocks", "partition_blocks", "decoupling_residual",
     # solver
@@ -80,3 +84,38 @@ def test_no_public_name_is_an_alias(package):
     for name in package.__all__:
         other = bound.setdefault(id(getattr(package, name)), name)
         assert other == name, f"{name} is an alias of {other}"
+
+
+# lowest layer first; modules on one line are peers and import neither of each other
+LAYERS = [
+    ("errors",), ("tolerances",), ("util",), ("spaces",), ("transform",),
+    ("solver", "effective"), ("observables",), ("harness.generate",), ("harness.matio",),
+    ("harness.report",), ("harness.verify",), ("harness.cli",),
+]
+RANK = {name: rank for rank, names in enumerate(LAYERS) for name in names}
+
+
+def _relative_imports(path: Path, module: str):
+    """``(line, imported module)`` of every relative import in the file,
+    ``TYPE_CHECKING`` blocks and function bodies included."""
+    package = module.split(".")[:-1]
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            base = package[:len(package) - node.level + 1]
+            if node.module:
+                yield node.lineno, ".".join([*base, node.module])
+            else:
+                for alias in node.names:
+                    yield node.lineno, ".".join([*base, alias.name])
+
+
+def test_modules_import_only_lower_layers():
+    root = Path(effop.__file__).parent
+    modules = {}
+    for path in sorted(root.rglob("*.py")):
+        if path.stem not in ("__init__", "__main__"):
+            modules[".".join(path.relative_to(root).with_suffix("").parts)] = path
+    assert sorted(modules) == sorted(RANK)
+    for module, path in modules.items():
+        for line, imported in _relative_imports(path, module):
+            assert RANK[imported] < RANK[module], f"{module}:{line} imports {imported}"

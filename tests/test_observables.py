@@ -252,6 +252,17 @@ def test_effective_set_reports_offending_member():
     assert info.value.residual == decoupling_residual(cset.members[0], bad)
 
 
+def test_effective_set_names_the_member_in_its_message():
+    cset = generate(ProblemSpec("commuting_family", dim=6, seed=91, family_size=2))
+    zero = DecouplingMap(ModelSpace(6, (1, 2)), np.zeros((4, 2), dtype=complex))
+    with pytest.raises(NotDecoupled) as info:
+        effective_set(cset, zero)
+    residual = decoupling_residual(cset.members[0], zero)
+    assert residual > 0.0
+    assert (info.value.member, info.value.residual) == (1, residual)
+    assert str(info.value).startswith("member 1: decoupling residual")
+
+
 def test_second_type_only_sigma_z_hand():
     cset = verify_commuting([SIGMA_X])
     dm = common_s(cset, (2,), (1,))
@@ -331,6 +342,13 @@ def test_decompose_nine_by_nine_pair():
     other_vector = basis.vectors[:, 5]
     with pytest.raises(NotInSubspace):
         matrix_element(other_vector, other_vector, rep, first_block.decoupling)
+
+
+def test_decompose_names_the_block_of_a_singular_projection():
+    cset = verify_commuting([validate_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]))])
+    with pytest.raises(SingularProjection) as info:
+        decompose_space(cset, [(1, 2), (3, 4)], [(1, 2), (1, 2)])
+    assert str(info.value).startswith("block 2 (J=(3, 4), K=(1, 2)): ")
 
 
 def test_decompose_partition_validation():

@@ -26,12 +26,12 @@ from effop.spaces import (
     enumerate_model_spaces,
     pivoted_model_space,
     projectors,
-    retrieve_full_vector,
     select_eigenvectors,
     validate_hermitian,
 )
 from effop.tolerances import COND_CAP, PHASE_ANCHOR
 from effop.transform import construct_s_direct, DecouplingMap, ModelSpace as _MS  # noqa: F401
+from effop.transform import retrieve_full_vector
 from effop.util import condition_number
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])

@@ -23,7 +23,6 @@ from effop.spaces import (
     ModelSpace,
     eigendecompose,
     enumerate_model_spaces,
-    retrieve_full_vector,
     select_eigenvectors,
     validate_hermitian,
 )
@@ -37,6 +36,7 @@ from effop.transform import (
     decoupling_residual,
     exp_s,
     partition_blocks,
+    retrieve_full_vector,
     similarity_transform,
     transformed_blocks,
 )
