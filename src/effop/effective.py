@@ -187,8 +187,7 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
     value = complex(value)
     blocks = transformed_blocks(obs, dm)
     _decoupled(obs, blocks)
-    p_part = phi[ms.p_rows]
-    q_part = phi[ms.q_rows]
+    p_part, q_part = util._frozen(phi[ms.p_rows]), util._frozen(phi[ms.q_rows])
     residual = math.hypot(
         np.linalg.norm(blocks.pp @ p_part + blocks.pq @ q_part - value * p_part),
         np.linalg.norm(blocks.qp @ p_part + blocks.qq @ q_part - value * q_part),
@@ -198,8 +197,6 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
         raise NotAnEigenvector(
             f"residual {residual:.3e} too large for value {value} (tol scale {tol:.0e})"
         )
-    p_part.setflags(write=False)
-    q_part.setflags(write=False)
 
     def owns(spectrum):
         return spectrum.size > 0 and np.abs(spectrum - value).min() <= near

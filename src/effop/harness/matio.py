@@ -100,8 +100,6 @@ def read_matrix(path):
         values = None
     if values is None or values.shape[1] % 2 or len(lines) != rows:
         _raise_first_fault(path, rows, lines, line_numbers)
-    if rows == 0:
-        return np.zeros((0, 0), dtype=np.complex128), comments
     return values.view(np.complex128), comments
 
 

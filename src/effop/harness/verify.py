@@ -28,26 +28,17 @@ __all__ = ["run_verification"]
 _BRUTE_FORCE_LIMIT = 20_000
 
 
-def _subset_ranks(rows: np.ndarray, n: int) -> np.ndarray:
-    """Lexicographic rank of each ascending row among the d-subsets of 0..n-1: its row in
-    the subset table. ``below[i, y]`` sums, over x < y, the C(n-1-x, d-1-i) ways to fill
-    the places after i once place i holds x."""
-    d = rows.shape[1]
-    below = np.array([np.cumsum([0, *(math.comb(n - 1 - x, d - 1 - i) for x in range(n))])
-                      for i in range(d)])
-    place, start = np.arange(d), np.pad(rows[:, :-1] + 1, ((0, 0), (1, 0)))
-    return (below[place, rows] - below[place, start]).sum(axis=1)
-
-
 def _listed(selection, candidates) -> np.ndarray | None:
     """Mask over the rows of the selection's subset table that ``candidates`` lists;
-    None when a K is not a strictly increasing d-subset of 1..N, or is listed twice."""
-    n, d = selection.total_dim, selection.dim
-    listed = np.array([k for k, _ in candidates], dtype=np.intp).reshape(len(candidates), d) - 1
-    if np.any(listed < 0) or np.any(listed >= n) or np.any(np.diff(listed, axis=1) <= 0):
+    None when a K is no row (a strictly increasing d-subset of 1..N) or is listed twice."""
+    rows, _ = selection._subset_singular_values
+    row_of = {k: r for r, k in enumerate(map(tuple, (rows + 1).tolist()))}
+    found = [row_of.get(tuple(k)) for k, _ in candidates]
+    if None in found or len(set(found)) < len(found):
         return None
-    counts = np.bincount(_subset_ranks(listed, n), minlength=math.comb(n, d))
-    return counts == 1 if counts.max(initial=0) <= 1 else None
+    listed = np.zeros(len(rows), dtype=bool)
+    listed[found] = True
+    return listed
 
 
 def _enumeration_agrees(selection, candidates):
@@ -118,11 +109,11 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     n = obs.dim
     if d is None:
         d = max(1, min(3, n - 1))
-    if not 1 <= d <= n:
+    if not 1 <= util.as_index(d, "d") <= n:
         raise ValidationError(f"d must lie in 1..{n}, got {d}")
-    if trials < 1:
+    if util.as_index(trials, "trials") < 1:
         raise ValidationError(f"trials must be positive, got {trials}")
-    if seed < 0:
+    if util.as_index(seed, "seed") < 0:
         raise ValidationError(f"seed must be non-negative, got {seed}")
 
     rng = np.random.default_rng(seed)

@@ -83,8 +83,7 @@ def _commutator_norms(matrices) -> np.ndarray:
         for j in range(i + 1, c):
             mi, mj = matrices[i], matrices[j]
             norms[i, j] = norms[j, i] = float(np.linalg.norm(mi @ mj - mj @ mi))
-    norms.setflags(write=False)
-    return norms
+    return util._frozen(norms)
 
 
 def verify_commuting(members) -> CommutingSet:
@@ -202,16 +201,15 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
 
 
 def selection_from_basis(basis: SimultaneousBasis, indices) -> EigenSelection:
-    """Eigen selection drawn from a joint basis, labeled by member 1's values;
-    its ``source`` is the basis."""
-    return _select(basis, basis.values[0], basis.vectors, indices)
+    """Eigen selection drawn from a joint basis, labeled by member 1's values."""
+    return _select(basis.values[0], basis.vectors, indices)
 
 
 def common_s(cset: CommutingSet, indices, model_indices) -> DecouplingMap:
     """One decoupling map serving every member, built from the shared
     eigenvectors at ``indices`` for the model space ``model_indices``."""
     selection = selection_from_basis(cset.basis, indices)
-    return construct_s_direct(selection, ModelSpace(cset.dim, tuple(int(k) for k in model_indices)))
+    return construct_s_direct(selection, ModelSpace(cset.dim, model_indices))
 
 
 @dataclass(frozen=True)
@@ -275,8 +273,8 @@ def decompose_space(cset: CommutingSet, partition, model_spaces) -> SpaceDecompo
     per block. Each member's block spectra, joined, are matched against
     its own spectrum at ``DECOMPOSITION_MATCH_RTOL``.
     """
-    blocks_idx = [tuple(int(i) for i in block) for block in partition]
-    spaces_idx = [tuple(int(i) for i in k) for k in model_spaces]
+    blocks_idx = [util.as_indices(block, "partition block") for block in partition]
+    spaces_idx = [util.as_indices(k, "model space") for k in model_spaces]
     if len(blocks_idx) != len(spaces_idx):
         raise PartitionInvalid(
             f"{len(blocks_idx)} blocks but {len(spaces_idx)} model spaces"

@@ -61,7 +61,7 @@ class SolverConfig:
     def __post_init__(self):
         if not self.tol > 0:
             raise ValidationError(f"tol must be positive, got {self.tol}")
-        if self.max_iter < 1:
+        if util.as_index(self.max_iter, "max_iter") < 1:
             raise ValidationError(f"max_iter must be at least 1, got {self.max_iter}")
 
 

@@ -31,7 +31,6 @@ from .tolerances import eigenpair_tolerance
 __all__ = [
     "ObservableMatrix",
     "ModelSpace",
-    "Eigendecomposition",
     "EigenSelection",
     "validate_hermitian",
     "eigendecompose",
@@ -65,13 +64,11 @@ class ObservableMatrix:
     @cached_property
     def spectrum(self) -> np.ndarray:
         """Read-only ascending eigenvalues."""
-        values = np.linalg.eigvalsh(self.matrix)
-        values.setflags(write=False)
-        return values
+        return util._frozen(np.linalg.eigvalsh(self.matrix))
 
     @cached_property
-    def _eigenpairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """Read-only arrays of :func:`eigendecompose`; without a back reference, so no cycle."""
+    def _eigenpairs(self) -> EigenSelection:
+        """The result of :func:`eigendecompose`; it refers to nothing, so no cycle."""
         tol = eigenpair_tolerance(self)
         try:
             values, vectors = np.linalg.eigh(self.matrix)
@@ -81,7 +78,7 @@ class ObservableMatrix:
         residual = float(np.linalg.norm(self.matrix @ vectors - vectors * values, axis=0).max())
         if residual > tol:
             raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
-        return util._frozen(values), util._frozen(vectors)
+        return EigenSelection(tuple(range(1, self.dim + 1)), util._frozen(values), util._frozen(vectors))
 
 
 def validate_hermitian(matrix) -> ObservableMatrix:
@@ -123,7 +120,7 @@ class ModelSpace:
     indices: tuple[int, ...]
 
     def __post_init__(self):
-        n = int(self.total_dim)
+        n = util.as_index(self.total_dim, "total_dim")
         if n < 1:
             raise DimensionMismatch(f"total_dim must be positive, got {n}")
         idx = validate_index_subset(self.indices, n, name="K")
@@ -136,9 +133,7 @@ class ModelSpace:
         object.__setattr__(self, "_complement", complement)
         for name, axes in (("p_rows", idx), ("q_rows", complement),
                            ("perm_rows", idx + complement)):
-            rows = np.asarray(axes, dtype=np.intp) - 1
-            rows.setflags(write=False)
-            object.__setattr__(self, name, rows)
+            object.__setattr__(self, name, util._frozen(np.asarray(axes, dtype=np.intp) - 1))
 
     @property
     def dim(self) -> int:
@@ -154,15 +149,6 @@ def projectors(ms: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
     mask = np.zeros(ms.total_dim)
     mask[ms.p_rows] = 1.0
     return np.diag(mask), np.diag(1.0 - mask)
-
-
-@dataclass(frozen=True)
-class Eigendecomposition:
-    """Full set of eigenpairs, ascending, with a deterministic ordering."""
-
-    values: np.ndarray    # (N,) real, ascending
-    vectors: np.ndarray   # (N, N) complex, one eigenvector per column
-    source: ObservableMatrix
 
 
 def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
@@ -201,19 +187,20 @@ def _order_ties(values: np.ndarray, vectors: np.ndarray):
     return values[order], vectors[:, order]
 
 
-def eigendecompose(obs: ObservableMatrix) -> Eigendecomposition:
-    """Dense Hermitian eigendecomposition with a reproducible ordering.
+def eigendecompose(obs: ObservableMatrix) -> EigenSelection:
+    """Dense Hermitian eigendecomposition with a reproducible ordering: every
+    eigenpair, as the selection J = (1, ..., N).
 
     Values come back ascending; ties are broken by lexicographic order of the
     phase-normalized eigenvectors. Column residuals above :func:`eigenpair_tolerance`
-    raise :class:`SolverFailure`. Later calls share the first call's read-only arrays.
+    raise :class:`SolverFailure`. Later calls return the first call's object.
     """
-    return Eigendecomposition(*obs._eigenpairs, obs)
+    return obs._eigenpairs
 
 
 def validate_index_subset(indices, total: int, *, name: str = "J") -> tuple[int, ...]:
     """1-based subset with distinct in-range entries; order is preserved."""
-    idx = tuple(int(i) for i in indices)
+    idx = util.as_indices(indices, name)
     if not idx:
         raise ValidationError(f"{name} must contain at least one index")
     if len(set(idx)) != len(idx):
@@ -230,14 +217,14 @@ _SUBSET_CHUNK = 2048
 
 @dataclass(frozen=True)
 class EigenSelection:
-    """Chosen subset of eigenpairs; columns of ``vectors`` follow ``indices``.
+    """Chosen eigenpairs; columns of ``vectors`` follow ``indices``, and
+    :func:`eigendecompose` returns all N of them.
 
     The singular values of every d-row block are computed once, on the
     first enumeration, so ``vectors`` must not change after it; every
     selection the library builds holds read-only arrays.
     """
 
-    source: object
     indices: tuple[int, ...]
     values: np.ndarray   # (d,) real
     vectors: np.ndarray  # (N, d) complex columns
@@ -267,21 +254,19 @@ class EigenSelection:
         for start in range(0, count, _SUBSET_CHUNK):
             chunk = rows[start:start + _SUBSET_CHUNK]
             sv[start:start + len(chunk)] = np.linalg.svd(self.vectors[chunk], compute_uv=False)
-        rows.setflags(write=False)
-        sv.setflags(write=False)
-        return rows, sv
+        return util._frozen(rows), util._frozen(sv)
 
 
-def _select(source, values: np.ndarray, vectors: np.ndarray, indices) -> EigenSelection:
+def _select(values: np.ndarray, vectors: np.ndarray, indices) -> EigenSelection:
     """Read-only copies of the pairs at the 1-based positions ``indices`` (J)."""
     idx = validate_index_subset(indices, len(values), name="J")
     cols = np.asarray(idx, dtype=np.intp) - 1
-    return EigenSelection(source, idx, util._frozen(values[cols]), util._frozen(vectors[:, cols]))
+    return EigenSelection(idx, util._frozen(values[cols]), util._frozen(vectors[:, cols]))
 
 
-def select_eigenvectors(decomposition: Eigendecomposition, indices) -> EigenSelection:
-    """Pick the eigenpairs at the given 1-based positions."""
-    selection = _select(decomposition.source, decomposition.values, decomposition.vectors, indices)
+def select_eigenvectors(decomposition: EigenSelection, indices) -> EigenSelection:
+    """Pick the eigenpairs at the given 1-based positions among ``decomposition``'s."""
+    selection = _select(decomposition.values, decomposition.vectors, indices)
     if np.abs(np.linalg.norm(selection.vectors, axis=0) - 1.0).max() > tolerances.UNIT_NORM_TOL:
         raise ValidationError("selected eigenvectors are not unit norm")
     if not np.isfinite(util.condition_number(selection.vectors)):

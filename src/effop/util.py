@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import tolerances
-from .errors import DimensionMismatch, SingularProjection
+from .errors import DimensionMismatch, SingularProjection, ValidationError
 
 __all__ = ["SpectrumMatch", "match_spectra"]
 
@@ -24,6 +25,21 @@ def as_complex_vector(v, name: str = "vector") -> np.ndarray:
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {a.shape}")
     return a
+
+
+def as_index(value, name: str) -> int:
+    """``value`` as a Python int; ValidationError for a bool or any other non-integer."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
+def as_indices(values, name: str) -> tuple[int, ...]:
+    """``values`` as a tuple of Python ints; ValidationError for anything else."""
+    try:
+        return tuple(map(operator.index, values))
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of integers, got {values!r}") from None
 
 
 def _frozen(matrix: np.ndarray) -> np.ndarray:

@@ -172,7 +172,7 @@ def _selection(vectors, values=None):
     vectors = np.asarray(vectors, dtype=complex)
     d = vectors.shape[1]
     vals = np.zeros(d) if values is None else np.asarray(values, dtype=float)
-    return EigenSelection(None, tuple(range(1, d + 1)), vals, vectors)
+    return EigenSelection(tuple(range(1, d + 1)), vals, vectors)
 
 
 def test_overlap_orthonormal_is_identity():

@@ -15,7 +15,7 @@ from effop.errors import (
     ValidationError,
 )
 from effop.harness import matio, run_verification
-from effop.spaces import Eigendecomposition, EigenSelection, ModelSpace, validate_hermitian
+from effop.spaces import EigenSelection, ModelSpace, validate_hermitian
 
 OBS = validate_hermitian(np.diag([1.0, 2.0, 3.0]))
 DM = transform.DecouplingMap(ModelSpace(3, (1,)), np.zeros((2, 1), dtype=complex))
@@ -23,17 +23,19 @@ FIRST = effective.first_type(OBS, DM)
 FIRST_ON_TWO = effective.first_type(validate_hermitian(np.eye(2)), transform.DecouplingMap(
     ModelSpace(2, (1,)), np.zeros((1, 1), dtype=complex)))
 SELECTION = spaces.select_eigenvectors(spaces.eigendecompose(OBS), (1,))
+CSET = observables.verify_commuting([OBS])
 
 
 def _selection(vectors):
     vectors = np.asarray(vectors, dtype=complex)
-    return EigenSelection(None, tuple(range(1, vectors.shape[1] + 1)),
+    return EigenSelection(tuple(range(1, vectors.shape[1] + 1)),
                           np.zeros(vectors.shape[1]), vectors)
 
 
 def _decomposition(vectors):
     vectors = np.asarray(vectors, dtype=complex)
-    return Eigendecomposition(np.arange(vectors.shape[1], dtype=float), vectors, None)
+    return EigenSelection(tuple(range(1, vectors.shape[1] + 1)),
+                          np.arange(vectors.shape[1], dtype=float), vectors)
 
 
 def _file(tmp_path, text):
@@ -146,6 +148,47 @@ CASES = {
     "run_verification seed": (
         ValidationError, "seed must be non-negative",
         lambda tmp: run_verification(OBS, seed=-1)),
+    # index sets hold integers; nothing is truncated or passed on to numpy
+    "ModelSpace float K": (
+        ValidationError, r"K must be a sequence of integers, got \(1\.9, 3\)",
+        lambda tmp: ModelSpace(4, (1.9, 3))),
+    "ModelSpace string K": (
+        ValidationError, r"K must be a sequence of integers, got \('x',\)",
+        lambda tmp: ModelSpace(4, ("x",))),
+    "ModelSpace nested K": (
+        ValidationError, r"K must be a sequence of integers, got \[\[1, 2\]\]",
+        lambda tmp: ModelSpace(4, [[1, 2]])),
+    "ModelSpace scalar K": (
+        ValidationError, r"K must be a sequence of integers, got 3$",
+        lambda tmp: ModelSpace(4, 3)),
+    "select float J": (
+        ValidationError, r"J must be a sequence of integers, got \(2\.5,\)",
+        lambda tmp: spaces.select_eigenvectors(spaces.eigendecompose(OBS), (2.5,))),
+    "common_s float K": (
+        ValidationError, r"K must be a sequence of integers, got \(1\.5,\)",
+        lambda tmp: observables.common_s(CSET, (1,), (1.5,))),
+    "decompose float block": (
+        ValidationError, r"partition block must be a sequence of integers, got \(1\.5,\)",
+        lambda tmp: observables.decompose_space(CSET, [(1.5,), (2,), (3,)], [(1,), (2,), (3,)])),
+    "decompose float model space": (
+        ValidationError, r"model space must be a sequence of integers, got \(1\.9,\)",
+        lambda tmp: observables.decompose_space(CSET, [(1,), (2,), (3,)], [(1.9,), (2,), (3,)])),
+    # integer parameters likewise
+    "SolverConfig float max_iter": (
+        ValidationError, r"max_iter must be an integer, got 2\.5",
+        lambda tmp: solver.SolverConfig(max_iter=2.5)),
+    "SolverConfig bool max_iter": (
+        ValidationError, "max_iter must be an integer, got True",
+        lambda tmp: solver.SolverConfig(max_iter=True)),
+    "run_verification float d": (
+        ValidationError, r"d must be an integer, got 2\.5",
+        lambda tmp: run_verification(OBS, d=2.5)),
+    "run_verification float trials": (
+        ValidationError, r"trials must be an integer, got 2\.5",
+        lambda tmp: run_verification(OBS, trials=2.5)),
+    "run_verification float seed": (
+        ValidationError, r"seed must be an integer, got 1\.5",
+        lambda tmp: run_verification(OBS, seed=1.5)),
 }
 
 
@@ -155,6 +198,15 @@ def test_input_check_raises_its_type(case, tmp_path):
     with pytest.raises(error, match=message) as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+def test_numpy_integers_are_accepted():
+    ms = ModelSpace(np.int64(4), np.array([1, 3]))
+    assert ms.indices == (1, 3) and ms.total_dim == 4
+    assert all(type(i) is int for i in (ms.total_dim, *ms.indices))
+    selection = spaces.select_eigenvectors(spaces.eigendecompose(OBS), (np.int32(2),))
+    assert selection.indices == (2,) and type(selection.indices[0]) is int
+    assert solver.SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 def test_typed_errors_keep_keyword_diagnostics():

@@ -27,7 +27,7 @@ from effop.harness import (
 )
 from effop.harness import cli
 from effop.harness import verify as verify_module
-from effop.harness.verify import _enumeration_agrees, _second_model_space, _subset_ranks
+from effop.harness.verify import _enumeration_agrees, _listed, _second_model_space
 from effop.spaces import (
     EigenSelection,
     ModelSpace,
@@ -275,7 +275,7 @@ def test_enumeration_agreement_detects_mutated_candidates():
     rng = np.random.default_rng(3)
     vectors = rng.standard_normal((25, 3)) + 1j * rng.standard_normal((25, 3))
     vectors[::4] = 0.0
-    sel = EigenSelection(None, (1, 2, 3), np.zeros(3), vectors)
+    sel = EigenSelection((1, 2, 3), np.zeros(3), vectors)
     candidates = enumerate_model_spaces(sel)
     assert _enumeration_agrees(sel, candidates)
     # the lexicographically last candidate lies in the second chunk
@@ -285,23 +285,30 @@ def test_enumeration_agreement_detects_mutated_candidates():
     deficient = (1, 2, 3)  # row 1 is zero
     assert deficient not in dict(candidates)
     assert not _enumeration_agrees(sel, [*candidates, (deficient, 1.0)])
-    # a K that is no subset of the table, or one listed twice
+    # a K that is no subset of the table, of the wrong length, or listed twice
     rng = np.random.default_rng(3)
-    small = EigenSelection(None, (1, 2, 3), np.zeros(3),
+    small = EigenSelection((1, 2, 3), np.zeros(3),
                            rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3)))
     candidates = enumerate_model_spaces(small)
     assert _enumeration_agrees(small, candidates)
-    for bogus in (((7, 8, 9), 1.0), ((2, 1, 3), 1.0), candidates[0]):
+    for bogus in (((7, 8, 9), 1.0), ((2, 1, 3), 1.0), ((1, 2), 1.0), ((1, 2, 3, 4), 1.0),
+                  candidates[0]):
         assert not _enumeration_agrees(small, [*candidates, bogus]), bogus
 
 
 @pytest.mark.parametrize("n, d", [(25, 3), (8, 1), (8, 8), (9, 4)])
-def test_subset_table_rows_rank_to_their_row_numbers(n, d):
+def test_listed_maps_every_table_row_to_itself(n, d):
     rng = np.random.default_rng(n + d)
-    sel = EigenSelection(None, tuple(range(1, d + 1)), np.zeros(d),
+    sel = EigenSelection(tuple(range(1, d + 1)), np.zeros(d),
                          rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d)))
     rows, _ = sel._subset_singular_values
-    assert np.array_equal(_subset_ranks(rows, n), np.arange(len(rows)))
+    ks = [tuple(row) for row in (rows + 1).tolist()]
+    # every row, and interleaved slices of them listed in reverse: each K marks its own row
+    for start, step in ((0, 1), (0, 2), (1, 3)):
+        expected = np.zeros(len(rows), dtype=bool)
+        expected[start::step] = True
+        listed = _listed(sel, [(k, 1.0) for k in ks[start::step][::-1]])
+        assert np.array_equal(listed, expected)
 
 
 def _two_chunk_selection():
@@ -309,7 +316,7 @@ def _two_chunk_selection():
     rng = np.random.default_rng(3)
     vectors = rng.standard_normal((25, 3)) + 1j * rng.standard_normal((25, 3))
     vectors[::4] = 0.0
-    return EigenSelection(None, (1, 2, 3), np.zeros(3), vectors)
+    return EigenSelection((1, 2, 3), np.zeros(3), vectors)
 
 
 def _stacked_svds(monkeypatch):
@@ -360,7 +367,7 @@ def test_second_model_space_breaks_ties_like_lexsort(unit_rows):
     if unit_rows:
         vectors = np.eye(3)[np.arange(25) % 3] * (1.0 + np.arange(25) % 2)[:, None]
         vectors[::4] = 0.0
-        sel = EigenSelection(None, (1, 2, 3), np.zeros(3), vectors.astype(complex))
+        sel = EigenSelection((1, 2, 3), np.zeros(3), vectors.astype(complex))
     else:
         sel = _two_chunk_selection()
     candidates = enumerate_model_spaces(sel)

@@ -14,7 +14,7 @@ import effop.harness
 EFFOP_NAMES = [
     "errors", "harness", "tolerances",
     # spaces
-    "ObservableMatrix", "ModelSpace", "Eigendecomposition", "EigenSelection",
+    "ObservableMatrix", "ModelSpace", "EigenSelection",
     "validate_hermitian", "eigendecompose", "projectors", "select_eigenvectors",
     "enumerate_model_spaces", "pivoted_model_space",
     # transform

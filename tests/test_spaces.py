@@ -115,9 +115,9 @@ def test_eigendecompose_orthonormal_and_deterministic():
     assert np.array_equal(dec1.vectors, dec2.vectors)
     for array in (dec1.values, dec1.vectors, dec2.values, dec2.vectors):
         assert not array.flags.writeable
-    # the arrays are cached on the observable without a reference cycle, so
-    # reference counting alone frees it
-    assert dec1.source is obs and dec2.source is obs
+    # one selection of every pair, cached on the observable without a
+    # reference cycle, so reference counting alone frees it
+    assert dec1 is dec2 and dec1.indices == tuple(range(1, 11))
     alive = weakref.ref(obs)
     gc.disable()
     try:
@@ -258,7 +258,7 @@ def _selection_from_vectors(vectors, values=None):
     vectors = np.asarray(vectors, dtype=complex)
     d = vectors.shape[1]
     vals = np.zeros(d) if values is None else np.asarray(values, dtype=float)
-    return EigenSelection(None, tuple(range(1, d + 1)), vals, vectors)
+    return EigenSelection(tuple(range(1, d + 1)), vals, vectors)
 
 
 def test_enumerate_single_candidate():

@@ -87,7 +87,7 @@ def test_construct_s_direct_zero_when_aligned():
 
 def test_construct_s_direct_singular_projection():
     vectors = np.array([[1.0], [0.0]], dtype=complex)
-    sel = EigenSelection(None, (1,), np.zeros(1), vectors)
+    sel = EigenSelection((1,), np.zeros(1), vectors)
     with pytest.raises(SingularProjection):
         construct_s_from_span(vectors, ModelSpace(2, (2,)))
     with pytest.raises(SingularProjection):
