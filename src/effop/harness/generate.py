@@ -70,7 +70,8 @@ def haar_unitary(n: int, rng) -> np.ndarray:
 
 def _random_hermitian(n: int, rng) -> np.ndarray:
     z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return 0.5 * (z + z.conj().T)
+    h = z + z.conj().T
+    return np.multiply(h, 0.5, out=h)
 
 
 def generate(spec: ProblemSpec):

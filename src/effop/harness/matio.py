@@ -1,18 +1,21 @@
 """Plain-text matrix files.
 
-Layout: '#' comment lines are ignored wherever they appear; the first
-data line holds the row count R; each of the following R data lines
-holds 2C whitespace-separated decimal floats, one (re, im) pair per
-entry, row major. Square observables have R = C = N. Decoupling maps
+Layout: UTF-8, a leading byte-order mark skipped; '#' comment lines,
+which may not contain a line break, are ignored wherever they appear;
+the first data line holds the row count R; each of the following R data
+lines holds 2C whitespace-separated decimal floats, one (re, im) pair
+per entry, row major. Square observables have R = C = N. Decoupling maps
 are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a
 comment so the model space can be rebuilt. Values are written with 17
 significant digits, enough to round-trip float64 exactly. Tokens are read
 by numpy's float parser: decimal floats, ``inf`` and ``nan``, no
-underscores and no non-ASCII digits.
+underscores and no non-ASCII digits. Files are read and written one
+row at a time, so beyond the matrix they hold about one row of text.
 """
 
 from __future__ import annotations
 
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -39,20 +42,23 @@ def write_matrix(path, matrix, comments=()) -> None:
         raise DimensionMismatch(f"can only write 2-D matrices, got ndim={m.ndim}")
     if m.shape[1] == 0 < m.shape[0]:
         raise DimensionMismatch(f"{m.shape[0]} rows without entries would read back as 0 rows")
+    heads = [f"# {c}" for c in comments]
+    if broken := [head[2:] for head in heads if head.splitlines() != [head]]:
+        raise ValidationError(f"comment {broken[0]!r} contains a line break")
     # '%.17g' formats through the same PyOS_double_to_string call as
     # '{:.17g}'; 17 significant digits round-trip every float64.
-    row = " ".join(["%.17g"] * (2 * m.shape[1]))
-    lines = [f"# {c}" for c in comments]
-    lines.append(str(m.shape[0]))
-    floats = np.ascontiguousarray(m).view(np.float64)
-    lines.extend(row % tuple(values) for values in floats.tolist())
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    row = " ".join(["%.17g"] * (2 * m.shape[1])) + "\n"
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.writelines(f"{line}\n" for line in [*heads, str(m.shape[0])])
+        for values in np.ascontiguousarray(m).view(np.float64):
+            handle.write(row % tuple(values.tolist()))
 
 
 def _read_text(path, error=MatrixFileError) -> str:
-    """Contents of a UTF-8 text file; any other bytes raise ``error``."""
+    """Contents of a UTF-8 text file less a leading byte-order mark; any
+    other bytes raise ``error`` naming the offset in the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -63,6 +69,33 @@ def _parse_floats(lines) -> np.ndarray:
     return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
 
 
+def _data_lines(chunks, comments: list[str]):
+    """``(line number, stripped text)`` of each data line in text chunks
+    that each end at a line break (the last may not), numbered as
+    ``str.splitlines`` numbers the whole text; comments go to ``comments``."""
+    lines = itertools.chain.from_iterable(chunk.splitlines() for chunk in chunks)
+    for ln, raw in enumerate(lines, start=1):
+        text = raw.strip()
+        if text.startswith("#"):
+            comments.append(text[1:].strip())
+        elif text:
+            yield ln, text
+
+
+def _row_count(path, lines) -> int:
+    """The row count on the first of the ``(line number, text)`` data lines."""
+    ln, text = next(lines, (0, None))
+    if text is None:
+        raise MatrixFileError(f"{path}: missing row count line")
+    try:
+        rows = int(text)
+    except ValueError as exc:
+        raise MatrixFileError(f"{path}:{ln}: expected the row count, got {text!r}") from exc
+    if rows < 0:
+        raise MatrixFileError(f"{path}:{ln}: negative row count")
+    return rows
+
+
 def read_matrix(path):
     """Parse a matrix file into ``(complex matrix, comment list)``.
 
@@ -70,44 +103,34 @@ def read_matrix(path):
     data reads back exactly as written. Each (re, im) float pair is
     viewed as one complex entry, so every double written, signed zeros
     and infinities included, reads back bit for bit (a NaN as numpy's NaN).
+    Lines stream from the file into the parser; a file it refuses is read
+    again whole to name its first fault.
     """
-    rows = None
-    lines: list[str] = []
-    line_numbers: list[int] = []
     comments: list[str] = []
-    for ln, raw in enumerate(_read_text(path).splitlines(), start=1):
-        text = raw.strip()
-        if not text:
-            continue
-        if text.startswith("#"):
-            comments.append(text[1:].strip())
-            continue
-        if rows is None:
-            try:
-                rows = int(text)
-            except ValueError as exc:
-                raise MatrixFileError(f"{path}:{ln}: expected the row count, got {text!r}") from exc
-            if rows < 0:
-                raise MatrixFileError(f"{path}:{ln}: negative row count")
-            continue
-        lines.append(text)
-        line_numbers.append(ln)
-    if rows is None:
-        raise MatrixFileError(f"{path}: missing row count line")
     try:
-        values = _parse_floats(lines) if lines else np.empty((0, 0))
-    except ValueError:
+        with open(path, encoding="utf-8-sig") as handle:
+            lines = _data_lines(handle, comments)
+            rows = _row_count(path, lines)
+            data = (text for _, text in lines)
+            first = next(data, None)  # numpy warns on an empty stream
+            values = (np.empty((0, 0)) if first is None
+                      else _parse_floats(itertools.chain([first], data)))
+    except (ValueError, MatrixFileError):  # a bad row count, token or UTF-8 byte
         values = None
-    if values is None or values.shape[1] % 2 or len(lines) != rows:
-        _raise_first_fault(path, rows, lines, line_numbers)
+    if values is None or values.shape[1] % 2 or len(values) != rows:
+        _raise_first_fault(path)
     return values.view(np.complex128), comments
 
 
-def _raise_first_fault(path, rows: int, lines: list[str], line_numbers: list[int]):
-    """Raise the first fault of a file the fast path refused: a bad or
-    odd line in file order, each parsed alone with the same parser, then
-    the row count, then the row widths."""
-    for ln, text in zip(line_numbers, lines):
+def _raise_first_fault(path):
+    """Raise the first fault of a file the stream refused, reading it whole:
+    bytes that are not UTF-8, the row count line, a bad or odd line in file
+    order, each parsed alone with the same parser, then the row count
+    against the data lines, then the row widths."""
+    numbered = _data_lines([_read_text(path)], [])
+    rows = _row_count(path, numbered)
+    lines = list(numbered)
+    for ln, text in lines:
         try:
             width = _parse_floats([text]).shape[1]
         except ValueError as exc:

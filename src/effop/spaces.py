@@ -75,7 +75,9 @@ class ObservableMatrix:
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
         values, vectors = _order_ties(values, _normalize_phases(vectors))
-        residual = float(np.linalg.norm(self.matrix @ vectors - vectors * values, axis=0).max())
+        misfit = self.matrix @ vectors
+        misfit -= vectors * values
+        residual = float(np.linalg.norm(misfit, axis=0).max())
         if residual > tol:
             raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
         return EigenSelection(tuple(range(1, self.dim + 1)), util._frozen(values), util._frozen(vectors))
@@ -96,11 +98,12 @@ def validate_hermitian(matrix) -> ObservableMatrix:
         raise NonFinite("observable contains NaN or Inf entries")
     scale = float(np.abs(a).max())
     adjoint = a.conj().T
-    asym = float(np.abs(a - adjoint).max())
+    h = a - adjoint
+    asym = float(np.abs(h).max())
     limit = tolerances.HERM_RTOL * scale
     if asym > limit:
         raise NotHermitian(f"asymmetry {asym:.3e} exceeds tolerance {limit:.3e}")
-    h = 0.5 * (a + adjoint)
+    h = np.multiply(np.add(a, adjoint, out=h), 0.5, out=h)  # reuses the buffer of a - adjoint
     h.setflags(write=False)
     return ObservableMatrix(h)
 
@@ -181,8 +184,10 @@ def _order_ties(values: np.ndarray, vectors: np.ndarray):
                 return -1 if a.imag < b.imag else 1
         return 0
 
+    if not (clusters := _degenerate_clusters(values, tolerances.TIE_RTOL)):
+        return values, vectors  # no copy when nothing ties
     order = np.arange(values.shape[0])
-    for start, stop in _degenerate_clusters(values, tolerances.TIE_RTOL):
+    for start, stop in clusters:
         order[start:stop] = sorted(range(start, stop), key=cmp_to_key(cmp))
     return values[order], vectors[:, order]
 

@@ -14,7 +14,8 @@ __all__ = ["SpectrumMatch", "match_spectra"]
 
 
 def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    a = np.array(m, dtype=np.complex128, order="C")
+    """``m`` as a 2-D C-ordered complex array, ``m`` itself when it is one: do not write to it."""
+    a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
     return a

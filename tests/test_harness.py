@@ -3,6 +3,7 @@ import importlib.util
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,8 @@ import pytest
 
 import effop
 from effop import observables, spaces, transform
-from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError
+from effop.effective import first_type
+from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError, ValidationError
 from effop.harness import (
     ProblemSpec,
     Report,
@@ -22,6 +24,7 @@ from effop.harness import (
     read_observable,
     run_verification,
     write_decoupling_map,
+    write_effective,
     write_matrix,
     write_observable,
 )
@@ -37,7 +40,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.transform import DecouplingMap, DirectProvenance
+from effop.transform import DecouplingMap, DirectProvenance, construct_s_direct
 
 
 def _run_cli(*args):
@@ -222,6 +225,100 @@ def test_matio_decoupling_requires_header(tmp_path):
     with pytest.raises(MatrixFileError):
         read_decoupling_map(path)
 
+
+
+@pytest.mark.parametrize("comment", ["run 3\nresidual=1", "a\x0cb", "x\u2028y", "tail\r"])
+def test_matio_writers_reject_comments_with_line_breaks(tmp_path, comment):
+    obs = generate(ProblemSpec("random_hermitian", dim=4, seed=2))
+    dm = construct_s_direct(select_eigenvectors(eigendecompose(obs), (1, 2)), ModelSpace(4, (1, 2)))
+    writers = {
+        "matrix.mat": lambda path: write_matrix(path, obs.matrix, [comment]),
+        "s.mat": lambda path: write_decoupling_map(path, dm, ["run 3", comment]),
+        "eff.mat": lambda path: write_effective(path, first_type(obs, dm), extra_comments=[comment]),
+    }
+    for name, write in writers.items():
+        path = tmp_path / name
+        with pytest.raises(ValidationError, match="contains a line break") as excinfo:
+            write(path)
+        assert repr(comment) in str(excinfo.value)
+        assert not path.exists()
+        path.write_text("kept\n", encoding="utf-8")
+        with pytest.raises(ValidationError):
+            write(path)
+        assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+def test_matio_skips_a_leading_byte_order_mark(tmp_path):
+    path = tmp_path / "bom.mat"
+    for text in ["2\n1 0 0 0\n0 0 1 0\n", "# note\n2\n1 0 0 0\n0 0 1 0\n"]:
+        path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        matrix, comments = read_matrix(path)
+        assert np.array_equal(matrix, np.eye(2, dtype=complex))
+        assert comments == (["note"] if text.startswith("#") else [])
+    plan = tmp_path / "plan.txt"
+    plan.write_bytes(b"\xef\xbb\xbfblock: J=1 K=1\n")
+    assert cli._read_plan(plan) == [((1,), (1,))]
+
+
+def _whole_text_reference(path):
+    """Matrix, comments and numbered data lines of a valid file, read the
+    way the format is defined: the whole text split with str.splitlines."""
+    text = path.read_bytes().decode("utf-8").removeprefix("\ufeff")
+    comments, rows, data = [], None, []
+    for ln, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if line.startswith("#"):
+            comments.append(line[1:].strip())
+        elif line and rows is None:
+            rows = int(line)
+        elif line:
+            data.append((ln, line))
+    floats = np.array([[float(t) for t in line.split()] for _, line in data]).reshape(rows, -1)
+    return floats.view(np.complex128), comments, [ln for ln, _ in data]
+
+
+@pytest.mark.parametrize("text", [
+    "# a\r\n2\r\n1 0 0 0\r\n# b\r\n0 0 1 0\r\n",
+    "# a\r2\r1 0 0 0\r\r0 0 1 0",
+    "# a\x0c2\n1 0 0 0\x0c\n# b\u20280 0 1 0\n",
+    "\u2028\u2028# a\u20282\u2028\x0c1 0 0 0\r\n\x0c\r0 0 1 0\u2028\n",
+])
+def test_matio_stream_numbers_lines_like_splitlines(tmp_path, text):
+    path = tmp_path / "sep.mat"
+    path.write_text(text, encoding="utf-8", newline="")
+    expected, comments, numbers = _whole_text_reference(path)
+    matrix, got_comments = read_matrix(path)
+    assert matrix.tobytes() == expected.tobytes()
+    assert got_comments == comments
+    bad = text.replace("0 0 1 0", "0 0 x 0")
+    path.write_text(bad, encoding="utf-8", newline="")
+    with pytest.raises(MatrixFileError) as excinfo:
+        read_matrix(path)
+    assert str(excinfo.value) == f"{path}:{numbers[-1]}: non-numeric entry"
+
+
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_matio_non_utf8_byte_beyond_64k_names_its_file_offset(tmp_path, bom):
+    path = tmp_path / "late.mat"
+    head = bom + ("# " + "x" * 70_000 + "\n2\n1 0 0 0\n").encode("utf-8")
+    path.write_bytes(head + b"0 0 \xff 0\n")
+    with pytest.raises(MatrixFileError) as excinfo:
+        read_matrix(path)
+    assert str(excinfo.value) == f"{path}: not UTF-8 text (invalid start byte at byte {len(head) + 4})"
+
+
+@pytest.mark.parametrize("text,comments", [
+    ("0\n", []),
+    ("# a\n0\n# b\n\n# c\n", ["a", "b", "c"]),
+])
+def test_matio_file_without_data_rows_reads_without_warning(tmp_path, text, comments):
+    path = tmp_path / "empty.mat"
+    path.write_text(text, encoding="utf-8")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        matrix, got = read_matrix(path)
+    assert matrix.shape == (0, 0) and matrix.dtype == np.complex128
+    assert got == comments
 
 def test_report_line_format():
     report = Report(provenance={"seed": 3})
