@@ -7,7 +7,8 @@ its eigenvalues are a subset of the full spectrum. The second
 observable between vectors of the mapped invariant subspace using their
 model-space components alone. A third, independent route rebuilds the
 spectral representative from the Gram matrix of the projected
-eigenvectors.
+eigenvectors. A representative carries the map it was built with, as
+``.decoupling``, and the functions on representatives read it there.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from .errors import (
     NotDecoupled,
     NotInSubspace,
     SingularProjection,
-    ValidationError,
     ZeroVector,
 )
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix
@@ -273,22 +273,11 @@ def _member(vectors, name: str, dm: DecouplingMap) -> np.ndarray:
     return v
 
 
-def _same_map(op: EffectiveOperator, dm: DecouplingMap) -> None:
-    """Raises :class:`ValidationError` when ``op`` was built with a map
-    other than ``dm``: another model space or another s."""
-    built = op.decoupling
-    if built is None or built is dm:
-        return
-    if built.model_space != dm.model_space or not np.array_equal(built.s, dm.s):
-        raise ValidationError(f"the representative was built with another decoupling map "
-                              f"(K={built.model_space.indices}; given K={dm.model_space.indices})")
-
-
-def matrix_element(psi, phi, op: EffectiveOperator, dm: DecouplingMap) -> complex | np.ndarray:
-    """Matrix element of the original observable between two subspace vectors, from their
-    model-space components alone; (N, k) column blocks give the (k, k') array of every pair,
-    so ``matrix_element(V, V, op, dm)`` is V'OV. ``dm`` must be op's map, or an equal one."""
-    _same_map(op, dm)
+def matrix_element(psi, phi, op: EffectiveOperator) -> complex | np.ndarray:
+    """Matrix element of the original observable between two vectors of op's subspace, from
+    their model-space components alone; (N, k) column blocks give the (k, k') array of every
+    pair, so ``matrix_element(V, V, op)`` is V'OV. The subspace is that of ``op.decoupling``."""
+    dm = op.decoupling
     rows = dm.model_space.p_rows
     left, right = _member(psi, "psi", dm)[rows], _member(phi, "phi", dm)[rows]
     gram = left.conj().T @ (op.matrix @ right)
@@ -307,34 +296,31 @@ def expectation_first_type(op: EffectiveOperator, alpha) -> complex:
     return complex(np.vdot(a, op.matrix @ a) / norm2)
 
 
-def expectation_second_type(op: EffectiveOperator, psi, dm: DecouplingMap) -> float:
-    """Expectation of the original observable in a unit subspace vector:
-    the quadratic form of the Hermitian representative on the model
-    components, equal to the projection norm squared times the
-    representative's expectation in the projected state. ``dm`` must be
-    the map ``op`` was built with, or an equal one."""
+def expectation_second_type(op: EffectiveOperator, psi) -> float:
+    """Expectation <psi|O|psi> / <psi|psi> of the original observable in a
+    vector of op's subspace: the quadratic form of the Hermitian
+    representative on the model components, over the full norm squared."""
     v = util.as_complex_vector(psi, "psi")
-    value = matrix_element(v, v, op, dm)
-    if np.linalg.norm(v) == 0.0:  # the zero vector lies in every subspace
+    value = matrix_element(v, v, op)
+    norm2 = float(np.vdot(v, v).real)
+    if norm2 == 0.0:  # the zero vector lies in every subspace
         raise ZeroVector("expectation of the zero vector is undefined")
-    return value.real
+    return value.real / norm2
 
 
-def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator,
-                          selection: EigenSelection) -> np.ndarray:
-    """Similarity matrix T with op = T other T^{-1}.
+def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator) -> np.ndarray:
+    """Similarity T with op = T other T^{-1}, both representing one invariant subspace.
 
-    Both model spaces must be legitimate for the same selected vectors;
-    T is the model components for the first space times the inverse of
-    the model components for the second.
+    The columns of op's frame [I; s] span the subspace with model
+    components I; T inverts their components at other's model rows,
+    which must be well conditioned (:class:`SingularProjection`).
     """
     ms, ms2 = op.decoupling.model_space, other.decoupling.model_space
     if ms.total_dim != ms2.total_dim or ms.dim != ms2.dim:
         raise DimensionMismatch("representatives live in different spaces")
-    if selection.total_dim != ms.total_dim or selection.dim != ms.dim:
-        raise DimensionMismatch("selection does not match the representatives")
-    pv = selection.vectors[ms.p_rows, :]
-    pv2 = selection.vectors[ms2.p_rows, :]
-    for name, block in (("first", pv), ("second", pv2)):
-        util._require_conditioned(block, f"{name} model-space components")
-    return np.linalg.solve(pv2.T, pv.T).T
+    frame = np.zeros((ms.total_dim, ms.dim), dtype=np.complex128)
+    frame[ms.p_rows] = np.eye(ms.dim)
+    frame[ms.q_rows] = op.decoupling.s
+    block = frame[ms2.p_rows]
+    util._require_conditioned(block, f"rows K={ms2.indices} of op's frame [I; s]")
+    return np.linalg.inv(block)

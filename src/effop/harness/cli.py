@@ -77,14 +77,6 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _read_map(path, k):
-    """Decoupling map of an s-file; a given ``--K`` must match its header."""
-    dm = matio.read_decoupling_map(path)
-    if k and tuple(k) != dm.model_space.indices:
-        raise ValidationError(f"--K {k} does not match the s-file header K={dm.model_space.indices}")
-    return dm
-
-
 def _cmd_solve_direct(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
     decomposition = spaces.eigendecompose(obs)
@@ -105,7 +97,13 @@ def _cmd_solve_direct(args) -> int:
 def _cmd_solve_iter(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
     ms = spaces.ModelSpace(obs.dim, args.k)
-    initial = _read_map(args.initial_s, args.k).s if args.initial_s else None
+    initial = None
+    if args.initial_s:
+        start = matio.read_decoupling_map(args.initial_s)
+        if args.k != start.model_space.indices:
+            raise ValidationError(f"--K {args.k} does not match the s-file header "
+                                  f"K={start.model_space.indices}")
+        initial = start.s
     config = solvermod.SolverConfig(tol=args.tol, max_iter=args.max_iter, initial_s=initial)
     dm, trace = solvermod.solve_decoupling_fixed_point(obs, ms, config)
     for step in trace.steps:
@@ -129,7 +127,7 @@ def _cmd_solve_iter(args) -> int:
 
 def _cmd_effective(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
-    dm = _read_map(args.s, args.k)
+    dm = matio.read_decoupling_map(args.s)
     kind = "second-type" if args.second_type else "first-type"
     operator = (eff.second_type if args.second_type else eff.first_type)(obs, dm)
     matio.write_effective(args.out, operator, extra_comments=[f"type={kind}"])
@@ -229,8 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     effective = sub.add_parser("effective", help="write an effective-operator file")
     effective.add_argument("--matrix", required=True)
     effective.add_argument("--s", required=True, help="s-matrix file")
-    effective.add_argument("--K", dest="k", type=_indices, default=None,
-                           help="cross-checked against the s-file header")
     effective.add_argument("--second-type", dest="second_type", action="store_true")
     effective.add_argument("--out", required=True)
     effective.set_defaults(func=_cmd_effective)

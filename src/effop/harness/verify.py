@@ -234,14 +234,14 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                    np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
                    1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
         gram = selection.vectors.conj().T @ obs.matrix @ selection.vectors
-        reduced = eff.matrix_element(selection.vectors, selection.vectors, hermitian_rep, dm)
+        reduced = eff.matrix_element(selection.vectors, selection.vectors, hermitian_rep)
         report.add("matrix_element_gram", np.abs(gram - reduced).max(),
                    tolerances.scaled(1e-9, obs.norm))
 
         if d < n:
             stray = complex_noise(n)
             try:
-                eff.matrix_element(stray, stray, hermitian_rep, dm)
+                eff.matrix_element(stray, stray, hermitian_rep)
                 report.add_flag("membership_rejection", False)
             except NotInSubspace:
                 report.add_flag("membership_rejection", True)
@@ -250,7 +250,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             k_second = _second_model_space(selection, candidates, k_best)
             dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
             operator2 = eff.first_type(obs, dm2)
-            t = eff.equivalence_transform(operator, operator2, selection)
+            t = eff.equivalence_transform(operator, operator2)
             report.add("equivalence_transform",
                        np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
                        tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))

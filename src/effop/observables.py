@@ -19,10 +19,10 @@ from . import tolerances, util
 from .effective import EffectivePair, _effective_pair
 from .errors import (
     DimensionMismatch,
+    EffopError,
     NotCommuting,
     NotDecoupled,
     PartitionInvalid,
-    SingularProjection,
     SolverFailure,
     ValidationError,
 )
@@ -271,7 +271,8 @@ def decompose_space(cset: CommutingSet, partition, model_spaces) -> SpaceDecompo
     ``partition`` lists disjoint 1-based index blocks covering {1..N} in
     the joint-basis ordering; ``model_spaces`` gives one model index set
     per block. Each member's block spectra, joined, are matched against
-    its own spectrum at ``DECOMPOSITION_MATCH_RTOL``.
+    its own spectrum at ``DECOMPOSITION_MATCH_RTOL``. An error inside a
+    block keeps its type and diagnostics, its message prefixed with the block.
     """
     blocks_idx = [util.as_indices(block, "partition block") for block in partition]
     spaces_idx = [util.as_indices(k, "model space") for k in model_spaces]
@@ -291,7 +292,7 @@ def decompose_space(cset: CommutingSet, partition, model_spaces) -> SpaceDecompo
         try:
             dm = common_s(cset, block, kset)
             pairs, _ = effective_set(cset, dm)
-        except (SingularProjection, NotDecoupled) as exc:
+        except EffopError as exc:
             raise type(exc)(f"block {r} (J={block}, K={kset}): {exc}", **vars(exc)) from exc
         reductions.append(BlockReduction(block, dm, tuple(pairs)))
 

@@ -109,11 +109,11 @@ def test_criterion_03_hand_verified_fixture():
     psi = dec.vectors[:, 1]
     direct = complex(np.vdot(psi, obs.matrix @ psi))
     assert abs(direct - 1.0) <= 1e-12
-    assert abs(matrix_element(psi, psi, hermitian_rep, dm) - 1.0) <= 1e-12
+    assert abs(matrix_element(psi, psi, hermitian_rep) - 1.0) <= 1e-12
     p_norm2 = abs(psi[0]) ** 2
     rayleigh = (np.conj(psi[0]) * hermitian_rep.matrix[0, 0] * psi[0]).real / p_norm2
     assert abs(p_norm2 * rayleigh - 1.0) <= 1e-12
-    assert abs(expectation_second_type(hermitian_rep, psi, dm) - 1.0) <= 1e-12
+    assert abs(expectation_second_type(hermitian_rep, psi) - 1.0) <= 1e-12
     _announce(3, "hand-verified-fixture")
 
 
@@ -159,7 +159,7 @@ def test_criterion_06_matrix_element_identity(batch):
         for i in range(d):
             for j in range(d):
                 exact = complex(np.vdot(sel.vectors[:, i], obs.matrix @ sel.vectors[:, j]))
-                reduced = matrix_element(sel.vectors[:, i], sel.vectors[:, j], rep, dm)
+                reduced = matrix_element(sel.vectors[:, i], sel.vectors[:, j], rep)
                 assert abs(exact - reduced) <= 1e-9
     obs, dec, sel, ms, dm, _ = batch[0]
     rep = second_type(obs, dm)
@@ -168,7 +168,7 @@ def test_criterion_06_matrix_element_identity(batch):
     for _ in range(10):
         stray = rng.standard_normal(obs.dim) + 1j * rng.standard_normal(obs.dim)
         with pytest.raises(NotInSubspace):
-            matrix_element(stray, stray, rep, dm)
+            matrix_element(stray, stray, rep)
         rejected += 1
     assert rejected == 10
     _announce(6, "matrix-element-identity")
@@ -218,7 +218,7 @@ def test_criterion_09_model_space_equivalence(batch):
         other_ms = ModelSpace(n, other_k)
         operator = first_type(obs, dm)
         other = first_type(obs, construct_s_direct(sel, other_ms))
-        t = equivalence_transform(operator, other, sel)
+        t = equivalence_transform(operator, other)
         deviation = np.linalg.norm(operator.matrix - t @ other.matrix @ np.linalg.inv(t))
         assert deviation <= 1e-9 * (1.0 + np.linalg.norm(operator.matrix))
         checked += 1

@@ -20,7 +20,6 @@ from effop.errors import (
     NotDecoupled,
     NotInSubspace,
     SingularProjection,
-    ValidationError,
     ZeroVector,
 )
 from effop.harness import ProblemSpec, generate, read_decoupling_map, write_decoupling_map
@@ -276,7 +275,7 @@ def test_matrix_element_hand():
     dec, sel, ms, dm = _sigma_x_setup()
     rep = second_type(SIGMA_X, dm)
     psi = dec.vectors[:, 1]
-    value = matrix_element(psi, psi, rep, dm)
+    value = matrix_element(psi, psi, rep)
     assert value == pytest.approx(1.0, abs=1e-12)
 
 
@@ -284,7 +283,7 @@ def test_matrix_element_eigenvector_identity():
     obs, dec, sel, ms, dm = _random_setup(seed=79)
     rep = second_type(obs, dm)
     for col, expected in zip(sel.vectors.T, sel.values):
-        assert matrix_element(col, col, rep, dm) == pytest.approx(expected, abs=1e-10)
+        assert matrix_element(col, col, rep) == pytest.approx(expected, abs=1e-10)
 
 
 def test_matrix_element_rejects_outside_vector():
@@ -292,7 +291,7 @@ def test_matrix_element_rejects_outside_vector():
     rep = second_type(SIGMA_X, dm)
     stray = np.array([1.0, 0.0])
     with pytest.raises(NotInSubspace, match="membership residual 1.000e[+]00"):
-        matrix_element(stray, stray, rep, dm)
+        matrix_element(stray, stray, rep)
 
 
 def test_matrix_element_full_gram_random():
@@ -301,7 +300,7 @@ def test_matrix_element_full_gram_random():
     for i in range(3):
         for j in range(3):
             exact = complex(np.vdot(sel.vectors[:, i], obs.matrix @ sel.vectors[:, j]))
-            reduced = matrix_element(sel.vectors[:, i], sel.vectors[:, j], rep, dm)
+            reduced = matrix_element(sel.vectors[:, i], sel.vectors[:, j], rep)
             assert abs(exact - reduced) <= 1e-9
 
 
@@ -339,7 +338,7 @@ def test_expectation_second_type_hand():
     dec, sel, ms, dm = _sigma_x_setup()
     rep = second_type(SIGMA_X, dm)
     psi = dec.vectors[:, 1]
-    value = expectation_second_type(rep, psi, dm)
+    value = expectation_second_type(rep, psi)
     # projection norm squared times the representative's expectation
     p_norm2 = abs(psi[0]) ** 2
     rayleigh = (np.conj(psi[0]) * rep.matrix[0, 0] * psi[0]).real / p_norm2
@@ -355,54 +354,68 @@ def test_expectation_second_type_random_and_errors():
     psi = sel.vectors @ coeff
     psi /= np.linalg.norm(psi)
     exact = float(np.vdot(psi, obs.matrix @ psi).real)
-    assert expectation_second_type(rep, psi, dm) == pytest.approx(exact, abs=1e-9)
+    assert expectation_second_type(rep, psi) == pytest.approx(exact, abs=1e-9)
     with pytest.raises(ZeroVector):
-        expectation_second_type(rep, np.zeros(8), dm)
+        expectation_second_type(rep, np.zeros(8))
     with pytest.raises(NotInSubspace):
-        expectation_second_type(rep, rng.standard_normal(8), dm)
+        expectation_second_type(rep, rng.standard_normal(8))
 
 
 def test_subspace_vector_checks_name_the_vector():
     _, _, _, dm = _sigma_x_setup()
     rep = second_type(SIGMA_X, dm)
     member, stray = np.array([1.0, 1.0]), np.array([1.0, 0.0])
-    for call in (lambda v: matrix_element(v, member, rep, dm),
-                 lambda v: expectation_second_type(rep, v, dm)):
+    for call in (lambda v: matrix_element(v, member, rep),
+                 lambda v: expectation_second_type(rep, v)):
         with pytest.raises(NotInSubspace, match="^psi: membership residual "):
             call(stray)
         with pytest.raises(DimensionMismatch, match="^psi has 3 entries, expected 2$"):
             call(np.ones(3))
     with pytest.raises(NotInSubspace, match="^phi: membership residual "):
-        matrix_element(member, stray, rep, dm)
+        matrix_element(member, stray, rep)
 
 
 def test_second_type_is_used_only_with_its_own_map(tmp_path):
-    # psi lies in the subspace of both maps, so no membership check can tell them apart
+    # the representative carries its map: one rebuilt on the map read back
+    # from its s-file gives the same matrix elements, bit for bit
     obs = generate(ProblemSpec("random_hermitian", dim=6, seed=2))
     sel = select_eigenvectors(eigendecompose(obs), (1, 2))
     dm = construct_s_direct(sel, ModelSpace(6, (1, 5)))
     rep = second_type(obs, dm)
-    psi = sel.vectors[:, 0]
-    exact = float(np.vdot(psi, obs.matrix @ psi).real)
-    other_k = construct_s_direct(sel, ModelSpace(6, (2, 3)))
-    other_s = DecouplingMap(dm.model_space, dm.s + 1e-3)
-    for other in (other_k, other_s):
-        with pytest.raises(ValidationError, match="another decoupling map"):
-            matrix_element(psi, psi, rep, other)
-        with pytest.raises(ValidationError, match="another decoupling map"):
-            expectation_second_type(rep, psi, other)
     path = tmp_path / "s.txt"
     write_decoupling_map(path, dm)
     reread = read_decoupling_map(path)
     assert reread is not dm
-    assert matrix_element(psi, psi, rep, reread) == pytest.approx(exact, abs=1e-9)
-    assert expectation_second_type(rep, psi, reread) == pytest.approx(exact, abs=1e-9)
+    rebuilt = second_type(obs, reread)
+    assert rebuilt.decoupling is reread
+    psi = sel.vectors @ np.array([0.6, 0.8j])
+    exact = float(np.vdot(psi, obs.matrix @ psi).real)
+    assert matrix_element(psi, psi, rep) == pytest.approx(exact, abs=1e-9)
+    assert matrix_element(psi, psi, rebuilt) == matrix_element(psi, psi, rep)
+    assert np.array_equal(matrix_element(sel.vectors, sel.vectors, rebuilt),
+                          matrix_element(sel.vectors, sel.vectors, rep))
+    assert expectation_second_type(rep, psi) == pytest.approx(exact, abs=1e-9)
+    assert expectation_second_type(rebuilt, psi) == expectation_second_type(rep, psi)
+
+
+def test_expectation_second_type_divides_by_the_norm():
+    # <psi|O|psi> / <psi|psi>, as expectation_first_type divides by <alpha|alpha>
+    dec, _, _, dm = _sigma_x_setup()
+    rep, first = second_type(SIGMA_X, dm), first_type(SIGMA_X, dm)
+    psi = dec.vectors[:, 1]
+    assert expectation_second_type(rep, 2 * psi) == pytest.approx(1.0, abs=1e-12)
+    assert expectation_second_type(rep, 2 * psi) == pytest.approx(
+        expectation_first_type(first, [2.0]).real, abs=1e-12)
+    obs, _, sel, _, dm8 = _random_setup(seed=81)
+    psi8 = sel.vectors @ np.array([3.0, -1.0j, 2.0])
+    exact = float(np.vdot(psi8, obs.matrix @ psi8).real) / float(np.vdot(psi8, psi8).real)
+    assert expectation_second_type(second_type(obs, dm8), psi8) == pytest.approx(exact, abs=1e-9)
 
 
 def test_equivalence_same_space_is_identity():
     obs, dec, sel, ms, dm = _random_setup(seed=83)
     operator = first_type(obs, dm)
-    t = equivalence_transform(operator, operator, sel)
+    t = equivalence_transform(operator, operator)
     assert np.allclose(t, np.eye(3), atol=1e-10)
 
 
@@ -414,7 +427,7 @@ def test_equivalence_two_by_two_hand():
     op2 = first_type(SIGMA_X, construct_s_direct(sel, ModelSpace(2, (2,))))
     assert abs(op1.matrix[0, 0] - 1.0) < 1e-12
     assert abs(op2.matrix[0, 0] - 1.0) < 1e-12
-    t = equivalence_transform(op1, op2, sel)
+    t = equivalence_transform(op1, op2)
     assert abs(t[0, 0] - 1.0) < 1e-12
 
 
@@ -441,8 +454,41 @@ def test_equivalence_random_pair():
     ms2 = ModelSpace(6, candidates[1][0])
     op1 = first_type(obs, construct_s_direct(sel, ms1))
     op2 = first_type(obs, construct_s_direct(sel, ms2))
-    t = equivalence_transform(op1, op2, sel)
+    t = equivalence_transform(op1, op2)
     mapped = t @ op2.matrix @ np.linalg.inv(t)
     assert np.linalg.norm(op1.matrix - mapped) <= 1e-9 * (1 + np.linalg.norm(op1.matrix))
     assert match_spectra(np.linalg.eigvals(op1.matrix),
                          np.linalg.eigvals(op2.matrix), rtol=1e-8).matched
+
+
+@pytest.mark.parametrize("kind,j", [("random_hermitian", (2, 5)), ("random_hermitian", (1, 2, 3)),
+                                    ("planted_spectrum", (1, 4)), ("tridiagonal_chain", (1, 2, 6))])
+def test_equivalence_transform_matches_the_eigenvector_route(kind, j):
+    # T from op's frame [I; s] alone equals pv pv2^{-1} built from the eigenvectors
+    obs = generate(ProblemSpec(kind, dim=7, seed=86))
+    sel = select_eigenvectors(eigendecompose(obs), j)
+    candidates = [k for k, _ in enumerate_model_spaces(sel)[:6]]
+    ops = [first_type(obs, construct_s_direct(sel, ModelSpace(7, k))) for k in candidates]
+    for op, k in zip(ops, candidates):
+        for other, k2 in zip(ops, candidates):
+            t = equivalence_transform(op, other)
+            pv, pv2 = (sel.vectors[np.asarray(kk) - 1] for kk in (k, k2))
+            expected = pv @ np.linalg.inv(pv2)
+            assert np.linalg.norm(t - expected) <= 1e-12 * np.linalg.norm(expected)
+            mapped = t @ other.matrix @ np.linalg.inv(t)
+            assert np.linalg.norm(op.matrix - mapped) <= 1e-9 * (1 + np.linalg.norm(op.matrix))
+
+
+def test_equivalence_transform_rejects_singular_rows_of_the_subspace():
+    # op's subspace is span{e1, e2}: it has no component at rows 3 and 4
+    obs = validate_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]))
+    sel = select_eigenvectors(eigendecompose(obs), (1, 2))
+    op = first_type(obs, construct_s_direct(sel, ModelSpace(4, (1, 2))))
+    other = first_type(obs, DecouplingMap(ModelSpace(4, (3, 4)), np.zeros((2, 2), dtype=complex)))
+    with pytest.raises(SingularProjection, match=r"^rows K=\(3, 4\) of op's frame \[I; s\] "
+                                                 r"have condition inf"):
+        equivalence_transform(op, other)
+    # half-singular: rows (2, 3) meet op's subspace in one dimension only
+    mixed = first_type(obs, DecouplingMap(ModelSpace(4, (2, 3)), np.zeros((2, 2), dtype=complex)))
+    with pytest.raises(SingularProjection, match="condition inf"):
+        equivalence_transform(op, mixed)

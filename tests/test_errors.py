@@ -22,14 +22,10 @@ DM = transform.DecouplingMap(ModelSpace(3, (1,)), np.zeros((2, 1), dtype=complex
 FIRST = effective.first_type(OBS, DM)
 FIRST_ON_TWO = effective.first_type(validate_hermitian(np.eye(2)), transform.DecouplingMap(
     ModelSpace(2, (1,)), np.zeros((1, 1), dtype=complex)))
+FIRST_ON_K2 = effective.first_type(OBS, transform.DecouplingMap(
+    ModelSpace(3, (2,)), np.zeros((2, 1), dtype=complex)))
 SELECTION = spaces.select_eigenvectors(spaces.eigendecompose(OBS), (1,))
 CSET = observables.verify_commuting([OBS])
-
-
-def _selection(vectors):
-    vectors = np.asarray(vectors, dtype=complex)
-    return EigenSelection(tuple(range(1, vectors.shape[1] + 1)),
-                          np.zeros(vectors.shape[1]), vectors)
 
 
 def _decomposition(vectors):
@@ -63,13 +59,10 @@ CASES = {
         lambda tmp: effective.expectation_first_type(FIRST, np.ones(2))),
     "equivalence total dims": (
         DimensionMismatch, "different spaces",
-        lambda tmp: effective.equivalence_transform(FIRST, FIRST_ON_TWO, SELECTION)),
-    "equivalence selection dims": (
-        DimensionMismatch, "selection does not match",
-        lambda tmp: effective.equivalence_transform(FIRST, FIRST, _selection(np.eye(3)[:, :2]))),
+        lambda tmp: effective.equivalence_transform(FIRST, FIRST_ON_TWO)),
     "equivalence cap": (
-        SingularProjection, "first model-space components have condition inf",
-        lambda tmp: effective.equivalence_transform(FIRST, FIRST, _selection([[0], [1], [0]]))),
+        SingularProjection, r"rows K=\(2,\) of op's frame \[I; s\] have condition inf",
+        lambda tmp: effective.equivalence_transform(FIRST, FIRST_ON_K2)),
     "verify_commuting empty": (
         ValidationError, "at least one member",
         lambda tmp: observables.verify_commuting([])),

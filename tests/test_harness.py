@@ -503,7 +503,7 @@ def test_cli_effective_first_and_second(tmp_path):
                     "--K", "1", "--out-s", str(s_path)).returncode == 0
     eff_path = tmp_path / "eff.mat"
     result = _run_cli("effective", "--matrix", str(matrix), "--s", str(s_path),
-                      "--K", "1", "--out", str(eff_path))
+                      "--out", str(eff_path))
     assert result.returncode == 0, result.stderr
     first, comments = read_matrix(eff_path)
     assert abs(first[0, 0] - 1.0) < 1e-12
@@ -516,16 +516,12 @@ def test_cli_effective_first_and_second(tmp_path):
     assert abs(second[0, 0] - 2.0) < 1e-12
 
 
-def test_cli_effective_k_mismatch_exits_one(tmp_path):
-    matrix = tmp_path / "sx.mat"
-    matrix.write_text("2\n0 0 1 0\n1 0 0 0\n")
-    s_path = tmp_path / "s.mat"
-    _run_cli("solve-direct", "--matrix", str(matrix), "--J", "2",
-             "--K", "1", "--out-s", str(s_path))
-    result = _run_cli("effective", "--matrix", str(matrix), "--s", str(s_path),
-                      "--K", "2", "--out", str(tmp_path / "x.mat"))
-    assert result.returncode == 1
-    assert "does not match" in result.stderr
+def test_cli_effective_reads_k_from_the_s_file_only(tmp_path, capsys):
+    # the s-file header carries the model space; there is no flag to repeat it
+    assert cli.main(["effective", "--matrix", "m", "--s", "s", "--K", "1",
+                     "--out", str(tmp_path / "x.mat")]) == 1
+    assert "unrecognized arguments: --K 1" in capsys.readouterr().err
+    assert not (tmp_path / "x.mat").exists()
 
 
 def test_cli_enumerate(tmp_path):
@@ -552,6 +548,21 @@ def test_cli_decompose(tmp_path):
     assert "block 1:" in result.stdout
     assert "member 1 spectrum union: pass" in result.stdout
     assert "member 2 spectrum union: pass" in result.stdout
+
+
+def test_cli_decompose_error_names_its_block(tmp_path, capsys):
+    members = [tmp_path / "m1.mat", tmp_path / "m2.mat"]
+    for path, values in zip(members, ([1.0, 2.0, 3.0, 4.0], [4.0, 3.0, 2.0, 1.0])):
+        write_observable(path, validate_hermitian(np.diag(values)))
+    plan = tmp_path / "plan.txt"
+    argv = ["decompose", "--set", ",".join(map(str, members)), "--plan", str(plan)]
+    plan.write_text("block: J=1,2 K=1,2\nblock: J=3,4 K=3\n")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ("error: block 2 (J=(3, 4), K=(3,)): "
+                                       "selection is 4x2, model space wants 4x1\n")
+    plan.write_text("block: J=1,2 K=1,2\nblock: J=3,4 K=3,9\n")
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: block 2 (J=(3, 4), K=(3, 9)): K index 9 outside 1..4\n"
 
 
 def test_cli_verify_green(tmp_path):

@@ -4,6 +4,7 @@ each module imports only from the layers below it."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -84,6 +85,19 @@ def test_no_public_name_is_an_alias(package):
     for name in package.__all__:
         other = bound.setdefault(id(getattr(package, name)), name)
         assert other == name, f"{name} is an alias of {other}"
+
+
+# a representative carries its map: these take no map or selection beside it
+SIGNATURES = {
+    "matrix_element": ["psi", "phi", "op"],
+    "expectation_second_type": ["op", "psi"],
+    "equivalence_transform": ["op", "other"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIGNATURES))
+def test_representative_functions_read_the_map_off_the_representative(name):
+    assert list(inspect.signature(getattr(effop, name)).parameters) == SIGNATURES[name]
 
 
 # lowest layer first; modules on one line are peers and import neither of each other

@@ -4,11 +4,14 @@ import pytest
 from effop.effective import matrix_element, second_type
 from effop.errors import (
     DimensionMismatch,
+    DuplicateIndex,
+    IndexOutOfRange,
     NotCommuting,
     NotDecoupled,
     NotInSubspace,
     PartitionInvalid,
     SingularProjection,
+    SolverFailure,
 )
 from effop.harness import ProblemSpec, generate
 from effop.harness.generate import haar_unitary
@@ -269,7 +272,7 @@ def test_second_type_only_sigma_z_hand():
     rep = second_type(SIGMA_Z, dm)
     assert abs(rep.matrix[0, 0]) < 1e-12
     psi = np.array([INV_SQRT2, INV_SQRT2])
-    assert matrix_element(psi, psi, rep, dm) == pytest.approx(0.0, abs=1e-12)
+    assert matrix_element(psi, psi, rep) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_second_type_only_identity_congruence():
@@ -294,7 +297,7 @@ def test_second_type_only_random_transition_block():
         chi = basis.vectors[:, :3] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         chi2 = basis.vectors[:, :3] @ (rng.standard_normal(3) + 1j * rng.standard_normal(3))
         exact = complex(np.vdot(chi, outside.matrix @ chi2))
-        assert abs(matrix_element(chi, chi2, rep, dm) - exact) <= 1e-9 * (
+        assert abs(matrix_element(chi, chi2, rep) - exact) <= 1e-9 * (
             1 + abs(exact)
         )
 
@@ -341,7 +344,7 @@ def test_decompose_nine_by_nine_pair():
     rep = first_block.pairs[0].second
     other_vector = basis.vectors[:, 5]
     with pytest.raises(NotInSubspace):
-        matrix_element(other_vector, other_vector, rep, first_block.decoupling)
+        matrix_element(other_vector, other_vector, rep)
 
 
 def test_decompose_names_the_block_of_a_singular_projection():
@@ -349,6 +352,18 @@ def test_decompose_names_the_block_of_a_singular_projection():
     with pytest.raises(SingularProjection) as info:
         decompose_space(cset, [(1, 2), (3, 4)], [(1, 2), (1, 2)])
     assert str(info.value).startswith("block 2 (J=(3, 4), K=(1, 2)): ")
+
+
+@pytest.mark.parametrize("k, error, text", [
+    ((3,), DimensionMismatch, "selection is 4x2, model space wants 4x1"),
+    ((3, 9), IndexOutOfRange, "K index 9 outside 1..4"),
+    ((3, 3), DuplicateIndex, "K contains repeated indices: (3, 3)"),
+])
+def test_decompose_names_the_block_of_every_error(k, error, text):
+    cset = verify_commuting([validate_hermitian(np.diag([1.0, 2.0, 3.0, 4.0]))])
+    with pytest.raises(error) as info:
+        decompose_space(cset, [(1, 2), (3, 4)], [(1, 2), k])
+    assert str(info.value) == f"block 2 (J=(3, 4), K={k}): {text}"
 
 
 def test_decompose_partition_validation():
@@ -369,3 +384,28 @@ def test_decompose_reports_singular_block():
     with pytest.raises(SingularProjection) as info:
         decompose_space(cset, [(1,), (2,)], [(2,), (2,)])
     assert "block 1" in str(info.value)
+
+
+def _diagonal_pair():
+    return verify_commuting([validate_hermitian(np.diag([1.0, 2.0, 3.0])),
+                             validate_hermitian(np.diag([3.0, 1.0, 2.0]))])
+
+
+def test_simultaneous_eigenbasis_reports_an_eigensolver_failure(monkeypatch):
+    cset = _diagonal_pair()
+
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(SolverFailure, match="^mixed-member eigensolver failed: "
+                                            "Eigenvalues did not converge$"):
+        simultaneous_eigenbasis(cset)
+
+
+def test_simultaneous_eigenbasis_rejects_inaccurate_joint_eigenpairs(monkeypatch):
+    cset = _diagonal_pair()
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] + 1e-3))
+    with pytest.raises(SolverFailure, match=r"^member 1: joint eigenpair residual \S+ above "):
+        simultaneous_eigenbasis(cset)

@@ -210,6 +210,14 @@ def test_match_spectra_failed_subset_reports_nearest_distance():
     assert result.max_deviation == pytest.approx(1e-14, rel=1e-3)
 
 
+def test_match_spectra_refuses_a_size_it_cannot_pair():
+    # more approximate values than exact ones, or fewer without subset=True
+    for approx, subset in (([1.0, 2.0, 3.0], False), ([1.0, 2.0, 3.0], True), ([1.0], False)):
+        result = match_spectra(approx, [1.0, 2.0], subset=subset)
+        assert not result.matched
+        assert result.max_deviation == float("inf")
+
+
 def _matchable(approx, exact, rtol) -> bool:
     """Reference: some injective assignment keeps every pair in tolerance."""
     return any(
@@ -288,11 +296,11 @@ def test_matrix_element_block_equals_the_scalar_double_loop(problem, k, k2):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
     psi, phi = selection.vectors @ noise(d, k), selection.vectors @ noise(d, k2)
-    block = matrix_element(psi, phi, rep, dm)
+    block = matrix_element(psi, phi, rep)
     assert block.shape == (k, k2)
     for i in range(k):
         for j in range(k2):
-            entry = matrix_element(psi[:, i], phi[:, j], rep, dm)
+            entry = matrix_element(psi[:, i], phi[:, j], rep)
             assert isinstance(entry, complex)
             assert abs(block[i, j] - entry) <= scaled(1e-12, abs(entry))
     for name, left, right in (("psi", psi, phi), ("phi", phi, psi)):
@@ -301,7 +309,7 @@ def test_matrix_element_block_equals_the_scalar_double_loop(problem, k, k2):
         stray[:, col] = noise(n)
         args = (stray, right) if name == "psi" else (right, stray)
         with pytest.raises(NotInSubspace, match=rf"^{name}\[:, {col}\]: membership residual "):
-            matrix_element(*args, rep, dm)
+            matrix_element(*args, rep)
 
 
 @st.composite

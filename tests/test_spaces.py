@@ -16,6 +16,7 @@ from effop.errors import (
     IndexOutOfRange,
     NonFinite,
     NotHermitian,
+    SolverFailure,
     ValidationError,
 )
 from effop import observables, spaces
@@ -184,6 +185,31 @@ def test_eigendecompose_bitwise_on_degenerate_spectra():
         dec = eigendecompose(obs)
         assert dec.values.tobytes() == values.tobytes()
         assert dec.vectors.tobytes() == vectors.tobytes()
+
+
+def test_eigendecompose_reports_an_eigensolver_failure(monkeypatch):
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(SolverFailure, match="^dense eigensolver did not converge: "
+                                            "Eigenvalues did not converge$"):
+        eigendecompose(validate_hermitian(SIGMA_X))
+
+
+def test_eigendecompose_rejects_inaccurate_eigenpairs(monkeypatch):
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] + 1e-3))
+    with pytest.raises(SolverFailure, match=r"^eigenpair residual \S+ above tolerance "):
+        eigendecompose(validate_hermitian(SIGMA_X))
+
+
+def test_order_ties_breaks_an_equal_real_part_on_the_imaginary_part():
+    # every real part agrees, so the second entry's imaginary part decides
+    vectors = np.array([[1.0, 1.0], [1j, -1j]]) * INV_SQRT2
+    values, ordered = spaces._order_ties(np.array([1.0, 1.0]), vectors)
+    assert np.array_equal(values, [1.0, 1.0])
+    assert np.array_equal(ordered, vectors[:, ::-1])
 
 
 def test_model_space_validation():
