@@ -71,7 +71,7 @@ class EffectivePair:
 def _decoupled(obs: ObservableMatrix, blocks) -> None:
     """Raises :class:`NotDecoupled` when the blocks' residual exceeds the limit."""
     limit = tolerances.decoupled_tolerance(obs)
-    if blocks.residual > limit:
+    if not blocks.residual <= limit:  # NaN too
         raise NotDecoupled(
             f"decoupling residual {blocks.residual:.3e} exceeds {limit:.3e}",
             residual=blocks.residual,
@@ -193,7 +193,7 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
         np.linalg.norm(blocks.qp @ p_part + blocks.qq @ q_part - value * q_part),
     )
     near = tolerances.scaled(tol, abs(value))
-    if residual > near * scale:
+    if not residual <= near * scale:  # NaN too
         raise NotAnEigenvector(
             f"residual {residual:.3e} too large for value {value} (tol scale {tol:.0e})"
         )
@@ -266,7 +266,7 @@ def _member(vectors, name: str, dm: DecouplingMap) -> np.ndarray:
         raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
     residual = np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows], axis=0)
     limit = tolerances.MEMBERSHIP_RTOL * np.linalg.norm(v, axis=0)
-    for col in np.flatnonzero(residual > limit)[:1]:
+    for col in np.flatnonzero(~(residual <= limit))[:1]:  # NaN too
         where = f"{name}[:, {col}]" if block else name
         raise NotInSubspace(f"{where}: membership residual {residual[col]:.3e} "
                             f"exceeds {limit[col]:.3e}")
@@ -318,9 +318,6 @@ def equivalence_transform(op: EffectiveOperator, other: EffectiveOperator) -> np
     ms, ms2 = op.decoupling.model_space, other.decoupling.model_space
     if ms.total_dim != ms2.total_dim or ms.dim != ms2.dim:
         raise DimensionMismatch("representatives live in different spaces")
-    frame = np.zeros((ms.total_dim, ms.dim), dtype=np.complex128)
-    frame[ms.p_rows] = np.eye(ms.dim)
-    frame[ms.q_rows] = op.decoupling.s
-    block = frame[ms2.p_rows]
+    block = op.decoupling.frame[ms2.p_rows]
     util._require_conditioned(block, f"rows K={ms2.indices} of op's frame [I; s]")
     return np.linalg.inv(block)

@@ -146,10 +146,7 @@ def _cmd_enumerate(args) -> int:
 
 def _read_plan(path):
     blocks = []
-    for ln, raw in enumerate(matio._read_text(path, ValidationError).splitlines(), start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
+    for ln, text in matio._data_lines([matio._read_text(path, ValidationError)], []):
         if not text.startswith("block:"):
             raise ValidationError(f"{path}:{ln}: expected 'block: J=<ids> K=<ids>'")
         fields = matio._parse_fields(text[len("block:"):])

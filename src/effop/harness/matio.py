@@ -209,6 +209,8 @@ def read_decoupling_map(path) -> DecouplingMap:
         m = np.zeros((0, cols), dtype=np.complex128)
     if m.shape != (rows, cols):
         raise MatrixFileError(f"{path}: data shape {m.shape} does not match header ({rows}, {cols})")
+    if not np.isfinite(m).all():
+        raise MatrixFileError(f"{path}: s-matrix contains NaN or Inf entries")
     provenance = None
     for comment in comments:
         extra = _parse_fields(comment)

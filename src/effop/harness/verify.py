@@ -31,6 +31,8 @@ _BRUTE_FORCE_LIMIT = 20_000
 def _listed(selection, candidates) -> np.ndarray | None:
     """Mask over the rows of the selection's subset table that ``candidates`` lists;
     None when a K is no row (a strictly increasing d-subset of 1..N) or is listed twice."""
+    if candidates is None or isinstance(candidates, np.ndarray):  # a mask already
+        return candidates
     rows, _ = selection._subset_singular_values
     row_of = {k: r for r, k in enumerate(map(tuple, (rows + 1).tolist()))}
     found = [row_of.get(tuple(k)) for k, _ in candidates]
@@ -41,9 +43,9 @@ def _listed(selection, candidates) -> np.ndarray | None:
     return listed
 
 
-def _enumeration_agrees(selection, candidates):
-    """Independent rank test over every subset; skips the ambiguous band
-    around ``COND_CAP`` where the two tolerances may legitimately disagree."""
+def _enumeration_agrees(selection, listed):
+    """Independent rank test of every subset against the ``listed`` candidates (or
+    mask); skips the ambiguous band around ``COND_CAP`` where the tolerances may differ."""
     _, sv = selection._subset_singular_values
     cond_cap = tolerances.COND_CAP
     tiny, eps = np.finfo(float).tiny, np.finfo(float).eps
@@ -53,16 +55,16 @@ def _enumeration_agrees(selection, candidates):
     # numpy's matrix_rank threshold, applied to the table's values
     rank = (sv > sv[:, :1] * selection.dim * eps).sum(axis=1)
     independent = (rank == selection.dim) & (ratio <= cond_cap)
-    listed = _listed(selection, candidates)
+    listed = _listed(selection, listed)
     return listed is not None and not np.any((independent != listed) & ~ambiguous)
 
 
-def _second_model_space(selection, candidates, k_best) -> tuple[int, ...]:
-    """The listed K other than ``k_best`` with the largest smallest singular
-    value, ties to the lexicographically largest K (condition number alone
-    cannot rank K for d=1)."""
+def _second_model_space(selection, listed, k_best) -> tuple[int, ...]:
+    """The ``listed`` K (candidates or mask) other than ``k_best`` with the largest
+    smallest singular value, ties to the lexicographically largest K (condition
+    number alone cannot rank K for d=1)."""
     rows, sv = selection._subset_singular_values
-    others = _listed(selection, candidates) & (rows != np.subtract(k_best, 1)).any(axis=1)
+    others = _listed(selection, listed) & (rows != np.subtract(k_best, 1)).any(axis=1)
     smallest = np.where(others, sv[:, -1], -np.inf)
     # the table is in lexicographic order, so the last maximum is the largest K
     return tuple((rows[np.flatnonzero(smallest == smallest.max())[-1]] + 1).tolist())
@@ -140,14 +142,15 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         j_idx = tuple(sorted(rng.choice(n, size=d, replace=False) + 1))
         selection = spaces.select_eigenvectors(decomposition, j_idx)
         k_best = spaces.pivoted_model_space(selection)
-        candidates = None
+        candidates = listed = None
         # exhaustive enumeration costs C(N, d) decompositions; a few trials
         # exercise the invariant without dominating the run
         if trial < 3 and math.comb(n, d) <= _BRUTE_FORCE_LIMIT:
             candidates = spaces.enumerate_model_spaces(selection)
+            listed = _listed(selection, candidates)
             report.add_flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
             report.add_flag("enumeration_rank_agreement",
-                            _enumeration_agrees(selection, candidates))
+                            _enumeration_agrees(selection, listed))
             report.add_flag("enumeration_contains_pivoted",
                             k_best in dict(candidates))
 
@@ -246,8 +249,8 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             except NotInSubspace:
                 report.add_flag("membership_rejection", True)
 
-        if candidates is not None and 1 < len(candidates) <= 5000:
-            k_second = _second_model_space(selection, candidates, k_best)
+        if listed is not None and 1 < len(candidates) <= 5000:  # None fails rank agreement
+            k_second = _second_model_space(selection, listed, k_best)
             dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
             operator2 = eff.first_type(obs, dm2)
             t = eff.equivalence_transform(operator, operator2)

@@ -89,10 +89,6 @@ class SolverTrace:
         return all(later <= earlier for earlier, later in zip(res, res[1:]))
 
 
-def _freeze(ms: ModelSpace, s: np.ndarray, iterations: int, residual: float) -> DecouplingMap:
-    return DecouplingMap(ms, util._frozen(s), IterativeProvenance(iterations, residual))
-
-
 def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
                                  config: SolverConfig | None = None):
     """Iterate Sylvester sweeps until the relative step drops below
@@ -135,30 +131,30 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
 
     steps: list[TraceStep] = []
     best_s = s
-    best_res = _reduce(partition, s).residual
+    best_res = _reduce(obs, DecouplingMap(ms, s), partition).residual
     for k in range(1, cfg.max_iter + 1):
         rhs = s @ b @ s - b_dag
         s_new = u @ ((u_dag @ rhs @ v) / denominator) @ v_dag
         step = float(np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s)))
-        res = _reduce(partition, s_new).residual
+        res = _reduce(obs, DecouplingMap(ms, s_new), partition).residual
         s = s_new
         s_norm = float(np.linalg.norm(s))
         steps.append(TraceStep(k, step, res, s_norm))
         if res < best_res:
             best_res, best_s = res, s
-        if s_norm > tolerances.DIVERGENCE_CAP:
+        if not s_norm <= tolerances.DIVERGENCE_CAP:  # NaN too
             raise Diverged(
                 f"iterate norm {s_norm:.3e} exceeded cap {tolerances.DIVERGENCE_CAP:.3e} "
                 f"at iteration {k}"
             )
         if step <= cfg.tol and res <= cfg.tol * scale:
             trace = SolverTrace(tuple(steps), True)
-            return _freeze(ms, s, k, res), trace
+            return DecouplingMap(ms, s, IterativeProvenance(k, res)), trace
 
     trace = SolverTrace(tuple(steps), False)
     raise MaxIterExceeded(
         f"no convergence within {cfg.max_iter} iterations; best residual {best_res:.3e}",
-        best=_freeze(ms, best_s, len(steps), best_res),
+        best=DecouplingMap(ms, best_s, IterativeProvenance(len(steps), best_res)),
         residual=best_res,
         trace=trace,
     )

@@ -5,9 +5,9 @@ the transform pair (1 - S, 1 + S) is its exact exponential. Applied to
 a Hermitian observable the transform leaves the spectrum untouched; the
 observable is *decoupled* for a model space when the lower-left block
 of the transformed matrix vanishes, and the Frobenius norm of that
-block is the decoupling residual. All block computations run on views
-picked out by the model-space permutation and are mapped back to the
-original index order.
+block is the decoupling residual. The blocks are views picked out by
+the model-space permutation; the map's frame [I; s] and everything
+returned to callers are in the original index order.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from functools import cached_property
 import numpy as np
 
 from . import util
-from .errors import DimensionMismatch, ValidationError
+from .errors import DimensionMismatch, NonFinite, ValidationError
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix, validate_index_subset
 
 __all__ = [
@@ -55,7 +55,8 @@ class IterativeProvenance:
 
 @dataclass(frozen=True)
 class DecouplingMap:
-    """(N-d) x d block defining the nilpotent generator S = Q S P."""
+    """(N-d) x d block defining the nilpotent generator S = Q S P; a writable
+    ``s`` is copied, so the map's ``s`` is read-only."""
 
     model_space: ModelSpace
     s: np.ndarray
@@ -66,22 +67,27 @@ class DecouplingMap:
         expected = (ms.total_dim - ms.dim, ms.dim)
         if self.s.shape != expected:
             raise DimensionMismatch(f"s has shape {self.s.shape}, expected {expected}")
+        if self.s.flags.writeable:  # a private copy, so the cached frame cannot go stale
+            object.__setattr__(self, "s", util._frozen(self.s.copy()))
+
+    @cached_property
+    def frame(self) -> np.ndarray:
+        """Read-only (N, d) [I; s] in the original index order; its columns span the subspace."""
+        ms = self.model_space
+        out = np.zeros((ms.total_dim, ms.dim), dtype=np.complex128)
+        out[ms.p_rows] = np.eye(ms.dim)
+        out[ms.q_rows] = self.s
+        return util._frozen(out)
 
 
 def retrieve_full_vector(alpha, dm: DecouplingMap) -> np.ndarray:
-    """Rebuild the full-space vector whose model components are ``alpha``.
-
-    The complement components follow from the decoupling map; the result
-    comes back in the original (un-permuted) index order.
-    """
+    """The full-space vector ``dm.frame @ alpha`` of the map's subspace whose
+    model components are ``alpha``, in the original index order."""
     ms = dm.model_space
     a = util.as_complex_vector(alpha, "alpha")
     if a.shape[0] != ms.dim:
         raise DimensionMismatch(f"alpha has {a.shape[0]} entries, model space has {ms.dim}")
-    out = np.zeros(ms.total_dim, dtype=np.complex128)
-    out[ms.p_rows] = a
-    out[ms.q_rows] = dm.s @ a
-    return out
+    return dm.frame @ a
 
 
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
@@ -105,6 +111,8 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
     v = util.as_complex_matrix(vectors, "span")
     if v.shape != (ms.total_dim, ms.dim):
         raise DimensionMismatch(f"span has shape {v.shape}, expected {(ms.total_dim, ms.dim)}")
+    if not np.isfinite(v).all():
+        raise NonFinite("span contains NaN or Inf entries")
     pv = v[ms.p_rows, :]
     util._require_conditioned(pv, "model-space components")
     s = np.linalg.solve(pv.T, v[ms.q_rows, :].T).T
@@ -155,55 +163,55 @@ class TransformedBlocks:
     qp = b_dag + f s - s pp with its norm ``residual``, and, formed on
     first access, qq = f - s b, the second-type matrix and the spectra
     of both diagonal blocks. ``_partition`` holds the views (a, b,
-    b_dag, f) of the permuted observable."""
+    b_dag, f) of the permuted observable ``_obs``; ``_map`` holds s."""
 
     pp: np.ndarray
     pq: np.ndarray
     qp: np.ndarray
     residual: float
-    _s: np.ndarray = field(repr=False)
+    _obs: ObservableMatrix = field(repr=False)
+    _map: DecouplingMap = field(repr=False)
     _partition: tuple[np.ndarray, ...] = field(repr=False)
     _fs: np.ndarray = field(repr=False)
 
     @cached_property
     def qq(self) -> np.ndarray:
-        return self._partition[3] - self._s @ self.pq
+        return self._partition[3] - self._map.s @ self.pq
 
     @cached_property
     def second(self) -> np.ndarray:
         """Second-type matrix a + b s + s'b_dag + s'f s = [I; s]' O [I; s]."""
-        s_h = self._s.conj().T
+        s_h = self._map.s.conj().T
         return self.pp + s_h @ self._partition[2] + s_h @ self._fs
 
     @cached_property
     def block_spectra(self) -> tuple[np.ndarray, np.ndarray]:
         """Ascending real spectra of pp and qq, from one orthonormal rotation.
 
-        When s decouples, the columns of [I; s] span an invariant
-        subspace of the observable. With W the unitary of a complete QR
-        of [I; s], the rotated matrix W' O W is then Hermitian and block
-        diagonal, and its two diagonal blocks are similar to pp and qq.
-        Away from decoupling each value moves by at most the residual.
+        When s decouples, the columns of the map's frame [I; s] span an
+        invariant subspace of the observable. With W the unitary of a complete
+        QR of the frame, W' O W is then Hermitian and block diagonal, and its
+        two diagonal blocks are similar to pp and qq. Away from decoupling
+        each value moves by at most the residual.
         """
-        a, b, b_dag, f = self._partition
-        d = a.shape[0]
-        w, _ = np.linalg.qr(np.vstack([np.eye(d), self._s]), mode="complete")
-        r = w.conj().T @ np.block([[a, b], [b_dag, f]]) @ w
+        d = self.pp.shape[0]
+        w, _ = np.linalg.qr(self._map.frame, mode="complete")
+        r = w.conj().T @ self._obs.matrix @ w
         return np.linalg.eigvalsh(r[:d, :d]), np.linalg.eigvalsh(r[d:, d:])
 
 
-def _reduce(partition, s) -> TransformedBlocks:
-    """The one place a partition (a, b, b_dag, f) and a map s become blocks."""
+def _reduce(obs: ObservableMatrix, dm: DecouplingMap, partition) -> TransformedBlocks:
+    """The one place the partition (a, b, b_dag, f) of obs and a map become blocks."""
     a, b, b_dag, f = partition
-    pp = a + b @ s
-    fs = f @ s
-    qp = b_dag + fs - s @ pp
-    return TransformedBlocks(pp, b, qp, float(np.linalg.norm(qp)), s, partition, fs)
+    pp = a + b @ dm.s
+    fs = f @ dm.s
+    qp = b_dag + fs - dm.s @ pp
+    return TransformedBlocks(pp, b, qp, float(np.linalg.norm(qp)), obs, dm, partition, fs)
 
 
 def transformed_blocks(obs: ObservableMatrix, dm: DecouplingMap) -> TransformedBlocks:
     """Closed-form blocks of the transformed observable."""
-    return _reduce(partition_blocks(obs, dm.model_space), dm.s)
+    return _reduce(obs, dm, partition_blocks(obs, dm.model_space))
 
 
 def assemble_blocks(blocks: TransformedBlocks, ms: ModelSpace) -> np.ndarray:

@@ -492,3 +492,26 @@ def test_equivalence_transform_rejects_singular_rows_of_the_subspace():
     mixed = first_type(obs, DecouplingMap(ModelSpace(4, (2, 3)), np.zeros((2, 2), dtype=complex)))
     with pytest.raises(SingularProjection, match="condition inf"):
         equivalence_transform(op, mixed)
+
+
+def test_a_nan_map_is_not_decoupled():
+    ms = ModelSpace(2, (1,))
+    with pytest.raises(NotDecoupled):
+        first_type(SIGMA_X, DecouplingMap(ms, np.full((1, 1), np.nan, dtype=complex)))
+
+
+def test_matrix_element_rejects_a_nan_vector():
+    dm = construct_s_direct(select_eigenvectors(eigendecompose(SIGMA_X), (2,)), ModelSpace(2, (1,)))
+    op = second_type(SIGMA_X, dm)
+    bad = np.array([np.nan, np.nan], dtype=complex)
+    with pytest.raises(NotInSubspace):
+        matrix_element(bad, bad, op)
+    with pytest.raises(NotInSubspace, match=r"phi\[:, 1\]"):
+        matrix_element(np.array([[1.0], [1.0]]), np.array([[1.0, np.nan], [1.0, np.nan]]), op)
+
+
+@pytest.mark.parametrize("vector, value", [([np.nan, np.nan], 1.0), ([1.0, 1.0], np.nan)])
+def test_classify_eigenvector_rejects_nan(vector, value):
+    dm = construct_s_direct(select_eigenvectors(eigendecompose(SIGMA_X), (2,)), ModelSpace(2, (1,)))
+    with pytest.raises(NotAnEigenvector):
+        classify_eigenvector(SIGMA_X, dm, vector, value)

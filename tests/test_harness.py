@@ -956,3 +956,49 @@ def test_import_does_not_load_scipy():
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                             timeout=120, check=True)
     assert result.stdout == "False\n"
+
+
+def test_cli_effective_rejects_a_nan_s_file(tmp_path, capsys):
+    matrix, s_file, out = tmp_path / "o.txt", tmp_path / "nan.s", tmp_path / "eff.txt"
+    write_observable(matrix, generate(ProblemSpec("random_hermitian", dim=4, seed=4)))
+    ms = ModelSpace(4, (1, 3))
+    write_decoupling_map(s_file, DecouplingMap(ms, np.full((2, 2), np.nan, dtype=complex)))
+    assert cli.main(["effective", "--matrix", str(matrix), "--s", str(s_file),
+                     "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(s_file) in err
+    assert not out.exists()
+
+
+def test_plan_file_errors_keep_their_line_numbers(tmp_path):
+    plan = tmp_path / "plan.txt"
+    plan.write_text("# plan\n\n  block: J=1 K=1\r\n# note\nblock J=2\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=r"plan\.txt:5: expected 'block:"):
+        cli._read_plan(plan)
+    plan.write_text("\n  # only comments\n\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match="no blocks found"):
+        cli._read_plan(plan)
+
+
+def test_verify_skips_equivalence_when_the_listing_is_ambiguous(monkeypatch):
+    enumerate_all = spaces.enumerate_model_spaces
+    # one K listed twice: the listed mask is None
+    monkeypatch.setattr(spaces, "enumerate_model_spaces",
+                        lambda selection: (lambda found: found + found[:1])(enumerate_all(selection)))
+    obs = generate(ProblemSpec("random_hermitian", dim=8, seed=8))
+    report = run_verification(obs, d=2, trials=2, seed=1)
+    checks = {check.name: check for check in report.checks}
+    assert not checks["enumeration_rank_agreement"].passed
+    assert "equivalence_transform" not in checks
+
+
+def test_direct_workload_passes_the_benchmark_gate(tmp_path, capsys):
+    """Every distinct problem of the benchmark's direct workload, run once
+    through the CLI and judged by the workload's own gate."""
+    workloads = _perfbench_module("workloads")
+    problems = {problem.label: problem for problem in workloads.build("direct", 1, tmp_path)}
+    assert len(problems) == 12
+    for label, problem in problems.items():
+        rc = cli.main(problem.argv)
+        captured = capsys.readouterr()
+        assert problem.gate(rc, captured.out, captured.err) == (workloads.OK, ""), label

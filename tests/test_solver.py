@@ -175,3 +175,9 @@ def test_eigenbasis_sweeps_equal_sylvester_reference(n, d, seed):
     dm, trace = solve_decoupling_fixed_point(obs, ms)
     assert trace.iterations == sweeps
     assert np.linalg.norm(dm.s - expected) <= 1e-13 * np.linalg.norm(expected)
+
+
+def test_a_nan_initial_s_diverges_at_once():
+    config = SolverConfig(initial_s=np.full((1, 1), np.nan))
+    with pytest.raises(Diverged, match="at iteration 1$"):
+        solve_decoupling_fixed_point(WEAK_2X2, ModelSpace(2, (1,)), config)

@@ -7,6 +7,7 @@ from effop.errors import (
     DuplicateIndex,
     IndexOutOfRange,
     MatrixFileError,
+    NonFinite,
     SingularProjection,
     ValidationError,
 )
@@ -330,3 +331,58 @@ def test_full_model_space_end_to_end(n, tmp_path):
     assert iterated.s.shape == (0, n) and trace.converged
     report = run_verification(obs, d=n, trials=3, seed=1)
     assert report.all_passed, [c.name for c in report.checks if not c.passed]
+
+
+def _random_map(n=7, k=(2, 5, 6), seed=70):
+    obs = generate(ProblemSpec("random_hermitian", dim=n, seed=seed))
+    sel = select_eigenvectors(eigendecompose(obs), (1, 3, 4))
+    return construct_s_direct(sel, ModelSpace(n, k))
+
+
+def test_frame_is_the_read_only_model_columns_of_exp_s():
+    dm = _random_map()
+    frame = dm.frame
+    assert frame is dm.frame
+    assert not frame.flags.writeable
+    assert frame.shape == (7, 3) and frame.dtype == np.complex128
+    assert frame.tobytes() == exp_s(dm, 1)[:, dm.model_space.p_rows].tobytes()
+
+
+def test_retrieve_full_vector_is_alpha_and_s_alpha():
+    dm = _random_map()
+    ms = dm.model_space
+    rng = np.random.default_rng(71)
+    alpha = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    full = retrieve_full_vector(alpha, dm)
+    assert np.array_equal(full[ms.p_rows], alpha)
+    assert np.array_equal(full[ms.q_rows], dm.s @ alpha)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_construct_s_from_span_rejects_a_non_finite_span(bad):
+    with pytest.raises(NonFinite):
+        construct_s_from_span(np.full((6, 2), bad), ModelSpace(6, (1, 2)))
+    span = np.eye(6, 2, dtype=complex)
+    span[4, 1] = bad  # a complement row: the model block alone is fine
+    with pytest.raises(NonFinite):
+        construct_s_from_span(span, ModelSpace(6, (1, 2)))
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_read_decoupling_map_rejects_non_finite_data(tmp_path, bad):
+    path = tmp_path / "bad.s"
+    path.write_text(f"# s-matrix rows=1 cols=1 K=1\n1\n{bad} 0\n", encoding="utf-8")
+    with pytest.raises(MatrixFileError, match="NaN or Inf") as excinfo:
+        read_decoupling_map(path)
+    assert str(path) in str(excinfo.value)
+
+
+def test_a_map_keeps_its_own_read_only_s():
+    ms = ModelSpace(3, (2,))
+    s = np.zeros((2, 1), dtype=complex)
+    dm = DecouplingMap(ms, s)
+    frame = dm.frame
+    s[0, 0] = 5.0  # a later write to the caller's array reaches neither s nor the frame
+    assert not dm.s.flags.writeable and dm.s[0, 0] == 0.0
+    assert np.array_equal(retrieve_full_vector([1.0], dm), frame[:, 0])
+    assert np.array_equal(frame, exp_s(dm, 1)[:, ms.p_rows])
