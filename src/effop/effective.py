@@ -21,6 +21,7 @@ import numpy as np
 from . import tolerances, util
 from .errors import (
     DimensionMismatch,
+    NonFinite,
     NotAnEigenvector,
     NotDecoupled,
     NotInSubspace,
@@ -68,9 +69,9 @@ class EffectivePair:
     second: EffectiveOperator
 
 
-def _decoupled(obs: ObservableMatrix, blocks) -> None:
+def _decoupled(blocks) -> None:
     """Raises :class:`NotDecoupled` when the blocks' residual exceeds the limit."""
-    limit = tolerances.decoupled_tolerance(obs)
+    limit = tolerances.decoupled_tolerance(blocks._obs)
     if not blocks.residual <= limit:  # NaN too
         raise NotDecoupled(
             f"decoupling residual {blocks.residual:.3e} exceeds {limit:.3e}",
@@ -78,22 +79,21 @@ def _decoupled(obs: ObservableMatrix, blocks) -> None:
         )
 
 
-def _operator(matrix, dm: DecouplingMap, blocks) -> EffectiveOperator:
-    return EffectiveOperator(util._frozen(matrix), dm, blocks.residual)
+def _operator(matrix, blocks) -> EffectiveOperator:
+    return EffectiveOperator(util._frozen(matrix), blocks._map, blocks.residual)
 
 
-def _effective_pair(obs: ObservableMatrix, dm: DecouplingMap, blocks) -> EffectivePair:
-    """Both representatives from the blocks of (obs, dm); raises like :func:`first_type`."""
-    _decoupled(obs, blocks)
-    return EffectivePair(_operator(blocks.pp, dm, blocks),
-                         _operator(blocks.second, dm, blocks))
+def _effective_pair(blocks) -> EffectivePair:
+    """Both representatives from one reduction; raises like :func:`first_type`."""
+    _decoupled(blocks)
+    return EffectivePair(_operator(blocks.pp, blocks), _operator(blocks.second, blocks))
 
 
-def _factorization(obs: ObservableMatrix, blocks):
-    """:func:`q_block_and_factorization` on the blocks of (obs, dm)."""
-    _decoupled(obs, blocks)
+def _factorization(blocks):
+    """:func:`q_block_and_factorization` on one reduction."""
+    _decoupled(blocks)
     spec_p, spec_q = blocks.block_spectra
-    report = util.match_spectra(np.concatenate([spec_p, spec_q]), obs.spectrum)
+    report = util.match_spectra(np.concatenate([spec_p, spec_q]), blocks._obs.spectrum)
     qq = blocks.qq
     weight = 1.0 + np.abs(spec_q)
     moments = (np.trace(qq), np.sum(qq * qq.T))
@@ -110,8 +110,8 @@ def first_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     residual is kept on the result.
     """
     blocks = transformed_blocks(obs, dm)
-    _decoupled(obs, blocks)
-    return _operator(blocks.pp, dm, blocks)
+    _decoupled(blocks)
+    return _operator(blocks.pp, blocks)
 
 
 def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
@@ -122,7 +122,7 @@ def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
     of the map is recorded on the result, not enforced.
     """
     blocks = transformed_blocks(obs, dm)
-    return _operator(blocks.second, dm, blocks)
+    return _operator(blocks.second, blocks)
 
 
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap):
@@ -137,7 +137,7 @@ def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap):
     sum (1 + |mu|)^k for k = 1, 2, the most the k-th power sum can move
     when each value moves within its match tolerance.
     """
-    return _factorization(obs, transformed_blocks(obs, dm))
+    return _factorization(transformed_blocks(obs, dm))
 
 
 @dataclass(frozen=True)
@@ -177,16 +177,14 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
     :attr:`TransformedBlocks.block_spectra`.
     """
     tol = tolerances.CLASSIFY_RTOL
-    phi = util.as_complex_vector(vector, "vector")
     ms = dm.model_space
-    if phi.shape[0] != ms.total_dim:
-        raise DimensionMismatch(f"vector has {phi.shape[0]} entries, expected {ms.total_dim}")
+    phi = util.as_complex_vector(vector, "vector", ms.total_dim)
     scale = float(np.linalg.norm(phi))
     if scale == 0.0:
         raise NotAnEigenvector("the zero vector is not an eigenvector")
     value = complex(value)
     blocks = transformed_blocks(obs, dm)
-    _decoupled(obs, blocks)
+    _decoupled(blocks)
     p_part, q_part = util._frozen(phi[ms.p_rows]), util._frozen(phi[ms.q_rows])
     residual = math.hypot(
         np.linalg.norm(blocks.pp @ p_part + blocks.pq @ q_part - value * p_part),
@@ -237,10 +235,7 @@ def overlap_matrix(selection: EigenSelection, ms: ModelSpace) -> OverlapMatrix:
 
 def expansion_coefficients(chi, overlap: OverlapMatrix) -> np.ndarray:
     """Coefficients of a model-space vector in the projected-eigenvector basis."""
-    x = util.as_complex_vector(chi, "chi")
-    d = overlap.basis.shape[1]
-    if x.shape[0] != overlap.basis.shape[0]:
-        raise DimensionMismatch(f"chi has {x.shape[0]} entries, basis lives in dim {d}")
+    x = util.as_complex_vector(chi, "chi", overlap.basis.shape[0])
     rhs = overlap.basis.conj().T @ x
     return np.linalg.solve(overlap.gamma, rhs)
 
@@ -258,12 +253,9 @@ def spectral_reconstruct(selection: EigenSelection, ms: ModelSpace) -> np.ndarra
 def _member(vectors, name: str, dm: DecouplingMap) -> np.ndarray:
     """A vector or (N, k) column block as an (N, k) block; raises :class:`NotInSubspace` naming the
     first column whose norm of (complement part - s * model part) puts it off the subspace."""
-    block = np.ndim(vectors) == 2
-    v = (util.as_complex_matrix(vectors, name) if block
-         else util.as_complex_vector(vectors, name)[:, np.newaxis])
-    ms = dm.model_space
-    if v.shape[0] != ms.total_dim:
-        raise DimensionMismatch(f"{name} has {v.shape[0]} entries, expected {ms.total_dim}")
+    ms, block = dm.model_space, np.ndim(vectors) == 2
+    v = (util.as_complex_matrix(vectors, name, (ms.total_dim, np.shape(vectors)[1])) if block
+         else util.as_complex_vector(vectors, name, ms.total_dim)[:, np.newaxis])
     residual = np.linalg.norm(v[ms.q_rows] - dm.s @ v[ms.p_rows], axis=0)
     limit = tolerances.MEMBERSHIP_RTOL * np.linalg.norm(v, axis=0)
     for col in np.flatnonzero(~(residual <= limit))[:1]:  # NaN too
@@ -287,9 +279,9 @@ def matrix_element(psi, phi, op: EffectiveOperator) -> complex | np.ndarray:
 def expectation_first_type(op: EffectiveOperator, alpha) -> complex:
     """Rayleigh quotient of the spectral representative; real exactly on
     its eigenvectors, generally complex elsewhere."""
-    a = util.as_complex_vector(alpha, "alpha")
-    if a.shape[0] != op.matrix.shape[0]:
-        raise DimensionMismatch(f"alpha has {a.shape[0]} entries, operator is {op.matrix.shape[0]}")
+    a = util.as_complex_vector(alpha, "alpha", op.matrix.shape[0])
+    if not np.isfinite(a).all():
+        raise NonFinite("alpha contains NaN or Inf entries")
     norm2 = float(np.vdot(a, a).real)
     if norm2 == 0.0:
         raise ZeroVector("expectation of the zero vector is undefined")

@@ -29,7 +29,7 @@ class NotHermitian(ValidationError):
 
 
 class NonFinite(ValidationError):
-    """Matrix contains NaN or infinite entries."""
+    """Array contains NaN or infinite entries."""
 
 
 class DimensionMismatch(ValidationError):

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import util
 from ..errors import InvalidSpec
 from ..observables import CommutingSet, verify_commuting
 from ..spaces import ObservableMatrix, eigendecompose, validate_hermitian
@@ -28,8 +29,8 @@ PRNG_ID = "numpy-PCG64"
 
 
 def _check_seed(seed: int) -> None:
-    """PCG64 seeds are non-negative; say so as a typed error, not numpy's."""
-    if seed < 0:
+    """PCG64 seeds are non-negative integers; say so as a typed error, not numpy's."""
+    if util.as_index(seed, "seed") < 0:
         raise InvalidSpec(f"seed must be non-negative, got {seed}")
 
 
@@ -47,7 +48,7 @@ class ProblemSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise InvalidSpec(f"unknown kind {self.kind!r}; expected one of {KINDS}")
-        if self.dim < 2:
+        if util.as_index(self.dim, "dim") < 2:
             raise InvalidSpec(f"dim must be at least 2, got {self.dim}")
         _check_seed(self.seed)
         if self.spectrum is not None:
@@ -55,7 +56,7 @@ class ProblemSpec:
             if len(spectrum) != self.dim:
                 raise InvalidSpec(f"spectrum length {len(spectrum)} != dim {self.dim}")
             object.__setattr__(self, "spectrum", spectrum)
-        if self.family_size < 1:
+        if util.as_index(self.family_size, "family_size") < 1:
             raise InvalidSpec(f"family_size must be at least 1, got {self.family_size}")
 
 
@@ -112,7 +113,7 @@ def gap_separated(dim: int, d: int, *, gap: float = 1.0, coupling: float = 0.1,
     the regime in which the fixed-point solver provably tracks the
     lowest states.
     """
-    if not 1 <= d < dim:
+    if not 1 <= util.as_index(d, "d") < util.as_index(dim, "dim"):
         raise InvalidSpec(f"need 1 <= d < dim, got d={d}, dim={dim}")
     _check_seed(seed)
     rng = np.random.default_rng(seed)
@@ -130,6 +131,7 @@ def gap_separated(dim: int, d: int, *, gap: float = 1.0, coupling: float = 0.1,
 def commuting_partners(obs: ObservableMatrix, count: int, seed: int = 0) -> CommutingSet:
     """Commuting family sharing the eigenbasis of ``obs`` (member 1)."""
     _check_seed(seed)
+    count = util.as_index(count, "count")
     rng = np.random.default_rng(seed)
     members = [obs]
     v = eigendecompose(obs).vectors

@@ -221,12 +221,12 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                    np.linalg.norm(transform.retrieve_full_vector(alpha, dm) - member),
                    1e-10 * (1.0 + np.linalg.norm(member)))
 
-        pair = eff._effective_pair(obs, dm, blocks)
+        pair = eff._effective_pair(blocks)
         operator, hermitian_rep = pair.first, pair.second
         report.add_flag("first_type_spectrum",
                         util.match_spectra(np.linalg.eigvals(operator.matrix),
                                            selection.values, rtol=1e-8).matched)
-        _, factor_report = eff._factorization(obs, blocks)
+        _, factor_report = eff._factorization(blocks)
         report.add_flag("factorization_completeness", factor_report.matched)
         report.add("route_equivalence",
                    np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),

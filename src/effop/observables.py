@@ -235,7 +235,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
     pairs: list[EffectivePair] = []
     for sig, member in enumerate(cset.members, start=1):
         try:
-            pairs.append(_effective_pair(member, dm, transformed_blocks(member, dm)))
+            pairs.append(_effective_pair(transformed_blocks(member, dm)))
         except NotDecoupled as exc:
             raise NotDecoupled(f"member {sig}: {exc}", member=sig, residual=exc.residual) from exc
     norms = _commutator_norms([pair.first.matrix for pair in pairs])

@@ -34,13 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tolerances, util
-from .errors import (
-    DimensionMismatch,
-    Diverged,
-    MaxIterExceeded,
-    SylvesterSingular,
-    ValidationError,
-)
+from .errors import Diverged, MaxIterExceeded, SylvesterSingular, ValidationError
 from .spaces import ModelSpace, ObservableMatrix
 from .transform import DecouplingMap, IterativeProvenance, _reduce, partition_blocks
 
@@ -122,12 +116,8 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
         )
     u_dag, v_dag = u.conj().T, v.conj().T
 
-    if cfg.initial_s is None:
-        s = np.zeros((nq, d), dtype=np.complex128)
-    else:
-        s = np.array(cfg.initial_s, dtype=np.complex128)
-        if s.shape != (nq, d):
-            raise DimensionMismatch(f"initial_s has shape {s.shape}, expected {(nq, d)}")
+    initial = np.zeros((nq, d)) if cfg.initial_s is None else cfg.initial_s
+    s = util.as_complex_matrix(initial, "initial_s", (nq, d))
 
     steps: list[TraceStep] = []
     best_s = s

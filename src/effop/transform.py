@@ -55,8 +55,8 @@ class IterativeProvenance:
 
 @dataclass(frozen=True)
 class DecouplingMap:
-    """(N-d) x d block defining the nilpotent generator S = Q S P; a writable
-    ``s`` is copied, so the map's ``s`` is read-only."""
+    """(N-d) x d block defining the nilpotent generator S = Q S P; ``s`` may be
+    any array-like, and a writable array is copied, so the map's ``s`` is read-only."""
 
     model_space: ModelSpace
     s: np.ndarray
@@ -64,11 +64,11 @@ class DecouplingMap:
 
     def __post_init__(self):
         ms = self.model_space
-        expected = (ms.total_dim - ms.dim, ms.dim)
-        if self.s.shape != expected:
-            raise DimensionMismatch(f"s has shape {self.s.shape}, expected {expected}")
-        if self.s.flags.writeable:  # a private copy, so the cached frame cannot go stale
-            object.__setattr__(self, "s", util._frozen(self.s.copy()))
+        s = util.as_complex_matrix(self.s, "s", (ms.total_dim - ms.dim, ms.dim))
+        if s.flags.writeable:  # private, so the cached frame cannot go stale
+            fresh = s is not self.s and s.flags.owndata  # the conversion made it
+            s = util._frozen(s if fresh else s.copy())
+        object.__setattr__(self, "s", s)
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -83,11 +83,7 @@ class DecouplingMap:
 def retrieve_full_vector(alpha, dm: DecouplingMap) -> np.ndarray:
     """The full-space vector ``dm.frame @ alpha`` of the map's subspace whose
     model components are ``alpha``, in the original index order."""
-    ms = dm.model_space
-    a = util.as_complex_vector(alpha, "alpha")
-    if a.shape[0] != ms.dim:
-        raise DimensionMismatch(f"alpha has {a.shape[0]} entries, model space has {ms.dim}")
-    return dm.frame @ a
+    return dm.frame @ util.as_complex_vector(alpha, "alpha", dm.model_space.dim)
 
 
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
@@ -108,16 +104,14 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
     columns yields the same map. The d x d system is solved by a
     pivoted factorization instead of forming an explicit inverse.
     """
-    v = util.as_complex_matrix(vectors, "span")
-    if v.shape != (ms.total_dim, ms.dim):
-        raise DimensionMismatch(f"span has shape {v.shape}, expected {(ms.total_dim, ms.dim)}")
+    v = util.as_complex_matrix(vectors, "span", (ms.total_dim, ms.dim))
     if not np.isfinite(v).all():
         raise NonFinite("span contains NaN or Inf entries")
     pv = v[ms.p_rows, :]
     util._require_conditioned(pv, "model-space components")
     s = np.linalg.solve(pv.T, v[ms.q_rows, :].T).T
     provenance = None if indices is None else _direct_provenance(indices, ms)
-    return DecouplingMap(ms, util._frozen(s), provenance)
+    return DecouplingMap(ms, s, provenance)
 
 
 def _direct_provenance(indices, ms: ModelSpace) -> DirectProvenance:

@@ -13,18 +13,25 @@ from .errors import DimensionMismatch, SingularProjection, ValidationError
 __all__ = ["SpectrumMatch", "match_spectra"]
 
 
-def as_complex_matrix(m, name: str = "matrix") -> np.ndarray:
-    """``m`` as a 2-D C-ordered complex array, ``m`` itself when it is one: do not write to it."""
+def as_complex_matrix(m, name: str = "matrix", shape=None) -> np.ndarray:
+    """``m`` as a 2-D C-ordered complex array, ``m`` itself when it is one: do not write to it.
+    :class:`DimensionMismatch` for another rank or, given ``shape``, another shape."""
     a = np.asarray(m, dtype=np.complex128, order="C")
     if a.ndim != 2:
         raise DimensionMismatch(f"{name} must be 2-D, got ndim={a.ndim}")
+    if shape is not None and a.shape != shape:
+        raise DimensionMismatch(f"{name} has shape {a.shape}, expected {shape}")
     return a
 
 
-def as_complex_vector(v, name: str = "vector") -> np.ndarray:
+def as_complex_vector(v, name: str = "vector", size=None) -> np.ndarray:
+    """``v`` as a 1-D complex array; :class:`DimensionMismatch` for another
+    rank or, given ``size``, another length."""
     a = np.asarray(v, dtype=np.complex128)
     if a.ndim != 1:
         raise DimensionMismatch(f"{name} must be 1-D, got shape {a.shape}")
+    if size is not None and a.size != size:
+        raise DimensionMismatch(f"{name} has {a.size} entries, expected {size}")
     return a
 
 

@@ -8,6 +8,7 @@ from effop.errors import (
     DimensionMismatch,
     MatrixFileError,
     MaxIterExceeded,
+    NonFinite,
     NotAnEigenvector,
     NotCommuting,
     NotDecoupled,
@@ -15,6 +16,7 @@ from effop.errors import (
     ValidationError,
 )
 from effop.harness import matio, run_verification
+from effop.harness.generate import ProblemSpec, commuting_partners, gap_separated
 from effop.spaces import EigenSelection, ModelSpace, validate_hermitian
 
 OBS = validate_hermitian(np.diag([1.0, 2.0, 3.0]))
@@ -182,6 +184,53 @@ CASES = {
     "run_verification float seed": (
         ValidationError, r"seed must be an integer, got 1\.5",
         lambda tmp: run_verification(OBS, seed=1.5)),
+    "ProblemSpec float dim": (
+        ValidationError, r"dim must be an integer, got 2\.5",
+        lambda tmp: ProblemSpec("random_hermitian", 2.5, 1)),
+    "ProblemSpec float seed": (
+        ValidationError, r"seed must be an integer, got 1\.5",
+        lambda tmp: ProblemSpec("random_hermitian", 3, 1.5)),
+    "ProblemSpec float family_size": (
+        ValidationError, r"family_size must be an integer, got 2\.0",
+        lambda tmp: ProblemSpec("commuting_family", 3, 1, family_size=2.0)),
+    "gap_separated float d": (
+        ValidationError, r"d must be an integer, got 1\.5",
+        lambda tmp: gap_separated(6, 1.5)),
+    "gap_separated float dim": (
+        ValidationError, r"dim must be an integer, got 6\.5",
+        lambda tmp: gap_separated(6.5, 2)),
+    "gap_separated float seed": (
+        ValidationError, r"seed must be an integer, got 0\.5",
+        lambda tmp: gap_separated(6, 2, seed=0.5)),
+    "commuting_partners float count": (
+        ValidationError, r"count must be an integer, got 1\.5",
+        lambda tmp: commuting_partners(OBS, 1.5)),
+    # array arguments: the rank, then the shape or length, each in one form
+    "DecouplingMap list s shape": (
+        DimensionMismatch, r"s has shape \(1, 2\), expected \(2, 1\)",
+        lambda tmp: transform.DecouplingMap(DM.model_space, [[0.0, 0.0]])),
+    "DecouplingMap 1-D s": (
+        DimensionMismatch, "s must be 2-D, got ndim=1",
+        lambda tmp: transform.DecouplingMap(DM.model_space, [0.0, 0.0])),
+    "solver initial_s shape": (
+        DimensionMismatch, r"initial_s has shape \(1, 2\), expected \(2, 1\)",
+        lambda tmp: solver.solve_decoupling_fixed_point(
+            OBS, DM.model_space, solver.SolverConfig(initial_s=[[0.0, 0.0]]))),
+    "matrix_element short block": (
+        DimensionMismatch, r"psi has shape \(2, 2\), expected \(3, 2\)",
+        lambda tmp: effective.matrix_element(np.ones((2, 2)), np.ones((3, 1)), FIRST)),
+    "matrix_element long block": (
+        DimensionMismatch, r"psi has shape \(4, 1\), expected \(3, 1\)",
+        lambda tmp: effective.matrix_element(np.ones((4, 1)), np.ones(3), FIRST)),
+    "retrieve alpha length": (
+        DimensionMismatch, "alpha has 2 entries, expected 1",
+        lambda tmp: transform.retrieve_full_vector([1.0, 0.0], DM)),
+    "expectation_first_type nan": (
+        NonFinite, "alpha contains NaN or Inf",
+        lambda tmp: effective.expectation_first_type(FIRST, [np.nan])),
+    "expectation_first_type inf": (
+        NonFinite, "alpha contains NaN or Inf",
+        lambda tmp: effective.expectation_first_type(FIRST, [np.inf])),
 }
 
 
@@ -191,6 +240,17 @@ def test_input_check_raises_its_type(case, tmp_path):
     with pytest.raises(error, match=message) as info:
         call(tmp_path)
     assert type(info.value) is error
+
+
+def test_array_likes_enter_like_arrays():
+    s = [[0.5], [-0.25j]]
+    from_list = transform.DecouplingMap(DM.model_space, s)
+    from_array = transform.DecouplingMap(DM.model_space, np.array(s))
+    assert from_list.s.tobytes() == from_array.s.tobytes()
+    assert from_list.frame.tobytes() == from_array.frame.tobytes()
+    assert not from_list.s.flags.writeable
+    frozen = from_array.s
+    assert transform.DecouplingMap(DM.model_space, frozen).s is frozen
 
 
 def test_numpy_integers_are_accepted():

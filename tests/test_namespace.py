@@ -133,3 +133,16 @@ def test_modules_import_only_lower_layers():
     for module, path in modules.items():
         for line, imported in _relative_imports(path, module):
             assert RANK[imported] < RANK[module], f"{module}:{line} imports {imported}"
+
+
+def test_only_util_checks_array_shapes():
+    """Lengths and shapes of array arguments are checked by ``util.as_complex_*``
+    alone, so no other module may spell their messages."""
+    root = Path(effop.__file__).parent
+    for path in sorted(root.rglob("*.py")):
+        if path == root / "util.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                for phrase in ("has shape", "entries, expected"):
+                    assert phrase not in node.value, f"{path.name}:{node.lineno} checks a shape"

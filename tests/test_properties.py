@@ -352,10 +352,10 @@ def test_block_level_builders_equal_the_public_ones(problem):
     what each public builder gives from its own reduction."""
     obs, dm = problem
     blocks = transformed_blocks(obs, dm)
-    pair = _effective_pair(obs, dm, blocks)
+    pair = _effective_pair(blocks)
     _same_operator(pair.first, first_type(obs, dm))
     _same_operator(pair.second, second_type(obs, dm))
-    qq, report = _factorization(obs, blocks)
+    qq, report = _factorization(blocks)
     public_qq, public_report = q_block_and_factorization(obs, dm)
     assert qq.tobytes() == public_qq.tobytes()
     assert report == public_report
@@ -371,7 +371,7 @@ def test_block_level_builders_equal_the_public_ones(problem):
         with pytest.raises(NotDecoupled) as public:
             first_type(obs, zero)
         with pytest.raises(NotDecoupled) as private:
-            _effective_pair(obs, zero, transformed_blocks(obs, zero))
+            _effective_pair(transformed_blocks(obs, zero))
         assert private.value.residual == public.value.residual
         assert str(private.value) == str(public.value)
 
