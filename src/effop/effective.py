@@ -282,6 +282,8 @@ def expectation_first_type(op: EffectiveOperator, alpha) -> complex:
     a = util.as_complex_vector(alpha, "alpha", op.matrix.shape[0])
     if not np.isfinite(a).all():
         raise NonFinite("alpha contains NaN or Inf entries")
+    exponent = np.frexp(np.abs(a).max())[1]  # an exact power-of-two scale keeps |a|^2 in range
+    a = np.ldexp(np.ascontiguousarray(a).view(np.float64), -exponent).view(np.complex128)
     norm2 = float(np.vdot(a, a).real)
     if norm2 == 0.0:
         raise ZeroVector("expectation of the zero vector is undefined")
@@ -293,6 +295,8 @@ def expectation_second_type(op: EffectiveOperator, psi) -> float:
     vector of op's subspace: the quadratic form of the Hermitian
     representative on the model components, over the full norm squared."""
     v = util.as_complex_vector(psi, "psi")
+    exponent = np.frexp(np.abs(v).max(initial=0.0))[1]  # as in expectation_first_type
+    v = np.ldexp(np.ascontiguousarray(v).view(np.float64), -exponent).view(np.complex128)
     value = matrix_element(v, v, op)
     norm2 = float(np.vdot(v, v).real)
     if norm2 == 0.0:  # the zero vector lies in every subspace

@@ -176,7 +176,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         dense = transform.similarity_transform(obs, dm)
         # ||O||_F floored at 1; the (1 + ||s||)^2 of the two factors is scale-free
         report.add("blocks_assembly",
-                   np.linalg.norm(transform.assemble_blocks(blocks, ms) - dense),
+                   np.linalg.norm(transform.assemble_blocks(blocks) - dense),
                    1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
         # the enclosure can only confirm; the eigensolver decides what it cannot
         report.add_flag("spectrum_preserved",

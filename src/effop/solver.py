@@ -36,7 +36,7 @@ import numpy as np
 from . import tolerances, util
 from .errors import Diverged, MaxIterExceeded, SylvesterSingular, ValidationError
 from .spaces import ModelSpace, ObservableMatrix
-from .transform import DecouplingMap, IterativeProvenance, _reduce, partition_blocks
+from .transform import DecouplingMap, IterativeProvenance, partition_blocks, transformed_blocks
 
 __all__ = [
     "SolverConfig",
@@ -98,8 +98,7 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     residual and the trace) when the budget runs out.
     """
     cfg = config or SolverConfig()
-    partition = partition_blocks(obs, ms)
-    a, b, b_dag, f = partition
+    a, b, b_dag, f = partition_blocks(obs, ms)
     d = ms.dim
     nq = ms.total_dim - d
 
@@ -121,12 +120,12 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
 
     steps: list[TraceStep] = []
     best_s = s
-    best_res = _reduce(obs, DecouplingMap(ms, s), partition).residual
+    best_res = transformed_blocks(obs, DecouplingMap(ms, s)).residual
     for k in range(1, cfg.max_iter + 1):
         rhs = s @ b @ s - b_dag
         s_new = u @ ((u_dag @ rhs @ v) / denominator) @ v_dag
         step = float(np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s)))
-        res = _reduce(obs, DecouplingMap(ms, s_new), partition).residual
+        res = transformed_blocks(obs, DecouplingMap(ms, s_new)).residual
         s = s_new
         s_norm = float(np.linalg.norm(s))
         steps.append(TraceStep(k, step, res, s_norm))

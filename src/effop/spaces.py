@@ -63,8 +63,9 @@ class ObservableMatrix:
 
     @cached_property
     def spectrum(self) -> np.ndarray:
-        """Read-only ascending eigenvalues."""
-        return util._frozen(np.linalg.eigvalsh(self.matrix))
+        """Read-only ascending eigenvalues; those of :func:`eigendecompose` once it has run."""
+        pairs = self.__dict__.get("_eigenpairs")
+        return pairs.values if pairs is not None else util._frozen(np.linalg.eigvalsh(self.matrix))
 
     @cached_property
     def _eigenpairs(self) -> EigenSelection:

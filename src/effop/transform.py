@@ -5,9 +5,9 @@ the transform pair (1 - S, 1 + S) is its exact exponential. Applied to
 a Hermitian observable the transform leaves the spectrum untouched; the
 observable is *decoupled* for a model space when the lower-left block
 of the transformed matrix vanishes, and the Frobenius norm of that
-block is the decoupling residual. The blocks are views picked out by
-the model-space permutation; the map's frame [I; s] and everything
-returned to callers are in the original index order.
+block is the decoupling residual. The blocks are read off one product
+O [I; s] of the observable and the map's frame, whose columns span the
+invariant subspace; all of them are in the original index order.
 """
 
 from __future__ import annotations
@@ -86,11 +86,15 @@ def retrieve_full_vector(alpha, dm: DecouplingMap) -> np.ndarray:
     return dm.frame @ util.as_complex_vector(alpha, "alpha", dm.model_space.dim)
 
 
+def _require_same_space(obs: ObservableMatrix, ms: ModelSpace) -> None:
+    if obs.dim != ms.total_dim:
+        raise DimensionMismatch(f"observable dim {obs.dim} != model space total {ms.total_dim}")
+
+
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
     """Model/complement partition (a, b, b_dag, f) of a Hermitian matrix:
     read-only views of one gathered copy with the model-space axes first."""
-    if obs.dim != ms.total_dim:
-        raise DimensionMismatch(f"observable dim {obs.dim} != model space total {ms.total_dim}")
+    _require_same_space(obs, ms)
     perm, d = ms.perm_rows, ms.dim
     m = obs.matrix[np.ix_(perm, perm)]
     m.setflags(write=False)
@@ -145,38 +149,40 @@ def exp_s(dm: DecouplingMap, sign: int) -> np.ndarray:
 
 def similarity_transform(obs: ObservableMatrix, dm: DecouplingMap) -> np.ndarray:
     """Dense (1 - S) O (1 + S); same spectrum as O, generally non-Hermitian."""
-    if obs.dim != dm.model_space.total_dim:
-        raise DimensionMismatch(f"observable dim {obs.dim} != map total {dm.model_space.total_dim}")
+    _require_same_space(obs, dm.model_space)
     return exp_s(dm, -1) @ obs.matrix @ exp_s(dm, 1)
 
 
 @dataclass(frozen=True)
 class TransformedBlocks:
-    """Blocks of the transformed observable in the (model, complement)
-    partition: pp = a + b s, pq = b, the residual block
-    qp = b_dag + f s - s pp with its norm ``residual``, and, formed on
-    first access, qq = f - s b, the second-type matrix and the spectra
-    of both diagonal blocks. ``_partition`` holds the views (a, b,
-    b_dag, f) of the permuted observable ``_obs``; ``_map`` holds s."""
+    """Blocks of the transformed observable in the (model, complement) partition,
+    read off ``_applied``, the product O [I; s] of the observable ``_obs`` and the
+    frame of the map ``_map``: pp = its model rows, the residual block qp = its
+    complement rows - s pp with its norm ``residual``, and, formed on first access,
+    pq = b, qq = f - s b, the second-type matrix and the spectra of both diagonal blocks."""
 
     pp: np.ndarray
-    pq: np.ndarray
     qp: np.ndarray
     residual: float
     _obs: ObservableMatrix = field(repr=False)
     _map: DecouplingMap = field(repr=False)
-    _partition: tuple[np.ndarray, ...] = field(repr=False)
-    _fs: np.ndarray = field(repr=False)
+    _applied: np.ndarray = field(repr=False)
+
+    @cached_property
+    def pq(self) -> np.ndarray:
+        """b, strided as in :func:`partition_blocks`, so products with it round alike."""
+        ms = self._map.model_space
+        return self._obs.matrix[np.ix_(ms.p_rows, ms.perm_rows)][:, ms.dim:]
 
     @cached_property
     def qq(self) -> np.ndarray:
-        return self._partition[3] - self._map.s @ self.pq
+        q = self._map.model_space.q_rows
+        return self._obs.matrix[np.ix_(q, q)] - self._map.s @ self.pq
 
     @cached_property
     def second(self) -> np.ndarray:
-        """Second-type matrix a + b s + s'b_dag + s'f s = [I; s]' O [I; s]."""
-        s_h = self._map.s.conj().T
-        return self.pp + s_h @ self._partition[2] + s_h @ self._fs
+        """Second-type matrix [I; s]' O [I; s] = a + b s + s'b_dag + s'f s."""
+        return self._map.frame.conj().T @ self._applied
 
     @cached_property
     def block_spectra(self) -> tuple[np.ndarray, np.ndarray]:
@@ -194,24 +200,19 @@ class TransformedBlocks:
         return np.linalg.eigvalsh(r[:d, :d]), np.linalg.eigvalsh(r[d:, d:])
 
 
-def _reduce(obs: ObservableMatrix, dm: DecouplingMap, partition) -> TransformedBlocks:
-    """The one place the partition (a, b, b_dag, f) of obs and a map become blocks."""
-    a, b, b_dag, f = partition
-    pp = a + b @ dm.s
-    fs = f @ dm.s
-    qp = b_dag + fs - dm.s @ pp
-    return TransformedBlocks(pp, b, qp, float(np.linalg.norm(qp)), obs, dm, partition, fs)
-
-
 def transformed_blocks(obs: ObservableMatrix, dm: DecouplingMap) -> TransformedBlocks:
-    """Closed-form blocks of the transformed observable."""
-    return _reduce(obs, dm, partition_blocks(obs, dm.model_space))
+    """Closed-form blocks of the transformed observable, from one product O [I; s]."""
+    _require_same_space(obs, dm.model_space)
+    applied = obs.matrix @ dm.frame
+    pp = applied[dm.model_space.p_rows]
+    qp = applied[dm.model_space.q_rows] - dm.s @ pp
+    return TransformedBlocks(pp, qp, float(np.linalg.norm(qp)), obs, dm, applied)
 
 
-def assemble_blocks(blocks: TransformedBlocks, ms: ModelSpace) -> np.ndarray:
-    """Embed partition blocks back into the original index order."""
-    n = ms.total_dim
-    out = np.zeros((n, n), dtype=np.complex128)
+def assemble_blocks(blocks: TransformedBlocks) -> np.ndarray:
+    """Embed the blocks back into the original index order of their map."""
+    ms = blocks._map.model_space
+    out = np.zeros((ms.total_dim,) * 2, dtype=np.complex128)
     p, q = ms.p_rows, ms.q_rows
     out[np.ix_(p, p)] = blocks.pp
     out[np.ix_(p, q)] = blocks.pq

@@ -1,5 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from effop.effective import (
     classify_eigenvector,
@@ -410,6 +414,47 @@ def test_expectation_second_type_divides_by_the_norm():
     psi8 = sel.vectors @ np.array([3.0, -1.0j, 2.0])
     exact = float(np.vdot(psi8, obs.matrix @ psi8).real) / float(np.vdot(psi8, psi8).real)
     assert expectation_second_type(second_type(obs, dm8), psi8) == pytest.approx(exact, abs=1e-9)
+
+
+
+def _diagonal_representatives():
+    """First and second type of diag(1, 2, 3) on K = (1, 2), whose map is 0."""
+    obs = validate_hermitian(np.diag([1.0, 2.0, 3.0]))
+    dm = DecouplingMap(ModelSpace(3, (1, 2)), np.zeros((1, 2)))
+    return first_type(obs, dm), second_type(obs, dm)
+
+
+@pytest.mark.parametrize("magnitude", [1e200, 1e-200])
+def test_expectations_of_huge_and_tiny_vectors(magnitude):
+    """The vector is scaled by a power of two before its norm is squared,
+    so the square neither overflows nor underflows."""
+    first, second = _diagonal_representatives()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert expectation_first_type(first, [magnitude, 0.0]) == 1.0
+        assert expectation_second_type(second, [magnitude, 0.0, 0.0]) == 1.0
+
+
+# signed magnitudes from 1e-40 to 1e41, and zero: every product stays a normal float
+_NORMAL_RANGE = st.one_of(st.just(0.0), st.builds(
+    lambda sign, mantissa, exponent: sign * mantissa * 10.0 ** exponent,
+    st.sampled_from([-1.0, 1.0]), st.floats(1.0, 10.0), st.integers(-40, 40)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None, database=None)
+@given(st.lists(_NORMAL_RANGE, min_size=6, max_size=6))
+def test_expectations_equal_the_unscaled_quotients_bit_for_bit(parts):
+    """Scaling by a power of two is exact, so away from overflow and
+    underflow both expectations equal the quotients of the raw vector."""
+    obs, _, _, _, dm = _random_setup(seed=84)
+    first, second = first_type(obs, dm), second_type(obs, dm)
+    alpha = np.array(parts[:3]) + 1j * np.array(parts[3:])
+    assume(np.any(alpha))
+    raw_first = complex(np.vdot(alpha, first.matrix @ alpha) / float(np.vdot(alpha, alpha).real))
+    assert expectation_first_type(first, alpha) == raw_first
+    psi = dm.frame @ alpha
+    raw_second = matrix_element(psi, psi, second).real / float(np.vdot(psi, psi).real)
+    assert expectation_second_type(second, psi) == raw_second
 
 
 def test_equivalence_same_space_is_identity():

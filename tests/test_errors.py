@@ -89,6 +89,10 @@ CASES = {
     "partition shape": (
         DimensionMismatch, "observable dim 3 != model space total 4",
         lambda tmp: transform.partition_blocks(OBS, ModelSpace(4, (1,)))),
+    "reduction shape": (
+        DimensionMismatch, "observable dim 3 != model space total 4",
+        lambda tmp: transform.transformed_blocks(OBS, transform.DecouplingMap(
+            ModelSpace(4, (1,)), np.zeros((3, 1))))),
     "span shape": (
         DimensionMismatch, "span has shape",
         lambda tmp: transform.construct_s_from_span(np.ones((3, 2)), DM.model_space)),

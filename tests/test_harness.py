@@ -34,6 +34,7 @@ from effop.harness.verify import _enumeration_agrees, _listed, _second_model_spa
 from effop.spaces import (
     EigenSelection,
     ModelSpace,
+    ObservableMatrix,
     eigendecompose,
     enumerate_model_spaces,
     pivoted_model_space,
@@ -704,14 +705,18 @@ def test_cli_effective_builds_blocks_once(tmp_path, monkeypatch):
 
 
 def test_cli_effective_second_type_partitions_once(tmp_path, monkeypatch):
+    """``effective --second-type`` reduces O by s once and gathers no partition."""
     obs_path, s_path = _observable_and_map(tmp_path)
-    calls, counted = _count_calls(monkeypatch, transform.partition_blocks)
-    assert effop.partition_blocks is counted
+    calls, counted = _count_calls(monkeypatch, transform.transformed_blocks)
+    partitions, counted_partition = _count_calls(monkeypatch, transform.partition_blocks)
+    assert effop.transformed_blocks is counted
+    assert effop.partition_blocks is counted_partition
 
     out = tmp_path / "eff_bar.mat"
     assert cli.main(["effective", "--matrix", str(obs_path), "--s", str(s_path),
                      "--second-type", "--out", str(out)]) == 0
     assert len(calls) == 1
+    assert partitions == []
     monkeypatch.undo()
     obs, _ = read_observable(obs_path)
     residual = transform.decoupling_residual(obs, read_decoupling_map(s_path))
@@ -766,12 +771,13 @@ def _recorded_shapes(monkeypatch, *names):
     return shapes
 
 
-def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
-    """Eight factorization reports on one observable and eight maps run no
-    non-Hermitian eigensolver and take the N x N spectrum once."""
+def _factorization_dense_eigensolves(monkeypatch, decomposed: bool):
+    """Shapes of the eigensolves run by eight factorization reports on one
+    random 16 x 16 observable and eight maps; the maps come from an
+    ``eigendecompose`` of that observable or of an equal, fresh one."""
     n = 16
     obs = generate(ProblemSpec("random_hermitian", dim=n, seed=41))
-    decomposition = eigendecompose(obs)
+    decomposition = eigendecompose(obs if decomposed else ObservableMatrix(obs.matrix))
     maps = []
     for first in range(1, 9):
         selection = select_eigenvectors(decomposition, (first, first + 4, first + 8))
@@ -781,6 +787,19 @@ def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
     for dm in maps:
         _, report = effop.q_block_and_factorization(obs, dm)
         assert report.matched
+    return n, shapes
+
+
+def test_factorization_reports_share_one_dense_spectrum(monkeypatch):
+    """Eight factorization reports on one observable and eight maps run no
+    non-Hermitian eigensolver and reuse the spectrum of ``eigendecompose``."""
+    n, shapes = _factorization_dense_eigensolves(monkeypatch, decomposed=True)
+    assert shapes["eigvals"] == []
+    assert shapes["eigvalsh"].count((n, n)) == 0
+
+
+def test_factorization_reports_without_eigendecompose_take_one_dense_spectrum(monkeypatch):
+    n, shapes = _factorization_dense_eigensolves(monkeypatch, decomposed=False)
     assert shapes["eigvals"] == []
     assert shapes["eigvalsh"].count((n, n)) == 1
 

@@ -1,13 +1,22 @@
-"""Peak memory of matrix file I/O and Hermitian validation, in units of
-the matrix's own bytes. tracemalloc sees numpy's buffers, so each bound
-counts every N x N temporary a step makes beyond its result."""
+"""Peak memory of matrix file I/O, Hermitian validation and the block
+reduction, in units of the matrix's own bytes. tracemalloc sees numpy's
+buffers, so each bound counts every N x N temporary a step makes beyond
+its result."""
 
 import tracemalloc
 
 import pytest
 
+from effop.effective import first_type, second_type
 from effop.harness import ProblemSpec, generate, read_matrix, write_observable
-from effop.spaces import validate_hermitian
+from effop.spaces import (
+    ModelSpace,
+    eigendecompose,
+    pivoted_model_space,
+    select_eigenvectors,
+    validate_hermitian,
+)
+from effop.transform import construct_s_direct, transformed_blocks
 
 N = 200
 
@@ -50,3 +59,17 @@ def test_validate_hermitian_of_a_read_matrix(tmp_path, observable):
     obs, ratio = _peak_ratio(lambda: validate_hermitian(matrix), matrix.nbytes)
     assert obs.matrix.tobytes() == observable.matrix.tobytes()
     assert ratio <= 3.0
+
+
+@pytest.mark.parametrize("step", [
+    lambda obs, dm: transformed_blocks(obs, dm).residual,
+    lambda obs, dm: first_type(obs, dm),
+    lambda obs, dm: second_type(obs, dm),
+], ids=["residual", "first_type", "second_type"])
+def test_reduction_gathers_no_copy_of_the_matrix(observable, step):
+    """One reduction reads its blocks off the (N, d) product O [I; s]."""
+    selection = select_eigenvectors(eigendecompose(observable), (1, 2, 3, 4))
+    dm = construct_s_direct(selection, ModelSpace(N, pivoted_model_space(selection)))
+    _ = observable.norm, dm.frame  # cached on first access, before the measured step
+    _, ratio = _peak_ratio(lambda: step(observable, dm), observable.matrix.nbytes)
+    assert ratio <= 0.25

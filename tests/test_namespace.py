@@ -87,11 +87,13 @@ def test_no_public_name_is_an_alias(package):
         assert other == name, f"{name} is an alias of {other}"
 
 
-# a representative carries its map: these take no map or selection beside it
+# a representative or a reduction carries its map: these take no map,
+# model space or selection beside it
 SIGNATURES = {
     "matrix_element": ["psi", "phi", "op"],
     "expectation_second_type": ["op", "psi"],
     "equivalence_transform": ["op", "other"],
+    "assemble_blocks": ["blocks"],
 }
 
 
@@ -146,3 +148,18 @@ def test_only_util_checks_array_shapes():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 for phrase in ("has shape", "entries, expected"):
                     assert phrase not in node.value, f"{path.name}:{node.lineno} checks a shape"
+
+
+def test_only_the_solver_partitions_an_observable():
+    """Blocks are read off O [I; s]; the N x N gather of ``partition_blocks``
+    serves only the solver's eigenbases of a and f."""
+    root = Path(effop.__file__).parent
+    callers = []
+    for path in sorted(root.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "partition_blocks":
+                    callers.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert [caller.split(":")[0] for caller in callers] == ["solver.py"], callers

@@ -282,6 +282,47 @@ def test_second_type_is_the_metric_times_first_type(problem):
     assert np.array_equal(blocks.qq, f - s @ b)
 
 
+
+@st.composite
+def scaled_maps(draw):
+    """A random, planted or tridiagonal observable with 2 <= N <= 16, scaled
+    by c in {1e-12, 1, 1e12}, and the decoupling map of d of its
+    eigenvectors, 1 <= d <= N - 1, on the pivoted model space."""
+    kind = draw(st.sampled_from(["random_hermitian", "planted_spectrum", "tridiagonal_chain"]))
+    n = draw(st.integers(2, 16))
+    d = draw(st.integers(1, n - 1))
+    c = draw(st.sampled_from([1e-12, 1.0, 1e12]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    obs = validate_hermitian(c * generate(ProblemSpec(kind, n, seed)).matrix)
+    j = tuple(sorted(int(i) + 1 for i in np.random.default_rng(seed).choice(n, d, replace=False)))
+    selection = select_eigenvectors(eigendecompose(obs), j)
+    return obs, construct_s_direct(selection, ModelSpace(n, pivoted_model_space(selection)))
+
+
+@PROPERTY_SETTINGS
+@given(scaled_maps())
+def test_frame_read_blocks_equal_the_partition_formulas(problem):
+    """pp, qp and the second type read off O [I; s] equal a + b s,
+    b_dag + f s - s pp and pp + s'b_dag + s'f s of the partition, to
+    rounding relative to ||O||_F, at every scale."""
+    obs, dm = problem
+    s = dm.s
+    s_h = s.conj().T
+    a, b, b_dag, f = partition_blocks(obs, dm.model_space)
+    pp = a + b @ s
+    fs = f @ s
+    qp = b_dag + fs - s @ pp
+    second = pp + s_h @ b_dag + s_h @ fs
+    blocks = transformed_blocks(obs, dm)
+    rounding = 1e-13 * obs.norm * (1.0 + float(np.linalg.norm(s))) ** 2
+    assert np.linalg.norm(blocks.pp - pp) <= rounding
+    assert np.linalg.norm(blocks.qp - qp) <= rounding
+    assert abs(blocks.residual - np.linalg.norm(qp)) <= rounding
+    assert np.linalg.norm(blocks.second - second) <= rounding
+    assert np.array_equal(blocks.pq, b)
+    assert np.array_equal(blocks.qq, f - s @ b)
+
+
 @PROPERTY_SETTINGS
 @given(problems(), st.integers(1, 4), st.integers(1, 4))
 def test_matrix_element_block_equals_the_scalar_double_loop(problem, k, k2):

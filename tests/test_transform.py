@@ -181,7 +181,7 @@ def test_blocks_assemble_to_dense_transform():
     ms = ModelSpace(8, k_best)
     dm = construct_s_direct(sel, ms)
     dense = similarity_transform(obs, dm)
-    rebuilt = assemble_blocks(transformed_blocks(obs, dm), ms)
+    rebuilt = assemble_blocks(transformed_blocks(obs, dm))
     assert np.linalg.norm(rebuilt - dense) <= 1e-12 * obs.norm
 
 
