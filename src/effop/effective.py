@@ -95,7 +95,7 @@ def _factorization(blocks):
     spec_p, spec_q = blocks.block_spectra
     report = util.match_spectra(np.concatenate([spec_p, spec_q]), blocks._obs.spectrum)
     qq = blocks.qq
-    weight = 1.0 + np.abs(spec_q)
+    weight = tolerances.scaled(1.0, np.abs(spec_q))
     moments = (np.trace(qq), np.sum(qq * qq.T))
     tied = all(abs(moment - np.sum(spec_q ** k)) <= k * report.rtol * np.sum(weight ** k)
                for k, moment in enumerate(moments, start=1))

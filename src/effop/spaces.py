@@ -1,7 +1,7 @@
 """Truncated-space bookkeeping.
 
 Validated Hermitian observables, model-space index sets with their
-projectors, a dense eigendecomposition with a reproducible ordering,
+projectors, a dense eigendecomposition in the eigensolver's ascending order,
 and selection of eigenvector subsets. Every index set crossing the
 public interface is 1-based; numpy internals are 0-based.
 """
@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ObservableMatrix:
             values, vectors = np.linalg.eigh(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
-        values, vectors = _order_ties(values, _normalize_phases(vectors))
+        vectors = _normalize_phases(vectors)
         misfit = self.matrix @ vectors
         misfit -= vectors * values
         residual = float(np.linalg.norm(misfit, axis=0).max())
@@ -173,32 +173,13 @@ def _degenerate_clusters(values, rtol: float) -> list[tuple[int, int]]:
     return [(start, stop) for start, stop in itertools.pairwise(edges) if stop - start > 1]
 
 
-def _order_ties(values: np.ndarray, vectors: np.ndarray):
-    """Reorder columns inside numerically degenerate clusters lexicographically."""
-
-    def cmp(i, j):
-        u, v = vectors[:, i], vectors[:, j]
-        for a, b in zip(u, v):
-            if abs(a.real - b.real) > tolerances.LEX_TOL:
-                return -1 if a.real < b.real else 1
-            if abs(a.imag - b.imag) > tolerances.LEX_TOL:
-                return -1 if a.imag < b.imag else 1
-        return 0
-
-    if not (clusters := _degenerate_clusters(values, tolerances.TIE_RTOL)):
-        return values, vectors  # no copy when nothing ties
-    order = np.arange(values.shape[0])
-    for start, stop in clusters:
-        order[start:stop] = sorted(range(start, stop), key=cmp_to_key(cmp))
-    return values[order], vectors[:, order]
-
-
 def eigendecompose(obs: ObservableMatrix) -> EigenSelection:
-    """Dense Hermitian eigendecomposition with a reproducible ordering: every
-    eigenpair, as the selection J = (1, ..., N).
+    """Dense Hermitian eigendecomposition: every eigenpair, as the selection
+    J = (1, ..., N).
 
-    Values come back ascending; ties are broken by lexicographic order of the
-    phase-normalized eigenvectors. Column residuals above :func:`eigenpair_tolerance`
+    Values come back ascending as ``eigh`` returns them, each column
+    phase-normalized; inside a degenerate level the basis and its order are
+    the eigensolver's. Column residuals above :func:`eigenpair_tolerance`
     raise :class:`SolverFailure`. Later calls return the first call's object.
     """
     return obs._eigenpairs

@@ -9,9 +9,7 @@ absolute one is compared as it stands, so it does not follow ``O -> cO``.
 # Input and eigendecomposition
 HERM_RTOL = 1e-12         # asymmetry, relative to max |O_ij|
 EIG_RTOL = 1e-10          # eigenpair residual ||O v - lambda v||, relative to 1 + ||O||_F
-TIE_RTOL = 1e-10          # gap inside a degenerate eigenvalue cluster, relative to 1 + max |lambda|
 PHASE_ANCHOR = 1e-8       # absolute: smallest |v_i| of a unit eigenvector that fixes its phase
-LEX_TOL = 1e-9            # absolute: component difference that orders tied unit eigenvectors
 UNIT_NORM_TOL = 1e-8      # absolute: deviation of a selected eigenvector's norm from 1
 
 # Invertibility of projected blocks (ratios of singular values)

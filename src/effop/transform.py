@@ -93,12 +93,11 @@ def _require_same_space(obs: ObservableMatrix, ms: ModelSpace) -> None:
 
 def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
     """Model/complement partition (a, b, b_dag, f) of a Hermitian matrix:
-    read-only views of one gathered copy with the model-space axes first."""
+    four read-only gathers."""
     _require_same_space(obs, ms)
-    perm, d = ms.perm_rows, ms.dim
-    m = obs.matrix[np.ix_(perm, perm)]
-    m.setflags(write=False)
-    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
+    p, q = ms.p_rows, ms.q_rows
+    return tuple(util._frozen(obs.matrix[np.ix_(rows, cols)])
+                 for rows, cols in ((p, p), (p, q), (q, p), (q, q)))
 
 
 def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> DecouplingMap:
@@ -170,9 +169,8 @@ class TransformedBlocks:
 
     @cached_property
     def pq(self) -> np.ndarray:
-        """b, strided as in :func:`partition_blocks`, so products with it round alike."""
         ms = self._map.model_space
-        return self._obs.matrix[np.ix_(ms.p_rows, ms.perm_rows)][:, ms.dim:]
+        return self._obs.matrix[np.ix_(ms.p_rows, ms.q_rows)]
 
     @cached_property
     def qq(self) -> np.ndarray:

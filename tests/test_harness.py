@@ -487,6 +487,19 @@ def test_cli_gen_solve_direct_hand(tmp_path):
     assert abs(dm.s[0, 0] - 1.0) < 1e-12
 
 
+def test_cli_solve_direct_on_a_tiny_scale(tmp_path):
+    """At c = 1e-12 J = (1, 2, 3) still names the three lowest eigenpairs."""
+    obs = validate_hermitian(1e-12 * generate(ProblemSpec("tridiagonal_chain", 16, 0)).matrix)
+    matrix = tmp_path / "chain.mat"
+    write_observable(matrix, obs)
+    result = _run_cli("solve-direct", "--matrix", str(matrix), "--J", "1,2,3", "--K", "1,2,3")
+    assert result.returncode == 0, result.stderr
+    line = next(line for line in result.stdout.splitlines() if line.startswith("O_eff eigenvalues: "))
+    printed = np.array([complex(word) for word in line.split(": ", 1)[1].split()])
+    lowest = np.linalg.eigvalsh(obs.matrix)[:3]
+    assert np.abs(printed - lowest).max() <= 1e-8 * obs.norm
+
+
 def test_cli_solve_iter_weak_coupling(tmp_path):
     matrix = tmp_path / "w.mat"
     matrix.write_text("2\n1 0 0.1 0\n0.1 0 3 0\n")

@@ -151,8 +151,8 @@ def test_only_util_checks_array_shapes():
 
 
 def test_only_the_solver_partitions_an_observable():
-    """Blocks are read off O [I; s]; the N x N gather of ``partition_blocks``
-    serves only the solver's eigenbases of a and f."""
+    """Blocks are read off O [I; s]; the four gathers of ``partition_blocks``
+    serve only the solver's eigenbases of a and f."""
     root = Path(effop.__file__).parent
     callers = []
     for path in sorted(root.rglob("*.py")):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from effop.effective import matrix_element, second_type
+from effop.effective import first_type, matrix_element, second_type
 from effop.errors import (
     DimensionMismatch,
     DuplicateIndex,
@@ -273,6 +273,10 @@ def test_second_type_only_sigma_z_hand():
     assert abs(rep.matrix[0, 0]) < 1e-12
     psi = np.array([INV_SQRT2, INV_SQRT2])
     assert matrix_element(psi, psi, rep) == pytest.approx(0.0, abs=1e-12)
+    # outside the set: the map does not decouple sigma_z, so no first type
+    with pytest.raises(NotDecoupled) as info:
+        first_type(SIGMA_Z, dm)
+    assert info.value.residual == decoupling_residual(SIGMA_Z, dm)
 
 
 def test_second_type_only_identity_congruence():
@@ -300,6 +304,9 @@ def test_second_type_only_random_transition_block():
         assert abs(matrix_element(chi, chi2, rep) - exact) <= 1e-9 * (
             1 + abs(exact)
         )
+    with pytest.raises(NotDecoupled) as info:
+        first_type(outside, dm)
+    assert info.value.residual == decoupling_residual(outside, dm)
 
 
 def test_decompose_two_by_two_hand():

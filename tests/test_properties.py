@@ -21,7 +21,13 @@ from effop.effective import (
     second_type,
 )
 from effop.errors import NotDecoupled, NotInSubspace
-from effop.harness.generate import ProblemSpec, commuting_partners, generate, haar_unitary
+from effop.harness.generate import (
+    ProblemSpec,
+    commuting_partners,
+    gap_separated,
+    generate,
+    haar_unitary,
+)
 from effop.harness.verify import _spectrum_enclosed
 from effop.harness.matio import (
     read_decoupling_map,
@@ -321,6 +327,46 @@ def test_frame_read_blocks_equal_the_partition_formulas(problem):
     assert np.linalg.norm(blocks.second - second) <= rounding
     assert np.array_equal(blocks.pq, b)
     assert np.array_equal(blocks.qq, f - s @ b)
+
+
+@st.composite
+def rescaled_observables(draw):
+    """A random, planted (spectrum 1..N), tridiagonal or gap-separated
+    observable with 2 <= N <= 24, a scale c in {1e-12, 1e-10, 1e-6, 1e6,
+    1e12} and a selection J of d of its eigenvectors, 1 <= d <= N - 1."""
+    kind = draw(st.sampled_from(["random_hermitian", "planted_spectrum",
+                                 "tridiagonal_chain", "gap_separated"]))
+    n = draw(st.integers(2, 24))
+    d = draw(st.integers(1, n - 1))
+    c = draw(st.sampled_from([1e-12, 1e-10, 1e-6, 1e6, 1e12]))
+    seed = draw(st.integers(0, 2**31 - 1))
+    if kind == "gap_separated":
+        obs = gap_separated(n, d, seed=seed)
+    else:
+        obs = generate(ProblemSpec(kind, n, seed))
+    j = tuple(sorted(int(i) + 1 for i in np.random.default_rng(seed).choice(n, d, replace=False)))
+    return obs, c, j
+
+
+@settings(PROPERTY_SETTINGS, max_examples=100)
+@given(rescaled_observables())
+def test_eigendecompose_follows_a_rescaling(problem):
+    """Eigenpairs of cO are those of O in the same order: values ascending
+    and equal to eigvalsh(cO), each column the one at c = 1 up to phase,
+    and the map of the pairs at J on the c = 1 pivoted K unchanged."""
+    obs, c, j = problem
+    scaled_obs = validate_hermitian(c * obs.matrix)
+    dec, reference = eigendecompose(scaled_obs), eigendecompose(obs)
+    assert np.all(np.diff(dec.values) >= 0.0)
+    exact = np.linalg.eigvalsh(scaled_obs.matrix)
+    assert np.abs(dec.values - exact).max() <= 1e-13 * np.abs(exact).max()
+    overlaps = np.abs(np.einsum("ij,ij->j", dec.vectors.conj(), reference.vectors))
+    assert np.max(1.0 - overlaps) <= 1e-12
+    selection = select_eigenvectors(reference, j)
+    ms = ModelSpace(obs.dim, pivoted_model_space(selection))
+    s = construct_s_direct(selection, ms).s
+    s_scaled = construct_s_direct(select_eigenvectors(dec, j), ms).s
+    assert np.linalg.norm(s_scaled - s) <= 1e-12 * (1.0 + np.linalg.norm(s))
 
 
 @PROPERTY_SETTINGS

@@ -1,8 +1,10 @@
 """The README's Library tour and command-line example, run in-process."""
 
+import re
 import shlex
 from pathlib import Path
 
+from effop import tolerances
 from effop.harness import cli
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -34,3 +36,15 @@ def test_readme_command_line_example_exits_zero(tmp_path, monkeypatch):
             continue
         assert words[0] == "effop", f"unexpected README command: {line}"
         assert cli.main(words[1:]) == 0, line
+
+
+def test_readme_tolerance_table_lists_every_constant():
+    """The table under "Conventions and tolerances" names exactly the
+    upper-case constants of ``effop.tolerances``, each with its value."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Conventions and tolerances", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([A-Z_]+)` \| `([^`]+)` \|", section, flags=re.MULTILINE)
+    table = {name: float(value) for name, value in rows}
+    assert len(table) == len(rows), rows
+    module = {name: value for name, value in vars(tolerances).items() if name.isupper()}
+    assert table == module

@@ -181,7 +181,7 @@ def test_eigendecompose_bitwise_on_degenerate_spectra():
                  ProblemSpec("random_hermitian", dim=40, seed=6)):
         obs = generate(spec)
         values, vectors = np.linalg.eigh(obs.matrix)
-        values, vectors = spaces._order_ties(values, _normalize_phases_reference(vectors))
+        vectors = _normalize_phases_reference(vectors)
         dec = eigendecompose(obs)
         assert dec.values.tobytes() == values.tobytes()
         assert dec.vectors.tobytes() == vectors.tobytes()
@@ -202,14 +202,6 @@ def test_eigendecompose_rejects_inaccurate_eigenpairs(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", lambda m: (eigh(m)[0], eigh(m)[1] + 1e-3))
     with pytest.raises(SolverFailure, match=r"^eigenpair residual \S+ above tolerance "):
         eigendecompose(validate_hermitian(SIGMA_X))
-
-
-def test_order_ties_breaks_an_equal_real_part_on_the_imaginary_part():
-    # every real part agrees, so the second entry's imaginary part decides
-    vectors = np.array([[1.0, 1.0], [1j, -1j]]) * INV_SQRT2
-    values, ordered = spaces._order_ties(np.array([1.0, 1.0]), vectors)
-    assert np.array_equal(values, [1.0, 1.0])
-    assert np.array_equal(ordered, vectors[:, ::-1])
 
 
 def test_model_space_validation():
