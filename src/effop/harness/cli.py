@@ -44,11 +44,13 @@ def _floats(text: str) -> tuple[float, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
 
 
-def _fmt(z: complex) -> str:
-    z = complex(z)
-    if abs(z.imag) <= tolerances.scaled(1e-12, abs(z)):
-        return f"{z.real:.12g}"
-    return f"{z.real:.12g}{z.imag:+.12g}j"
+def _fmt(values, scale) -> str:
+    """Complex ``values`` to 12 significant digits, space-separated. An
+    imaginary part at most 1e-12 times ``scale``, the largest magnitude of
+    the printed set, is dropped, so the choice does not change under O -> cO."""
+    floor = 1e-12 * float(scale)
+    return " ".join(f"{z.real:.12g}" if abs(z.imag) <= floor else f"{z.real:.12g}{z.imag:+.12g}j"
+                    for z in np.asarray(values, dtype=np.complex128).tolist())
 
 
 def _cmd_gen(args) -> int:
@@ -86,7 +88,7 @@ def _cmd_solve_direct(args) -> int:
     operator = eff.first_type(obs, dm)
     residual = operator.residual
     eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
-    print("O_eff eigenvalues: " + " ".join(_fmt(z) for z in eigenvalues))
+    print("O_eff eigenvalues: " + _fmt(eigenvalues, np.abs(eigenvalues).max()))
     print(f"decoupling residual: {residual:.6e}")
     if args.out_s:
         matio.write_decoupling_map(args.out_s, dm, [f"residual={residual:.6e}"])
@@ -111,14 +113,15 @@ def _cmd_solve_iter(args) -> int:
     print(f"converged in {trace.iterations} iterations; "
           f"residual monotone: {trace.monotone_decreasing}")
     if dm.s.size <= 16:
+        scale = np.abs(dm.s).max(initial=0.0)
         for row in dm.s:
-            print("s: " + " ".join(_fmt(z) for z in row))
+            print("s: " + _fmt(row, scale))
     else:
         print(f"s: {dm.s.shape[0]}x{dm.s.shape[1]} matrix, "
               f"norm {np.linalg.norm(dm.s):.6e}")
     operator = eff.first_type(obs, dm)
     eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
-    print("O_eff eigenvalues: " + " ".join(_fmt(z) for z in eigenvalues))
+    print("O_eff eigenvalues: " + _fmt(eigenvalues, np.abs(eigenvalues).max()))
     if args.out_s:
         matio.write_decoupling_map(args.out_s, dm, [f"residual={dm.provenance.residual:.6e}"])
         print(f"s written to {args.out_s}")

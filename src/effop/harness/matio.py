@@ -7,15 +7,43 @@ lines holds 2C whitespace-separated decimal floats, one (re, im) pair
 per entry, row major. Square observables have R = C = N. Decoupling maps
 are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a
 comment so the model space can be rebuilt. Values are written with 17
-significant digits, enough to round-trip float64 exactly. Tokens are read
-by numpy's float parser: decimal floats, ``inf`` and ``nan``, no
-underscores and no non-ASCII digits. Files are read and written one
-row at a time, so beyond the matrix they hold about one row of text.
+significant digits, enough to round-trip float64 exactly. Tokens are
+decimal floats, ``inf`` and ``nan``, no underscores and no non-ASCII
+digits. Files are written one row at a time, and read in pieces, so
+beyond the matrix they hold little more than one piece of text.
+
+Reading takes one of two routes, chosen by the bytes of the file and by
+numpy's ``longdouble``; both return the correctly rounded float64 of
+every token, so a file reads back bit for bit either way.
+
+- Plain files, where ``longdouble`` is x87's 80-bit format: comments and
+  the row count only ahead of the data, data lines of ASCII digits,
+  ``.+-eE``, spaces and tabs broken at line feeds only, every row of one even
+  width. Chunks of whole lines of about 64 KB are each parsed by one
+  ``np.fromstring(..., np.longdouble)``, whose glibc ``strtold`` rounds a
+  token x correctly to r with a 64-bit significand. Every binary64
+  midpoint is representable in 64 bits, so none lies strictly between x
+  and r, and narrowing r rounds x to nearest even unless r is a midpoint
+  itself (its low 11 significand bits are ``0x400``). Those tokens, and
+  those whose nonzero r lands at or below float64's smallest normal
+  magnitude or beyond its range, are parsed again by ``float()``
+  (Clinger, PLDI 1990).
+- Any other file (``inf``/``nan``, interior comments, CRLF or other line
+  breaks, non-UTF-8 bytes, a malformed file, input that is not a regular
+  file), or any file where ``longdouble`` is not x87's: the text lines
+  stream into ``np.loadtxt``, and a file it refuses is read again whole
+  to name its first fault.
 """
 
 from __future__ import annotations
 
+import codecs
 import itertools
+import os
+import re
+import stat
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -103,10 +131,22 @@ def read_matrix(path):
     data reads back exactly as written. Each (re, im) float pair is
     viewed as one complex entry, so every double written, signed zeros
     and infinities included, reads back bit for bit (a NaN as numpy's NaN).
-    Lines stream from the file into the parser; a file it refuses is read
-    again whole to name its first fault.
+    A plain file is parsed in chunks by ``strtold``; any other file, or
+    one on a platform without x87's ``longdouble``, streams its lines into
+    ``np.loadtxt``, and a file that parser refuses is read again whole to
+    name its first fault.
     """
     comments: list[str] = []
+    values = _read_plain(path, comments) if _X87_LONGDOUBLE else None
+    if values is None:
+        comments.clear()
+        values = _read_stream(path, comments)
+    return values.view(np.complex128), comments
+
+
+def _read_stream(path, comments: list[str]) -> np.ndarray:
+    """The (R, 2C) floats of any matrix file, its lines streamed into the
+    parser; a file it refuses raises the first fault."""
     try:
         with open(path, encoding="utf-8-sig") as handle:
             lines = _data_lines(handle, comments)
@@ -119,7 +159,112 @@ def read_matrix(path):
         values = None
     if values is None or values.shape[1] % 2 or len(values) != rows:
         _raise_first_fault(path)
-    return values.view(np.complex128), comments
+    return values
+
+
+# glibc's strtold rounds to a 64-bit significand, stored as the low
+# little-endian half of a 16-byte longdouble.
+_X87_LONGDOUBLE = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+                   and sys.byteorder == "little")
+_CHUNK = 64 * 1024  # bytes of whole lines per parse; bounds the reader's temporaries
+_PLAIN_BYTES = b"0123456789 \t\n.-+eE"
+_TOKEN = re.compile(rb"[^ \t\n]+")
+_TINY = np.finfo(np.float64).tiny
+_HUGE = np.finfo(np.float64).max
+
+
+def _read_plain(path, comments: list[str]) -> np.ndarray | None:
+    """The (R, 2C) floats of a plain regular file, parsed chunk by chunk
+    into the result, or None where the file is not plain, not well formed
+    or not a regular file (a pipe could not be read again); ``comments``
+    then holds a partial list."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        return None
+    with open(path, "rb") as handle, warnings.catch_warnings(), np.errstate(over="ignore"):
+        # older numpy warns on text it cannot read; an r beyond float64 is parsed again
+        warnings.simplefilter("error", DeprecationWarning)
+        try:  # reads the head of the file up to the row count line
+            rows = _row_count(path, _data_lines(_plain_heads(handle), comments))
+        except (ValueError, MatrixFileError):
+            return None
+        values, width, done = np.empty((0, 0)), 0, 0
+        for chunk in _whole_lines(handle):
+            if chunk.translate(None, _PLAIN_BYTES):
+                return None
+            starts, counts = _tokens(chunk)
+            if not counts.size:
+                continue
+            if not width:
+                width = int(counts[0])
+                # a token takes a byte and a blank: refuse a row count the file cannot hold
+                if width % 2 or rows * width * 2 > info.st_size:
+                    return None
+                values = np.empty((rows, width))
+            if (counts != width).any() or done + counts.size > rows:
+                return None
+            if not _narrow(chunk, starts, values[done:done + counts.size].reshape(-1)):
+                return None
+            done += counts.size
+    return values if done == rows else None
+
+
+def _plain_heads(handle):
+    """The lines of a binary file as text less their final line feed, a
+    leading byte-order mark skipped; ValueError on a line that is not UTF-8
+    or holds another line break."""
+    for number, raw in enumerate(handle):
+        if number == 0:
+            raw = raw.removeprefix(codecs.BOM_UTF8)
+        line = raw.removesuffix(b"\n").decode("utf-8")
+        if line.splitlines() not in ([], [line]):
+            raise ValueError(f"line {number + 1} holds a line break")
+        yield line
+
+
+def _whole_lines(handle):
+    """The rest of a binary file in chunks of whole lines: ``_CHUNK`` bytes
+    and the rest of the line they end in, the file's last line given a
+    line feed."""
+    while chunk := handle.read(_CHUNK):
+        chunk += handle.readline()
+        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
+
+
+def _tokens(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets at which the tokens of a chunk of plain lines begin, and the
+    token count of each line that has any."""
+    data = np.frombuffer(chunk, np.uint8)
+    # space, tab and line feed are the alphabet's bytes at or below 32; the
+    # chunk ends in a line feed, so a blank follows every token
+    blanks = (data <= 32).nonzero()[0]
+    starts = blanks[:-1][blanks[1:] != blanks[:-1] + 1] + 1
+    if blanks[0]:
+        starts = np.concatenate(([0], starts))
+    # tokens before each line feed, hence each line's token count
+    counts = np.diff(np.searchsorted(starts, blanks[data[blanks] == 10]), prepend=0)
+    return starts, counts[counts > 0]
+
+
+def _narrow(chunk: bytes, starts: np.ndarray, out: np.ndarray) -> bool:
+    """Parse the tokens of ``chunk``, which begin at ``starts``, into the
+    float64 ``out`` through ``strtold``; False where it does not read one
+    value per token."""
+    try:
+        wide = np.fromstring(chunk, np.longdouble, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return False
+    if wide.size != out.size:
+        return False
+    out[...] = wide
+    size = np.abs(out)
+    retry = (size <= _TINY) | (size > _HUGE)
+    # a binary64 midpoint: the low 11 bits of r's significand, its first word, are 0x400
+    retry |= (wide.view(np.uint16)[::8] & 0x7FF) == 0x400
+    flagged = retry.nonzero()[0]
+    for i in flagged[wide[flagged] != 0].tolist():  # a zero r narrows exactly
+        out[i] = float(_TOKEN.match(chunk, starts[i]).group())
+    return True
 
 
 def _raise_first_fault(path):

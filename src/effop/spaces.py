@@ -41,6 +41,10 @@ __all__ = [
 ]
 
 
+# eigenvector columns per step of the residual check: bounds its N x N temporaries
+_MISFIT_COLUMNS = 16
+
+
 @dataclass(frozen=True)
 class ObservableMatrix:
     """Hermitian matrix of one observable on the truncated space.
@@ -75,10 +79,15 @@ class ObservableMatrix:
             values, vectors = np.linalg.eigh(self.matrix)
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
-        vectors = _normalize_phases(vectors)
+        _normalize_phases(vectors, out=vectors)
         misfit = self.matrix @ vectors
-        misfit -= vectors * values
-        residual = float(np.linalg.norm(misfit, axis=0).max())
+        norms = np.empty(self.dim)
+        for start in range(0, self.dim, _MISFIT_COLUMNS):
+            cols = slice(start, start + _MISFIT_COLUMNS)
+            block = misfit[:, cols]
+            block -= vectors[:, cols] * values[cols]
+            norms[cols] = np.linalg.norm(block, axis=0)
+        residual = float(norms.max())
         if residual > tol:
             raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
         return EigenSelection(tuple(range(1, self.dim + 1)), util._frozen(values), util._frozen(vectors))
@@ -116,8 +125,7 @@ class ModelSpace:
     ``indices`` must be strictly increasing. The complement keeps its
     natural order.
     ``p_rows`` and ``q_rows`` are the read-only 0-based numpy indices of
-    the model-space and complement axes, and ``perm_rows`` is the two
-    joined, all built once with the index sets.
+    the model-space and complement axes, both built once with the index sets.
     """
 
     total_dim: int
@@ -135,8 +143,7 @@ class ModelSpace:
         object.__setattr__(self, "total_dim", n)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "_complement", complement)
-        for name, axes in (("p_rows", idx), ("q_rows", complement),
-                           ("perm_rows", idx + complement)):
+        for name, axes in (("p_rows", idx), ("q_rows", complement)):
             object.__setattr__(self, name, util._frozen(np.asarray(axes, dtype=np.intp) - 1))
 
     @property
@@ -155,14 +162,15 @@ def projectors(ms: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
     return np.diag(mask), np.diag(1.0 - mask)
 
 
-def _normalize_phases(vectors: np.ndarray) -> np.ndarray:
+def _normalize_phases(vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Rotate each column so its first non-negligible entry is real positive;
-    a column without one is left unrotated."""
+    a column without one is left unrotated. The result goes to ``out``,
+    which may be ``vectors`` itself, or to a new array."""
     anchored = np.abs(vectors) > tolerances.PHASE_ANCHOR
     columns = np.arange(vectors.shape[1])
     first = anchored.argmax(axis=0)
     pivots = np.where(anchored[first, columns], vectors[first, columns], 1.0)
-    return vectors * (np.abs(pivots) / pivots)
+    return np.multiply(vectors, np.abs(pivots) / pivots, out=out)
 
 
 def _degenerate_clusters(values, rtol: float) -> list[tuple[int, int]]:

@@ -500,6 +500,17 @@ def test_cli_solve_direct_on_a_tiny_scale(tmp_path):
     assert np.abs(printed - lowest).max() <= 1e-8 * obs.norm
 
 
+@pytest.mark.parametrize("c", [1.0, 1e-12, 1e12])
+def test_cli_drops_imaginary_parts_relative_to_the_printed_set(c):
+    """At c = 1e-12 an imaginary part of a tenth of the value is printed;
+    the floor scales with the set, so the same parts print at every c."""
+    values = c * np.array([2.0, 1 + 0.1j, 1 + 1e-13j])
+    words = cli._fmt(values, np.abs(values).max()).split()
+    assert [word.endswith("j") for word in words] == [False, True, False]
+    assert cli._fmt([1e-12 + 1e-13j], 1e-12) == "1e-12+1e-13j"
+    assert cli._fmt([0j, -0j], 0.0) == "0 -0"
+
+
 def test_cli_solve_iter_weak_coupling(tmp_path):
     matrix = tmp_path / "w.mat"
     matrix.write_text("2\n1 0 0.1 0\n0.1 0 3 0\n")

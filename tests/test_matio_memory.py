@@ -61,6 +61,14 @@ def test_validate_hermitian_of_a_read_matrix(tmp_path, observable):
     assert ratio <= 3.0
 
 
+def test_eigendecompose_holds_its_vectors_and_one_product(observable):
+    """Phases are rotated in place and the residual is taken in column blocks
+    of O V, so beyond the vectors the check holds one N x N product."""
+    obs = validate_hermitian(observable.matrix)  # nothing cached yet
+    _, ratio = _peak_ratio(lambda: eigendecompose(obs), obs.matrix.nbytes)
+    assert ratio <= 2.3
+
+
 @pytest.mark.parametrize("step", [
     lambda obs, dm: transformed_blocks(obs, dm).residual,
     lambda obs, dm: first_type(obs, dm),
