@@ -149,7 +149,8 @@ def _cmd_enumerate(args) -> int:
 
 def _read_plan(path):
     blocks = []
-    for ln, text in matio._data_lines([matio._read_text(path, ValidationError)], []):
+    plan = matio._decode_text(path, Path(path).read_bytes(), ValidationError)
+    for ln, text in matio._data_lines([plan], []):
         if not text.startswith("block:"):
             raise ValidationError(f"{path}:{ln}: expected 'block: J=<ids> K=<ids>'")
         fields = matio._parse_fields(text[len("block:"):])

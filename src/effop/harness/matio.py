@@ -9,42 +9,34 @@ are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a
 comment so the model space can be rebuilt. Values are written with 17
 significant digits, enough to round-trip float64 exactly. Tokens are
 decimal floats, ``inf`` and ``nan``, no underscores and no non-ASCII
-digits. Files are written one row at a time, and read in pieces, so
-beyond the matrix they hold little more than one piece of text.
+digits. Files are written one row at a time.
 
-Reading takes one of two routes, chosen by the bytes of the file and by
-numpy's ``longdouble``; both return the correctly rounded float64 of
-every token, so a file reads back bit for bit either way.
-
-- Plain files, where ``longdouble`` is x87's 80-bit format: comments and
-  the row count only ahead of the data, data lines of ASCII digits,
-  ``.+-eE``, spaces and tabs broken at line feeds only, every row of one even
-  width. Chunks of whole lines of about 64 KB are each parsed by one
-  ``np.fromstring(..., np.longdouble)``, whose glibc ``strtold`` rounds a
-  token x correctly to r with a 64-bit significand. Every binary64
-  midpoint is representable in 64 bits, so none lies strictly between x
-  and r, and narrowing r rounds x to nearest even unless r is a midpoint
-  itself (its low 11 significand bits are ``0x400``). Those tokens, and
-  those whose nonzero r lands at or below float64's smallest normal
-  magnitude or beyond its range, are parsed again by ``float()``
-  (Clinger, PLDI 1990).
-- Any other file (``inf``/``nan``, interior comments, CRLF or other line
-  breaks, non-UTF-8 bytes, a malformed file, input that is not a regular
-  file), or any file where ``longdouble`` is not x87's: the text lines
-  stream into ``np.loadtxt``, and a file it refuses is read again whole
-  to name its first fault.
+A file is opened once and read in chunks of whole lines of about 64 KB,
+each parsed into the preallocated result, so beyond the matrix a read
+holds little more than one chunk. Where numpy's ``longdouble`` is x87's
+80-bit format, a plain chunk (ASCII digits, ``.+-eE``, spaces, tabs and
+line feeds) is parsed by one ``np.fromstring(..., np.longdouble)``, whose
+glibc ``strtold`` rounds a token x correctly to r with a 64-bit
+significand. Every binary64 midpoint is representable in 64 bits, so none
+lies strictly between x and r, and narrowing r rounds x to nearest even
+unless r is a midpoint itself (its low 11 significand bits are ``0x400``).
+Those tokens, and those whose nonzero r lands at or below float64's
+smallest normal magnitude or beyond its range, are parsed again by
+``float()`` (Clinger, PLDI 1990). Any other chunk (comments, ``inf`` or
+``nan``, other line breaks), or one ``strtold`` does not read, goes to
+``np.loadtxt``; either way every token reads as its correctly rounded
+float64. A refused file names its first fault from the bytes already read.
 """
 
 from __future__ import annotations
 
 import codecs
+import io
 import itertools
 import os
 import re
-import stat
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 
@@ -82,19 +74,21 @@ def write_matrix(path, matrix, comments=()) -> None:
             handle.write(row % tuple(values.tolist()))
 
 
-def _read_text(path, error=MatrixFileError) -> str:
-    """Contents of a UTF-8 text file less a leading byte-order mark; any
-    other bytes raise ``error`` naming the offset in the file."""
+def _decode_text(path, data: bytes, error=MatrixFileError) -> str:
+    """The bytes ``data`` of a UTF-8 text file less a leading byte-order
+    mark; any other bytes raise ``error`` naming the offset in the file."""
     try:
-        return Path(path).read_bytes().decode("utf-8").removeprefix("\ufeff")
+        return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
-def _parse_floats(lines) -> np.ndarray:
-    """numpy's C float parser over whitespace-separated tokens: one row per
-    line; raises ValueError on a bad token or a change of row width."""
-    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2)
+def _parse_floats(text: str, comments: list[str]) -> np.ndarray:
+    """numpy's C float parser over the whitespace-separated tokens of the
+    data lines of ``text``, one row per line, (0, 0) for none; comments go
+    to ``comments``. Raises ValueError on a bad token or a change of width."""
+    lines = [line for _, line in _data_lines([text], comments)]
+    return np.loadtxt(lines, dtype=np.float64, comments=None, ndmin=2) if lines else np.empty((0, 0))
 
 
 def _data_lines(chunks, comments: list[str]):
@@ -110,9 +104,10 @@ def _data_lines(chunks, comments: list[str]):
             yield ln, text
 
 
-def _row_count(path, lines) -> int:
-    """The row count on the first of the ``(line number, text)`` data lines."""
-    ln, text = next(lines, (0, None))
+def _row_count(path, line) -> int:
+    """The row count on a ``(line number, text)`` data line, None where the
+    file has no data line."""
+    ln, text = line or (0, None)
     if text is None:
         raise MatrixFileError(f"{path}: missing row count line")
     try:
@@ -131,35 +126,20 @@ def read_matrix(path):
     data reads back exactly as written. Each (re, im) float pair is
     viewed as one complex entry, so every double written, signed zeros
     and infinities included, reads back bit for bit (a NaN as numpy's NaN).
-    A plain file is parsed in chunks by ``strtold``; any other file, or
-    one on a platform without x87's ``longdouble``, streams its lines into
-    ``np.loadtxt``, and a file that parser refuses is read again whole to
-    name its first fault.
+    The path is opened once: input that cannot seek (a pipe) is read into
+    memory, so a refused file's first fault is named from the bytes read.
     """
     comments: list[str] = []
-    values = _read_plain(path, comments) if _X87_LONGDOUBLE else None
-    if values is None:
-        comments.clear()
-        values = _read_stream(path, comments)
+    with open(path, "rb") as file:
+        handle = file if file.seekable() else io.BytesIO(file.read())
+        try:
+            values = _read_values(path, handle, comments)
+        except (ValueError, MatrixFileError):  # a bad row count, token or UTF-8 byte
+            values = None
+        if values is None:
+            handle.seek(0)
+            _raise_first_fault(path, handle.read())
     return values.view(np.complex128), comments
-
-
-def _read_stream(path, comments: list[str]) -> np.ndarray:
-    """The (R, 2C) floats of any matrix file, its lines streamed into the
-    parser; a file it refuses raises the first fault."""
-    try:
-        with open(path, encoding="utf-8-sig") as handle:
-            lines = _data_lines(handle, comments)
-            rows = _row_count(path, lines)
-            data = (text for _, text in lines)
-            first = next(data, None)  # numpy warns on an empty stream
-            values = (np.empty((0, 0)) if first is None
-                      else _parse_floats(itertools.chain([first], data)))
-    except (ValueError, MatrixFileError):  # a bad row count, token or UTF-8 byte
-        values = None
-    if values is None or values.shape[1] % 2 or len(values) != rows:
-        _raise_first_fault(path)
-    return values
 
 
 # glibc's strtold rounds to a 64-bit significand, stored as the low
@@ -173,62 +153,49 @@ _TINY = np.finfo(np.float64).tiny
 _HUGE = np.finfo(np.float64).max
 
 
-def _read_plain(path, comments: list[str]) -> np.ndarray | None:
-    """The (R, 2C) floats of a plain regular file, parsed chunk by chunk
-    into the result, or None where the file is not plain, not well formed
-    or not a regular file (a pipe could not be read again); ``comments``
-    then holds a partial list."""
-    info = os.stat(path)
-    if not stat.S_ISREG(info.st_mode):
-        return None
-    with open(path, "rb") as handle, warnings.catch_warnings(), np.errstate(over="ignore"):
-        # older numpy warns on text it cannot read; an r beyond float64 is parsed again
-        warnings.simplefilter("error", DeprecationWarning)
-        try:  # reads the head of the file up to the row count line
-            rows = _row_count(path, _data_lines(_plain_heads(handle), comments))
-        except (ValueError, MatrixFileError):
-            return None
-        values, width, done = np.empty((0, 0)), 0, 0
-        for chunk in _whole_lines(handle):
-            if chunk.translate(None, _PLAIN_BYTES):
-                return None
+def _read_values(path, handle, comments: list[str]) -> np.ndarray | None:
+    """The (R, 2C) floats of a binary matrix file, or None where they are
+    not well formed: the head read line by line up to the row count, the
+    rest chunk by chunk into the result, by ``strtold`` or ``np.loadtxt``."""
+    size = handle.seek(0, os.SEEK_END)
+    handle.seek(0)
+    handle.seek(3 if handle.read(3) == codecs.BOM_UTF8 else 0)
+    line, rest = None, b""
+    for raw in handle:
+        lines = _data_lines([raw.decode("utf-8")], comments)
+        if (line := next(lines, None)) is not None:  # data after a break other than \n
+            rest = "".join(f"{text}\n" for _, text in lines).encode()
+            break
+    rows = _row_count(path, line)
+    values, width, done = np.empty((0, 0)), 0, 0
+    # the rest of the row count's line, then _CHUNK bytes at a time, each
+    # completed to whole lines and given a final line feed
+    for chunk in itertools.chain([rest], iter(lambda: handle.read(_CHUNK), b"")):
+        chunk += handle.readline() + b"\n"
+        plain = _X87_LONGDOUBLE and not chunk.translate(None, _PLAIN_BYTES)
+        if plain:
             starts, counts = _tokens(chunk)
-            if not counts.size:
-                continue
-            if not width:
-                width = int(counts[0])
-                # a token takes a byte and a blank: refuse a row count the file cannot hold
-                if width % 2 or rows * width * 2 > info.st_size:
-                    return None
-                values = np.empty((rows, width))
-            if (counts != width).any() or done + counts.size > rows:
+            if (counts != counts[:1]).any():  # rows of other widths, which loadtxt refuses too
                 return None
-            if not _narrow(chunk, starts, values[done:done + counts.size].reshape(-1)):
+            shape = (counts.size, int(counts[0]) if counts.size else 0)
+        else:
+            block = _parse_floats(chunk.decode("utf-8"), comments)
+            shape = block.shape
+        if not shape[0]:
+            continue
+        if not width:
+            width = shape[1]
+            # a token takes a byte and a blank: refuse a row count the file cannot hold
+            if width % 2 or rows * width * 2 > size:
                 return None
-            done += counts.size
+            values = np.empty((rows, width))
+        if shape[1] != width or done + shape[0] > rows:
+            return None
+        out = values[done:done + shape[0]]
+        if not (plain and _narrow(chunk, starts, out.reshape(-1))):
+            out[...] = _parse_floats(chunk.decode("utf-8"), comments) if plain else block
+        done += shape[0]
     return values if done == rows else None
-
-
-def _plain_heads(handle):
-    """The lines of a binary file as text less their final line feed, a
-    leading byte-order mark skipped; ValueError on a line that is not UTF-8
-    or holds another line break."""
-    for number, raw in enumerate(handle):
-        if number == 0:
-            raw = raw.removeprefix(codecs.BOM_UTF8)
-        line = raw.removesuffix(b"\n").decode("utf-8")
-        if line.splitlines() not in ([], [line]):
-            raise ValueError(f"line {number + 1} holds a line break")
-        yield line
-
-
-def _whole_lines(handle):
-    """The rest of a binary file in chunks of whole lines: ``_CHUNK`` bytes
-    and the rest of the line they end in, the file's last line given a
-    line feed."""
-    while chunk := handle.read(_CHUNK):
-        chunk += handle.readline()
-        yield chunk if chunk.endswith(b"\n") else chunk + b"\n"
 
 
 def _tokens(chunk: bytes) -> tuple[np.ndarray, np.ndarray]:
@@ -250,13 +217,16 @@ def _narrow(chunk: bytes, starts: np.ndarray, out: np.ndarray) -> bool:
     """Parse the tokens of ``chunk``, which begin at ``starts``, into the
     float64 ``out`` through ``strtold``; False where it does not read one
     value per token."""
-    try:
-        wide = np.fromstring(chunk, np.longdouble, sep=" ")
-    except (ValueError, DeprecationWarning):
-        return False
-    if wide.size != out.size:
-        return False
-    out[...] = wide
+    with warnings.catch_warnings(), np.errstate(over="ignore"):
+        # older numpy warns on text it cannot read; an r beyond float64 is parsed again
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            wide = np.fromstring(chunk, np.longdouble, sep=" ")
+        except (ValueError, DeprecationWarning):
+            return False
+        if wide.size != out.size:
+            return False
+        out[...] = wide
     size = np.abs(out)
     retry = (size <= _TINY) | (size > _HUGE)
     # a binary64 midpoint: the low 11 bits of r's significand, its first word, are 0x400
@@ -267,17 +237,17 @@ def _narrow(chunk: bytes, starts: np.ndarray, out: np.ndarray) -> bool:
     return True
 
 
-def _raise_first_fault(path):
-    """Raise the first fault of a file the stream refused, reading it whole:
+def _raise_first_fault(path, data: bytes):
+    """Raise the first fault of a refused file from its bytes ``data``:
     bytes that are not UTF-8, the row count line, a bad or odd line in file
     order, each parsed alone with the same parser, then the row count
     against the data lines, then the row widths."""
-    numbered = _data_lines([_read_text(path)], [])
-    rows = _row_count(path, numbered)
+    numbered = _data_lines([_decode_text(path, data)], [])
+    rows = _row_count(path, next(numbered, None))
     lines = list(numbered)
     for ln, text in lines:
         try:
-            width = _parse_floats([text]).shape[1]
+            width = _parse_floats(text, []).shape[1]
         except ValueError as exc:
             raise MatrixFileError(f"{path}:{ln}: non-numeric entry") from exc
         if width % 2:

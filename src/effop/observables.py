@@ -31,6 +31,7 @@ from .spaces import (
     ModelSpace,
     ObservableMatrix,
     _degenerate_clusters,
+    _eigen_residual,
     _normalize_phases,
     _select,
 )
@@ -159,13 +160,11 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     vectors = vectors.astype(np.complex128)
     for start, stop in _degenerate_clusters(mix_vals, tolerances.CLUSTER_RTOL):
         vectors[:, start:stop] = _refine(vectors[:, start:stop], cset.members, 0)
-    vectors = _normalize_phases(vectors)
+    _normalize_phases(vectors, out=vectors)
 
     values = np.empty((cset.size, n))
     for sig, member in enumerate(cset.members):
-        applied = member.matrix @ vectors
-        values[sig] = np.real(np.sum(vectors.conj() * applied, axis=0))
-        residual = float(np.linalg.norm(applied - vectors * values[sig], axis=0).max())
+        residual = _eigen_residual(member.matrix, vectors, values[sig], rayleigh=True)
         limit = eigenpair_tolerance(member)
         if residual > limit:
             raise SolverFailure(
@@ -187,7 +186,9 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
 
     # every pair, not only neighbours: rounding can sort equal tuples apart
     sep = tolerances.scaled(tolerances.CLUSTER_RTOL, float(np.abs(values).max()))
-    gaps = np.abs(values[:, :, np.newaxis] - values[:, np.newaxis, :]).max(axis=0)
+    gaps = np.zeros((n, n))
+    for row in values:  # member by member: no (c, N, N) temporary
+        np.maximum(gaps, np.abs(np.subtract.outer(row, row)), out=gaps)
     distinct = bool((gaps[np.triu_indices(n, 1)] > sep).all())
     if not distinct:
         warnings.warn(

@@ -80,14 +80,7 @@ class ObservableMatrix:
         except np.linalg.LinAlgError as exc:
             raise SolverFailure(f"dense eigensolver did not converge: {exc}") from exc
         _normalize_phases(vectors, out=vectors)
-        misfit = self.matrix @ vectors
-        norms = np.empty(self.dim)
-        for start in range(0, self.dim, _MISFIT_COLUMNS):
-            cols = slice(start, start + _MISFIT_COLUMNS)
-            block = misfit[:, cols]
-            block -= vectors[:, cols] * values[cols]
-            norms[cols] = np.linalg.norm(block, axis=0)
-        residual = float(norms.max())
+        residual = _eigen_residual(self.matrix, vectors, values)
         if residual > tol:
             raise SolverFailure(f"eigenpair residual {residual:.3e} above tolerance {tol:.3e}")
         return EigenSelection(tuple(range(1, self.dim + 1)), util._frozen(values), util._frozen(vectors))
@@ -160,6 +153,21 @@ def projectors(ms: ModelSpace) -> tuple[np.ndarray, np.ndarray]:
     mask = np.zeros(ms.total_dim)
     mask[ms.p_rows] = 1.0
     return np.diag(mask), np.diag(1.0 - mask)
+
+
+def _eigen_residual(matrix, vectors, values, rayleigh: bool = False) -> float:
+    """Largest ``||O v - lambda v||`` over columns v, in column blocks of O V;
+    with ``rayleigh``, each lambda is first set to ``Re(v' O v)`` in ``values``."""
+    misfit = matrix @ vectors
+    norms = np.empty(vectors.shape[1])
+    for start in range(0, vectors.shape[1], _MISFIT_COLUMNS):
+        cols = slice(start, start + _MISFIT_COLUMNS)
+        block = misfit[:, cols]
+        if rayleigh:
+            values[cols] = np.real(np.sum(vectors[:, cols].conj() * block, axis=0))
+        block -= vectors[:, cols] * values[cols]
+        norms[cols] = np.linalg.norm(block, axis=0)
+    return float(norms.max())
 
 
 def _normalize_phases(vectors: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -16,6 +16,5 @@ os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("P
 @pytest.fixture
 def stream_route(monkeypatch):
     """Read matrix files as on a platform without x87's ``longdouble``: every
-    file streams its lines into ``np.loadtxt``, the route the strtold
-    reader falls back to."""
+    chunk goes through ``np.loadtxt``, as a chunk strtold does not read does."""
     monkeypatch.setattr(matio, "_X87_LONGDOUBLE", False)

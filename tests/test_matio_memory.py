@@ -1,5 +1,5 @@
-"""Peak memory of matrix file I/O, Hermitian validation and the block
-reduction, in units of the matrix's own bytes. tracemalloc sees numpy's
+"""Peak memory of matrix file I/O, Hermitian validation, the eigensolvers
+and the block reduction, in units of the matrix's own bytes. tracemalloc sees numpy's
 buffers, so each bound counts every N x N temporary a step makes beyond
 its result."""
 
@@ -9,6 +9,7 @@ import pytest
 
 from effop.effective import first_type, second_type
 from effop.harness import ProblemSpec, generate, read_matrix, write_observable
+from effop.observables import simultaneous_eigenbasis
 from effop.spaces import (
     ModelSpace,
     eigendecompose,
@@ -67,6 +68,14 @@ def test_eigendecompose_holds_its_vectors_and_one_product(observable):
     obs = validate_hermitian(observable.matrix)  # nothing cached yet
     _, ratio = _peak_ratio(lambda: eigendecompose(obs), obs.matrix.nbytes)
     assert ratio <= 2.3
+
+
+def test_simultaneous_eigenbasis_checks_members_in_column_blocks():
+    """Each member's values and residual come from column blocks of its
+    O V, and the tuple gaps are taken member by member."""
+    cset = generate(ProblemSpec("commuting_family", dim=N, seed=21, family_size=3))
+    _, ratio = _peak_ratio(lambda: simultaneous_eigenbasis(cset), cset.members[0].matrix.nbytes)
+    assert ratio <= 4.0
 
 
 @pytest.mark.parametrize("step", [

@@ -1,9 +1,12 @@
-"""Both read routes of matrix files give the same arrays, comments and errors:
-``matio._read_plain`` must accept what ``write_matrix`` writes, return the
-correctly rounded float64 of every token, and refuse every other file to
-the stream route whole.
+"""Matrix files read alike with and without the strtold parser: every chunk
+of what ``write_matrix`` writes must parse without ``np.loadtxt`` and give
+the correctly rounded float64 of every token, any other chunk goes to
+``np.loadtxt``, and arrays, comments and errors are those of a read that
+sends every chunk there. Each read opens its path once.
 """
 
+import builtins
+import io
 import os
 import struct
 import threading
@@ -36,6 +39,18 @@ def _routes(path):
     return results
 
 
+def _without_loadtxt(path):
+    """``read_matrix``'s result in the form of :func:`_routes`, with
+    ``np.loadtxt`` refusing every chunk that reaches it."""
+    def refuse(*args):
+        raise AssertionError("a chunk reached np.loadtxt")
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(matio, "_parse_floats", refuse)
+        matrix, comments = matio.read_matrix(path)
+    return matrix.shape, matrix.tobytes(), comments
+
+
 def _write_tokens(path, tokens, width):
     rows = [" ".join(tokens[i:i + width]) for i in range(0, len(tokens), width)]
     path.write_text(f"# corpus\n{len(rows)}\n" + "\n".join(rows) + "\n", encoding="utf-8")
@@ -58,7 +73,7 @@ def test_float64_bit_patterns_read_back_on_both_routes(tmp_path_factory, values)
     fast, stream = _routes(path)
     assert fast == stream == (values.view(np.complex128).shape, values.tobytes(), ["bits"])
     if np.isfinite(values).all():
-        assert matio._read_plain(path, []) is not None
+        assert _without_loadtxt(path) == fast
 
 
 def _midpoint_tokens(count):
@@ -91,7 +106,7 @@ def test_hard_tokens_read_correctly_rounded_on_both_routes(tmp_path):
     expected = np.array([float(t) for t in tokens])
     fast, stream = _routes(path)
     assert fast == stream == ((len(tokens) // 8, 4), expected.tobytes(), ["corpus"])
-    assert matio._read_plain(path, []) is not None
+    assert _without_loadtxt(path) == fast
 
 
 @pytest.mark.parametrize("text,where", [
@@ -100,6 +115,7 @@ def test_hard_tokens_read_correctly_rounded_on_both_routes(tmp_path):
     ("2\n1 0 0\n1 0 0 0 0\n", ":2: odd float count; entries are (re, im) pairs"),
     ("2\n1 0 0 0 0 0\n1 0\n", ": rows have inconsistent entry counts"),
     ("3\n1 0 0 0\n1 0\n1 0 0 0 0 0\n", ": rows have inconsistent entry counts"),
+    ("4\n1 0 0 0\n1 0 0 0\n1 0\n1 0 0 0 0 0\n", ": rows have inconsistent entry counts"),
     ("99999999999999\n1 0 0 0\n", ": declared 99999999999999 rows, found 1"),
     ("3\n1 0 0 0\n0 0 1 0\n", ": declared 3 rows, found 2"),
     ("2\r\n1 0 0 0\r\n0 0 1 x\r\n", ":3: non-numeric entry"),
@@ -109,16 +125,24 @@ def test_hard_tokens_read_correctly_rounded_on_both_routes(tmp_path):
     (" # a\n2\n1 0 0 0\n0 0 1 0\n", None),
 ])
 def test_files_the_strtold_route_refuses(tmp_path, text, where):
-    """Each file falls back whole to the stream route: read alike on both
-    routes, or refused with the same message."""
+    """Each file holds a chunk strtold does not read: it is read alike on
+    both routes, or refused with the same message."""
     path = tmp_path / "bad.mat"
     path.write_text(text, encoding="utf-8", newline="")
     fast, stream = _routes(path)
     assert fast == stream
     if where is not None:
         assert stream == f"{path}{where}"
-    if matio._X87_LONGDOUBLE:
-        assert matio._read_plain(path, []) is None
+
+
+@pytest.mark.parametrize("brk", ["\r", "\r\n", "\u2028", "\x0c", "\x85"])
+def test_rows_after_the_row_count_on_its_line_are_read(tmp_path, brk):
+    """Lines broken other than at line feeds: the head, read up to the row
+    count, hands the rest of that line to the data."""
+    path = tmp_path / "breaks.mat"
+    path.write_text(brk.join(["# a", "2", "1 0 0 0", "# b", "0 0 1 0", ""]), encoding="utf-8", newline="")
+    fast, stream = _routes(path)
+    assert fast == stream == ((2, 2), np.eye(2, dtype=complex).tobytes(), ["a", "b"])
 
 
 def _finished(target, *args, timeout=30):
@@ -129,19 +153,105 @@ def _finished(target, *args, timeout=30):
     return not thread.is_alive()
 
 
-@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no named pipes")
+MALFORMED = "2\n1 0 0 0\n0 0 x 0\n"
+
+
+@fifo
 def test_a_named_pipe_is_opened_once(tmp_path):
-    """A pipe's bytes cannot be read twice: the strtold route refuses a pipe
-    before opening it, which would wait for a writer, and the stream route
-    reads it."""
+    """A pipe's bytes cannot be read twice; opening it again would wait for
+    another writer."""
     path = tmp_path / "pipe.mat"
     os.mkfifo(path)
-    plain = []
-    assert _finished(lambda: plain.append(matio._read_plain(path, [])), timeout=10)
-    assert plain == [None]
     read = []
     writer = threading.Thread(target=path.write_text, args=("2\n1 0 0 0\n0 0 1 0\n",), daemon=True)
     writer.start()
     assert _finished(lambda: read.append(matio.read_matrix(path)[0]))
     writer.join(30)
     assert np.array_equal(read[0], np.eye(2))
+
+
+def _fault(path):
+    """The message ``read_matrix`` raises on ``path``."""
+    with pytest.raises(MatrixFileError) as info:
+        matio.read_matrix(path)
+    return str(info.value)
+
+
+@fifo
+def test_a_malformed_named_pipe_names_its_fault(tmp_path):
+    """The fault is named from the bytes read, not by opening the pipe again."""
+    path = tmp_path / "pipe.mat"
+    os.mkfifo(path)
+    writer = threading.Thread(target=path.write_text, args=(MALFORMED,), daemon=True)
+    writer.start()
+    messages = []
+    assert _finished(lambda: messages.append(_fault(path)), timeout=10)
+    writer.join(30)
+    assert messages == [f"{path}:3: non-numeric entry"]
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
+def test_a_malformed_pipe_descriptor_names_its_fault():
+    """A drained pipe read again would look empty: ``missing row count line``."""
+    read_end, write_end = os.pipe()
+    try:
+        os.write(write_end, MALFORMED.encode())
+        os.close(write_end)
+        path = f"/dev/fd/{read_end}"
+        messages = []
+        assert _finished(lambda: messages.append(_fault(path)), timeout=10)
+        assert messages == [f"{path}:3: non-numeric entry"]
+    finally:
+        os.close(read_end)
+
+
+@pytest.mark.parametrize("text", [
+    "# plain\n2\n1 0 0 0\n0 0 1 0\n",
+    "2\n1 0 0 0\n# interior\n0 0 inf 0\n",
+    MALFORMED,
+], ids=["plain", "comment-inf", "malformed"])
+@pytest.mark.parametrize("gate", [True, False], ids=["strtold", "loadtxt"])
+def test_a_read_opens_its_path_once(tmp_path, monkeypatch, text, gate):
+    path = tmp_path / "m.mat"
+    path.write_text(text, encoding="utf-8")
+    opened = []
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(matio, "_X87_LONGDOUBLE", gate and matio._X87_LONGDOUBLE)
+    for module in (builtins, io):  # pathlib opens through io.open
+        monkeypatch.setattr(module, "open", counting_open)
+    try:
+        matio.read_matrix(path)
+    except MatrixFileError:
+        assert text == MALFORMED
+    else:
+        assert text != MALFORMED
+    assert opened.count(str(path)) == 1
+
+
+@x87
+def test_only_a_trailing_comments_chunk_reaches_loadtxt(tmp_path, monkeypatch):
+    n = 200
+    matrix = np.random.default_rng(5).standard_normal((n, 2 * n)).view(np.complex128)
+    path = tmp_path / "m.mat"
+    matio.write_matrix(path, matrix, ["head"])
+    with open(path, "a", encoding="utf-8") as handle:
+        handle.write("# note\n")
+    parsed = []
+    real_parse = matio._parse_floats
+
+    def counting_parse(*args):
+        block = real_parse(*args)
+        parsed.append(len(block))
+        return block
+
+    monkeypatch.setattr(matio, "_parse_floats", counting_parse)
+    values, comments = matio.read_matrix(path)
+    assert values.tobytes() == matrix.tobytes() and comments == ["head", "note"]
+    row_bytes = len(path.read_bytes().splitlines()[2])
+    assert len(parsed) == 1 and parsed[0] <= matio._CHUNK // row_bytes + 1

@@ -1,7 +1,7 @@
 """The ``test_matio_*`` tests of test_harness.py again, on the stream route.
 
-On x87 platforms test_harness.py reads plain files through ``strtold``;
-here the ``stream_route`` fixture sends every file through ``np.loadtxt``,
+On x87 platforms test_harness.py reads plain chunks through ``strtold``;
+here the ``stream_route`` fixture sends every chunk through ``np.loadtxt``,
 so each file and exact error message of those tests is checked on both.
 """
 
