@@ -292,8 +292,8 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     # Commuting companions of the input observable.
     family = commuting_partners(obs, 2, seed=int(rng.integers(0, 2**63 - 1)))
     report.add_flag("commuting_companions_valid",
-                    float(family.commutator_norms.max())
-                    <= tolerances.commuting_tolerance(family.members))
+                    (family.commutator_norms
+                     <= tolerances.commuting_tolerance(family.members)).all())
     with warnings.catch_warnings():
         # degenerate user input may yield repeated tuples; that is allowed here
         warnings.simplefilter("ignore")

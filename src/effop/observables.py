@@ -90,8 +90,8 @@ def _commutator_norms(matrices) -> np.ndarray:
 def verify_commuting(members) -> CommutingSet:
     """Validate dimensions and pairwise commutators.
 
-    On failure the exception names the offending pair and carries the
-    commutator norm.
+    On failure the exception names the pair furthest above its tolerance
+    and carries its commutator norm.
     """
     obs = tuple(members)
     if not obs:
@@ -102,11 +102,13 @@ def verify_commuting(members) -> CommutingSet:
             raise DimensionMismatch(f"member {k} has dim {m.dim}, expected {n}")
     tol = commuting_tolerance(obs)
     norms = _commutator_norms([m.matrix for m in obs])
-    if norms.max() > tol:
-        i, j = divmod(int(norms.argmax()), len(obs))
+    over = norms > tol
+    if over.any():
+        ratio = np.divide(norms, tol, out=np.zeros_like(norms), where=over)
+        i, j = divmod(int(ratio.argmax()), len(obs))
         raise NotCommuting(
             f"members {i + 1} and {j + 1} have commutator norm "
-            f"{norms[i, j]:.6e} (tol {tol:.3e})",
+            f"{norms[i, j]:.6e} (tol {tol[i, j]:.3e})",
             pair=(i + 1, j + 1),
             norm=float(norms[i, j]),
         )

@@ -1,21 +1,20 @@
 """Fixed-point solver for the quadratic decoupling equation.
 
-Given the partition blocks (a, b, b_dag, f) of a Hermitian observable,
-a decoupling map must satisfy
+With a = O[P,P], b = O[P,Q], b_dag = O[Q,P] and f = O[Q,Q], a decoupling
+map is a root of the lower-left block of the transformed observable,
 
-    b_dag + f s - s (a + b s) = 0.
+    qp(s) = b_dag + f s - s (a + b s).
 
 Each sweep freezes the quadratic term at the current iterate and solves
-the Sylvester equation
+the Sylvester equation ``f s_new - s_new a = s b s - b_dag``, which is
+linear in ``s_new`` and uniquely solvable exactly when the spectra of a
+and f are disjoint. As s b s - b_dag = f s - s a - qp(s), the sweep is a
+correction read off the qp block of the reduction that judges the last
+sweep. Both blocks are Hermitian, so they are diagonalized once,
+``f = U diag(phi) U^dag`` and ``a = V diag(alpha) V^dag``, and every
+sweep is two basis changes and one elementwise division:
 
-    f s_new - s_new a = s b s - b_dag,
-
-which is linear in ``s_new`` and uniquely solvable exactly when the
-spectra of a and f are disjoint. Both blocks are Hermitian, so they are
-diagonalized once, ``f = U diag(phi) U^dag`` and ``a = V diag(alpha) V^dag``,
-and every sweep is two basis changes and one elementwise division:
-
-    s_new = U [(U^dag rhs V) / (phi_i - alpha_j)] V^dag.
+    s_new = s - U [(U^dag qp(s) V) / (phi_i - alpha_j)] V^dag.
 
 The smallest ``|phi_i - alpha_j|`` is the gap that decides solvability.
 
@@ -36,7 +35,7 @@ import numpy as np
 from . import tolerances, util
 from .errors import Diverged, MaxIterExceeded, SylvesterSingular, ValidationError
 from .spaces import ModelSpace, ObservableMatrix
-from .transform import DecouplingMap, IterativeProvenance, partition_blocks, transformed_blocks
+from .transform import DecouplingMap, IterativeProvenance, _require_same_space, transformed_blocks
 
 __all__ = [
     "SolverConfig",
@@ -98,13 +97,13 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     residual and the trace) when the budget runs out.
     """
     cfg = config or SolverConfig()
-    a, b, b_dag, f = partition_blocks(obs, ms)
+    _require_same_space(obs, ms)
     d = ms.dim
     nq = ms.total_dim - d
 
     scale = obs.norm
-    alpha, v = np.linalg.eigh(a)
-    phi, u = np.linalg.eigh(f)
+    alpha, v = np.linalg.eigh(obs.matrix[np.ix_(ms.p_rows, ms.p_rows)])
+    phi, u = np.linalg.eigh(obs.matrix[np.ix_(ms.q_rows, ms.q_rows)])
     denominator = phi[:, None] - alpha[None, :]
     gap = float(np.abs(denominator).min(initial=np.inf))  # inf for the empty complement
     gap_floor = tolerances.SPECTRA_DISJOINT_TOL * scale
@@ -119,14 +118,14 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
     s = util.as_complex_matrix(initial, "initial_s", (nq, d))
 
     steps: list[TraceStep] = []
-    best_s = s
-    best_res = transformed_blocks(obs, DecouplingMap(ms, s)).residual
+    blocks = transformed_blocks(obs, DecouplingMap(ms, s))
+    best_s, best_res = s, blocks.residual
     for k in range(1, cfg.max_iter + 1):
-        rhs = s @ b @ s - b_dag
-        s_new = u @ ((u_dag @ rhs @ v) / denominator) @ v_dag
-        step = float(np.linalg.norm(s_new - s) / max(1.0, np.linalg.norm(s)))
-        res = transformed_blocks(obs, DecouplingMap(ms, s_new)).residual
-        s = s_new
+        ds = u @ ((u_dag @ blocks.qp @ v) / denominator) @ v_dag
+        step = float(np.linalg.norm(ds) / max(1.0, np.linalg.norm(s)))
+        s = util._frozen(s - ds)
+        blocks = transformed_blocks(obs, DecouplingMap(ms, s))
+        res = blocks.residual
         s_norm = float(np.linalg.norm(s))
         steps.append(TraceStep(k, step, res, s_norm))
         if res < best_res:

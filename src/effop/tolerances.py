@@ -6,6 +6,8 @@ absolute one is compared as it stands, so it does not follow ``O -> cO``.
 ``*_tolerance`` helpers take anything with a Frobenius ``norm``.
 """
 
+import numpy as np
+
 # Input and eigendecomposition
 HERM_RTOL = 1e-12         # asymmetry, relative to max |O_ij|
 EIG_RTOL = 1e-10          # eigenpair residual ||O v - lambda v||, relative to 1 + ||O||_F
@@ -27,7 +29,7 @@ SPECTRUM_MATCH_RTOL = 1e-8        # match_spectra and the block factorization
 DECOMPOSITION_MATCH_RTOL = 1e-9   # union of the block spectra of a decomposition
 
 # Commuting sets
-COMM_RTOL = 1e-10         # pairwise commutator norm, relative to max ||O||_F over members
+COMM_RTOL = 1e-10         # commutator norm ||[O_i, O_j]||_F, relative to ||O_i||_F ||O_j||_F
 EFFECTIVE_COMM_TOL = 1e-9 # absolute: commutator norm of first-type representatives
 CLUSTER_RTOL = 1e-8       # joint-basis mix cluster, tuple-order cluster and tuple gap,
                           # relative to 1 + max |value|
@@ -56,6 +58,8 @@ def eigenpair_tolerance(obs) -> float:
     return scaled(EIG_RTOL, obs.norm)
 
 
-def commuting_tolerance(members) -> float:
-    """Commutator norm below which every pair of members commutes."""
-    return COMM_RTOL * max(m.norm for m in members)
+def commuting_tolerance(members) -> np.ndarray:
+    """(c, c) commutator norms below which each pair of members commutes;
+    a commutator follows both members' scales, so its tolerance does too."""
+    norms = np.array([m.norm for m in members])
+    return COMM_RTOL * np.outer(norms, norms)

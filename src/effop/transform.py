@@ -33,7 +33,6 @@ __all__ = [
     "similarity_transform",
     "transformed_blocks",
     "assemble_blocks",
-    "partition_blocks",
     "decoupling_residual",
 ]
 
@@ -89,15 +88,6 @@ def retrieve_full_vector(alpha, dm: DecouplingMap) -> np.ndarray:
 def _require_same_space(obs: ObservableMatrix, ms: ModelSpace) -> None:
     if obs.dim != ms.total_dim:
         raise DimensionMismatch(f"observable dim {obs.dim} != model space total {ms.total_dim}")
-
-
-def partition_blocks(obs: ObservableMatrix, ms: ModelSpace):
-    """Model/complement partition (a, b, b_dag, f) of a Hermitian matrix:
-    four read-only gathers."""
-    _require_same_space(obs, ms)
-    p, q = ms.p_rows, ms.q_rows
-    return tuple(util._frozen(obs.matrix[np.ix_(rows, cols)])
-                 for rows, cols in ((p, p), (p, q), (q, p), (q, q)))
 
 
 def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> DecouplingMap:

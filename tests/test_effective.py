@@ -40,7 +40,6 @@ from effop.transform import (
     TransformedBlocks,
     construct_s_direct,
     decoupling_residual,
-    partition_blocks,
 )
 from effop.util import match_spectra
 
@@ -117,7 +116,8 @@ def test_q_block_report_rejects_a_wrong_complement_block(monkeypatch, shift):
     qq shifted by a multiple of the identity, here about nine times its
     first-moment tolerance."""
     obs, _, _, ms, dm = _random_setup(seed=72, n=10, j=(1, 3, 5))
-    _, b, _, f = partition_blocks(obs, ms)
+    p, q = ms.p_rows, ms.q_rows
+    b, f = obs.matrix[np.ix_(p, q)], obs.matrix[np.ix_(q, q)]
     epsilon = shift * (1.0 + obs.norm)
     monkeypatch.setattr(TransformedBlocks, "qq", property(
         lambda blocks: f - dm.s @ b + epsilon * np.eye(f.shape[0])))

@@ -86,9 +86,12 @@ CASES = {
     "pivoted shape": (
         DimensionMismatch, "between 1 and N",
         lambda tmp: spaces.pivoted_model_space(np.ones((2, 3)))),
-    "partition shape": (
+    "solver shape": (
         DimensionMismatch, "observable dim 3 != model space total 4",
-        lambda tmp: transform.partition_blocks(OBS, ModelSpace(4, (1,)))),
+        lambda tmp: solver.solve_decoupling_fixed_point(OBS, ModelSpace(4, (4,)))),
+    "solver shape, K=1": (
+        DimensionMismatch, "observable dim 3 != model space total 4",
+        lambda tmp: solver.solve_decoupling_fixed_point(OBS, ModelSpace(4, (1,)))),
     "reduction shape": (
         DimensionMismatch, "observable dim 3 != model space total 4",
         lambda tmp: transform.transformed_blocks(OBS, transform.DecouplingMap(

@@ -22,7 +22,7 @@ EFFOP_NAMES = [
     "DecouplingMap", "DirectProvenance", "IterativeProvenance", "TransformedBlocks",
     "retrieve_full_vector",
     "construct_s_direct", "construct_s_from_span", "exp_s", "similarity_transform",
-    "transformed_blocks", "assemble_blocks", "partition_blocks", "decoupling_residual",
+    "transformed_blocks", "assemble_blocks", "decoupling_residual",
     # solver
     "SolverConfig", "SolverTrace", "TraceStep", "solve_decoupling_fixed_point",
     # effective
@@ -148,18 +148,3 @@ def test_only_util_checks_array_shapes():
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 for phrase in ("has shape", "entries, expected"):
                     assert phrase not in node.value, f"{path.name}:{node.lineno} checks a shape"
-
-
-def test_only_the_solver_partitions_an_observable():
-    """Blocks are read off O [I; s]; the four gathers of ``partition_blocks``
-    serve only the solver's eigenbases of a and f."""
-    root = Path(effop.__file__).parent
-    callers = []
-    for path in sorted(root.rglob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Call):
-                func = node.func
-                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-                if name == "partition_blocks":
-                    callers.append(f"{path.relative_to(root)}:{node.lineno}")
-    assert [caller.split(":")[0] for caller in callers] == ["solver.py"], callers

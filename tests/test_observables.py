@@ -60,6 +60,29 @@ def test_not_commuting_pauli_pair():
     assert info.value.norm == pytest.approx(2.0 * np.sqrt(2.0))
 
 
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e6, 1e12])
+def test_commuting_sets_are_accepted_at_every_scale(c):
+    """A commutator follows the scales of both members, and so does its
+    tolerance: ``O -> cO`` neither admits nor rejects a pair."""
+    for seed in range(20):
+        family = generate(ProblemSpec("commuting_family", 12, seed, family_size=3))
+        scaled = verify_commuting([validate_hermitian(c * m.matrix) for m in family.members])
+        assert scaled.size == 3
+    with pytest.raises(NotCommuting) as info:
+        verify_commuting([validate_hermitian(c * SIGMA_X.matrix),
+                          validate_hermitian(c * SIGMA_Z.matrix)])
+    assert info.value.norm == pytest.approx(2.0 * np.sqrt(2.0) * c * c)
+
+
+def test_not_commuting_names_the_pair_furthest_above_its_tolerance():
+    """The commutators with member 3 are the largest, but relative to their
+    norms members 1 and 2 are furthest from commuting."""
+    big = validate_hermitian(1e3 * (SIGMA_Z.matrix + SIGMA_X.matrix))
+    with pytest.raises(NotCommuting) as info:
+        verify_commuting([SIGMA_Z, SIGMA_X, big])
+    assert info.value.pair == (1, 2)
+
+
 def test_verify_commuting_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         verify_commuting([SIGMA_X, validate_hermitian(np.eye(3))])

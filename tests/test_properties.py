@@ -53,7 +53,6 @@ from effop.transform import (
     construct_s_direct,
     construct_s_from_span,
     exp_s,
-    partition_blocks,
     similarity_transform,
     transformed_blocks,
 )
@@ -284,7 +283,8 @@ def test_second_type_is_the_metric_times_first_type(problem):
         assert gap <= s_norm * first.residual + rounding
 
     assert "qq" not in vars(blocks)
-    _, b, _, f = partition_blocks(obs, dm.model_space)
+    p, q = dm.model_space.p_rows, dm.model_space.q_rows
+    b, f = obs.matrix[np.ix_(p, q)], obs.matrix[np.ix_(q, q)]
     assert np.array_equal(blocks.qq, f - s @ b)
 
 
@@ -314,7 +314,9 @@ def test_frame_read_blocks_equal_the_partition_formulas(problem):
     obs, dm = problem
     s = dm.s
     s_h = s.conj().T
-    a, b, b_dag, f = partition_blocks(obs, dm.model_space)
+    p, q = dm.model_space.p_rows, dm.model_space.q_rows
+    a, b = obs.matrix[np.ix_(p, p)], obs.matrix[np.ix_(p, q)]
+    b_dag, f = obs.matrix[np.ix_(q, p)], obs.matrix[np.ix_(q, q)]
     pp = a + b @ s
     fs = f @ s
     qp = b_dag + fs - s @ pp

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from effop import solver
 from effop.errors import DimensionMismatch, Diverged, MaxIterExceeded, SylvesterSingular
 from effop.harness import gap_separated
 from effop.solver import SolverConfig, TraceStep, solve_decoupling_fixed_point
@@ -11,7 +12,6 @@ from effop.transform import (
     IterativeProvenance,
     construct_s_direct,
     decoupling_residual,
-    partition_blocks,
     transformed_blocks,
 )
 from effop.util import match_spectra
@@ -65,6 +65,34 @@ def test_max_iter_carries_best_iterate():
     assert abs(exc.best.s[0, 0] - s2_hand) < 1e-12
     assert abs(exc.best.s[0, 0] - (-0.049875)) < 1e-4
     assert exc.residual == pytest.approx(exc.trace.steps[-1].residual)
+
+
+def _count_reductions(monkeypatch):
+    """Calls of ``transformed_blocks`` made through the solver's module."""
+    calls = []
+
+    def counted(obs, dm):
+        calls.append(dm)
+        return transformed_blocks(obs, dm)
+
+    monkeypatch.setattr(solver, "transformed_blocks", counted)
+    return calls
+
+
+def test_each_sweep_reduces_once(monkeypatch):
+    """One reduction of the initial iterate, then one per sweep: its residual
+    judges the sweep and its qp block gives the next correction."""
+    calls = _count_reductions(monkeypatch)
+    obs = gap_separated(40, 4, seed=0)
+    ms = ModelSpace(40, (1, 2, 3, 4))
+    _, trace = solve_decoupling_fixed_point(obs, ms)
+    assert trace.converged
+    assert len(calls) == trace.iterations + 1
+
+    calls.clear()
+    with pytest.raises(MaxIterExceeded):
+        solve_decoupling_fixed_point(obs, ms, SolverConfig(tol=1e-30, max_iter=3))
+    assert len(calls) == 3 + 1
 
 
 def test_strong_coupling_diverges():
@@ -154,7 +182,9 @@ def _sylvester_reference(obs, ms, tol=1e-11):
     """The sweeps solved by scipy's Schur-based Sylvester solver, with the
     solver's stopping rule; returns (s, sweeps)."""
     scipy_linalg = pytest.importorskip("scipy.linalg")
-    a, b, b_dag, f = partition_blocks(obs, ms)
+    p, q = ms.p_rows, ms.q_rows
+    a, b = obs.matrix[np.ix_(p, p)], obs.matrix[np.ix_(p, q)]
+    b_dag, f = obs.matrix[np.ix_(q, p)], obs.matrix[np.ix_(q, q)]
     s = np.zeros((ms.total_dim - ms.dim, ms.dim), dtype=np.complex128)
     for sweep in range(1, 501):
         s_new = scipy_linalg.solve_sylvester(f, -a, s @ b @ s - b_dag)

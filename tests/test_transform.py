@@ -36,7 +36,6 @@ from effop.transform import (
     construct_s_from_span,
     decoupling_residual,
     exp_s,
-    partition_blocks,
     retrieve_full_vector,
     similarity_transform,
     transformed_blocks,
@@ -292,22 +291,6 @@ def test_dimension_mismatches():
         similarity_transform(other, dm)
     with pytest.raises(DimensionMismatch):
         DecouplingMap(ModelSpace(3, (1,)), np.zeros((1, 1), dtype=complex))
-
-
-def test_partition_blocks_equal_four_gathers():
-    rng = np.random.default_rng(31)
-    for n in (2, 5, 9, 16):
-        obs = generate(ProblemSpec("random_hermitian", dim=n, seed=n))
-        for _ in range(6):
-            d = int(rng.integers(1, n + 1))
-            ms = ModelSpace(n, tuple(sorted(int(i) + 1 for i in rng.choice(n, d, replace=False))))
-            p, q = ms.p_rows, ms.q_rows
-            expected = (obs.matrix[np.ix_(p, p)], obs.matrix[np.ix_(p, q)],
-                        obs.matrix[np.ix_(q, p)], obs.matrix[np.ix_(q, q)])
-            for block, reference in zip(partition_blocks(obs, ms), expected):
-                assert block.shape == reference.shape
-                assert block.tobytes() == reference.tobytes()
-                assert not block.flags.writeable
 
 
 @pytest.mark.parametrize("n", [2, 7])
