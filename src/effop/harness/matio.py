@@ -6,10 +6,20 @@ the first data line holds the row count R; each of the following R data
 lines holds 2C whitespace-separated decimal floats, one (re, im) pair
 per entry, row major. Square observables have R = C = N. Decoupling maps
 are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a
-comment so the model space can be rebuilt. Values are written with 17
-significant digits, enough to round-trip float64 exactly. Tokens are
-decimal floats, ``inf`` and ``nan``, no underscores and no non-ASCII
-digits. Files are written one row at a time.
+comment so the model space can be rebuilt. Values are written as ``'%.17g'``
+writes them: 17 significant digits, enough to round-trip float64 exactly.
+Tokens are decimal floats, ``inf`` and ``nan``, no underscores and no
+non-ASCII digits. Lines end in a line feed on every platform.
+
+A file is written in blocks of 1024 tokens, one binary write each, with
+~120 bytes of temporaries a token. Where ``longdouble`` has a 64-bit
+significand or wider, 1e-10 <= |x| < 1e16 of decimal exponent E scales by
+the exact 10**(16 - E) <= 10**27 to y with one rounding. No half-integer
+below 2**57 lies strictly between y and the exact product, so m = rint(y)
+is ``'%.17g'``'s significand unless y is a half-integer or m is not in
+[1e16, 1e17). Those tokens, nonzero values out of that range, inf, nan,
+and every token where ``longdouble`` is narrower take ``'%.17g'`` itself,
+in one ``%`` a block; zeros and m are laid out from tables.
 
 A file is opened once and read in chunks of whole lines of about 64 KB,
 each parsed into the preallocated result, so beyond the matrix a read
@@ -41,7 +51,7 @@ import warnings
 import numpy as np
 
 from .. import util
-from ..errors import DimensionMismatch, MatrixFileError, ValidationError
+from ..errors import DimensionMismatch, MatrixFileError, NonFinite, ValidationError
 from ..spaces import ModelSpace, ObservableMatrix, validate_hermitian
 from ..transform import DecouplingMap, DirectProvenance, _direct_provenance
 
@@ -65,13 +75,92 @@ def write_matrix(path, matrix, comments=()) -> None:
     heads = [f"# {c}" for c in comments]
     if broken := [head[2:] for head in heads if head.splitlines() != [head]]:
         raise ValidationError(f"comment {broken[0]!r} contains a line break")
-    # '%.17g' formats through the same PyOS_double_to_string call as
-    # '{:.17g}'; 17 significant digits round-trip every float64.
-    row = " ".join(["%.17g"] * (2 * m.shape[1])) + "\n"
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.writelines(f"{line}\n" for line in [*heads, str(m.shape[0])])
-        for values in np.ascontiguousarray(m).view(np.float64):
-            handle.write(row % tuple(values.tolist()))
+    try:
+        head = "".join(f"{line}\n" for line in [*heads, str(m.shape[0])]).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ValidationError(f"comment text {exc.object[exc.start:exc.end]!r} is not UTF-8") from exc
+    values = np.ascontiguousarray(m).view(np.float64).ravel()
+    with open(path, "wb") as handle:
+        handle.write(head)
+        for start in range(0, values.size, _BLOCK):  # one expression frees each block once read
+            handle.write(_format_block(values[start:start + _BLOCK], start, 2 * m.shape[1])
+                         .tobytes().translate(_SEPARATOR, b" "))
+
+
+# The block writer. A float 10**-10 <= |x| < 10**16 of decimal exponent E
+# has class E - _E_MIN and 17-digit significand m = rint(|x| 10**(16 - E)).
+_WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63  # else every token takes '%.17g'
+_BLOCK = 1024  # tokens per block; a token holds ~120 bytes of temporaries
+_E_MIN = -11
+_SCALES = np.cumprod(np.r_[1, np.full(16 - _E_MIN, 10)].astype(np.longdouble))[::-1]  # exact
+# the 4 digit values of each group 0000-9999 at the odd bytes of a word, and its trailing zeros
+_GROUPS = np.zeros((10_000, 8), np.uint8)
+_GROUPS[:, 1::2] = np.arange(10_000)[:, None] // [1000, 100, 10, 1] % 10
+_GROUPS = _GROUPS.view(np.uint64).ravel()
+_TRAILING = sum(np.arange(10_000) % 10**p == 0 for p in range(1, 5)).astype(np.uint8)
+_SEPARATOR = bytes.maketrans(b",", b" ")
+
+
+def _templates() -> np.ndarray:
+    """Row 34 c + 2 (k - 1) + sign for class c and k digits: the sign at
+    byte 0, '0.000' below 1 at 1-5, digit j at 7 + 2j, the point after it
+    at 8 + 2j, an exponent at 40-43, the separator at 47, blanks between."""
+    rows = np.full((17 - _E_MIN, 17, 2, 48), ord(" "), np.uint8)
+    rows[:, :, 1, 0], rows[..., 47], rows[-1, ..., 7] = ord("-"), ord(","), ord("0")  # last class: zeros
+    for c, e in enumerate(range(_E_MIN, 16)):
+        before = e + 1 if e >= -4 else 1  # digits before the point; '%.17g' is fixed for -4 <= E < 17
+        if e < -4:
+            rows[c, ..., 40:44] = list(f"e-{-e:02d}".encode())
+        elif e < 0:
+            rows[c, ..., 1:2 - e] = list(b"0.000"[:1 - e])
+        for k in range(1, 18):
+            rows[c, k - 1, :, 7:7 + 2 * max(k, before):2] = ord("0")
+            if k > before > 0:
+                rows[c, k - 1, :, 6 + 2 * before] = ord(".")
+    return rows.reshape(-1, 48)
+
+
+_TEMPLATES = _templates()
+
+
+def _significands(x: np.ndarray):
+    """The class c of each float of ``x``, its 17-digit significand m, and
+    whether m is exact; m is 0 where it is not, and for zeros."""
+    a = np.abs(x)
+    fast = (a >= 1e-10) & (a < 1e16)
+    a[~fast] = 1e16  # the last class: zeros, and the tokens '%' writes
+    c = np.floor(np.log10(a)).astype(np.intp) - _E_MIN
+    y = np.multiply(a, np.take(_SCALES, c))  # exact scale, one rounding
+    m = np.rint(y)
+    # y is no half-integer, so neither is |x| 10**(16 - E), and m is in [1e16, 1e17)
+    good = fast & (np.abs(y - m) < 0.5) & (y >= 1e16) & (m < 1e17) & _WIDE_LONGDOUBLE
+    return c, m.astype(np.int64) * good, good
+
+
+def _format_block(x: np.ndarray, start: int, width: int) -> np.ndarray:
+    """The (n, 48) template rows of the floats ``x``, token ``start`` on of
+    rows of ``width``: each row, less its blanks and with ',' read as a
+    space, is its token's '%.17g' and separator."""
+    c, mi, good = _significands(x)
+    groups, high = [], 0  # the leading digit, then four groups of 4 digits
+    for p in (16, 12, 8, 4, 0):
+        low = mi // 10**p  # numpy's integer % is slower than // by a constant
+        groups.append(low - 10**4 * high)
+        high = low
+    zeros = np.take(_TRAILING, groups[4])  # trailing zeros of m
+    for j in (3, 2, 1):
+        if not (below := (zeros >= 16 - 4 * j) & good).any():  # groups j + 1.. all zero
+            break
+        zeros += below * np.take(_TRAILING, groups[j])
+    out = np.take(_TEMPLATES, 34 * c + 32 - 2 * zeros + np.signbit(x), axis=0)
+    words = out.view(np.uint64)
+    for j, group in enumerate(groups):
+        words[:, j] |= np.take(_GROUPS, group)
+    out[width - 1 - start % width::width, 47] = ord("\n")
+    if (bad := (~good & (x != 0)).nonzero()[0]).size:
+        text = ("%-47.17g" * bad.size) % tuple(x[bad].tolist())
+        out[bad, :47] = np.frombuffer(text.encode(), np.uint8).reshape(-1, 47)
+    return out
 
 
 def _decode_text(path, data: bytes, error=MatrixFileError) -> str:
@@ -298,6 +387,8 @@ def _j_comment(dm: DecouplingMap) -> list[str]:
 
 
 def write_decoupling_map(path, dm: DecouplingMap, extra_comments=()) -> None:
+    if not np.isfinite(dm.s).all():  # read_decoupling_map refuses such a file
+        raise NonFinite("s-matrix contains NaN or Inf entries")
     ms = dm.model_space
     k = _format_indices(ms.indices)
     header = f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={k}"

@@ -13,7 +13,7 @@ import pytest
 import effop
 from effop import observables, spaces, transform
 from effop.effective import first_type
-from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError, ValidationError
+from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError, NonFinite, ValidationError
 from effop.harness import (
     ProblemSpec,
     Report,
@@ -229,8 +229,9 @@ def test_matio_decoupling_requires_header(tmp_path):
 
 
 
-@pytest.mark.parametrize("comment", ["run 3\nresidual=1", "a\x0cb", "x\u2028y", "tail\r"])
-def test_matio_writers_reject_comments_with_line_breaks(tmp_path, comment):
+def _writers_refuse_before_opening(tmp_path, comment, match, named):
+    """Each writer refuses ``comment`` with a ValidationError matching
+    ``match`` that names ``named``, and neither creates nor truncates its file."""
     obs = generate(ProblemSpec("random_hermitian", dim=4, seed=2))
     dm = construct_s_direct(select_eigenvectors(eigendecompose(obs), (1, 2)), ModelSpace(4, (1, 2)))
     writers = {
@@ -240,14 +241,36 @@ def test_matio_writers_reject_comments_with_line_breaks(tmp_path, comment):
     }
     for name, write in writers.items():
         path = tmp_path / name
-        with pytest.raises(ValidationError, match="contains a line break") as excinfo:
+        with pytest.raises(ValidationError, match=match) as excinfo:
             write(path)
-        assert repr(comment) in str(excinfo.value)
+        assert repr(named) in str(excinfo.value)
         assert not path.exists()
         path.write_text("kept\n", encoding="utf-8")
         with pytest.raises(ValidationError):
             write(path)
         assert path.read_text(encoding="utf-8") == "kept\n"
+
+
+@pytest.mark.parametrize("comment", ["run 3\nresidual=1", "a\x0cb", "x\u2028y", "tail\r"])
+def test_matio_writers_reject_comments_with_line_breaks(tmp_path, comment):
+    _writers_refuse_before_opening(tmp_path, comment, "contains a line break", comment)
+
+
+@pytest.mark.parametrize("comment, surrogate", [("bad \ud800", "\ud800"), ("\udfff tail", "\udfff")])
+def test_matio_writers_reject_comments_utf8_cannot_encode(tmp_path, comment, surrogate):
+    _writers_refuse_before_opening(tmp_path, comment, "is not UTF-8", surrogate)
+
+
+def test_matio_refuses_to_write_a_non_finite_decoupling_map(tmp_path):
+    """read_decoupling_map refuses NaN and inf, so the writer does too,
+    before the file is opened; write_matrix writes them."""
+    path = tmp_path / "s.mat"
+    for bad in (np.nan, np.inf):
+        with pytest.raises(NonFinite):
+            write_decoupling_map(path, DecouplingMap(ModelSpace(3, (1,)), [[bad], [1.0]]))
+        assert not path.exists()
+    write_matrix(path, [[np.nan], [np.inf]])
+    assert np.array_equal(read_matrix(path)[0], [[np.nan], [np.inf]], equal_nan=True)
 
 
 def test_matio_skips_a_leading_byte_order_mark(tmp_path):
@@ -1026,8 +1049,8 @@ def test_import_does_not_load_scipy():
 def test_cli_effective_rejects_a_nan_s_file(tmp_path, capsys):
     matrix, s_file, out = tmp_path / "o.txt", tmp_path / "nan.s", tmp_path / "eff.txt"
     write_observable(matrix, generate(ProblemSpec("random_hermitian", dim=4, seed=4)))
-    ms = ModelSpace(4, (1, 3))
-    write_decoupling_map(s_file, DecouplingMap(ms, np.full((2, 2), np.nan, dtype=complex)))
+    # the file write_decoupling_map wrote before it refused non-finite maps
+    write_matrix(s_file, np.full((2, 2), np.nan, dtype=complex), ["s-matrix rows=2 cols=2 K=1,3"])
     assert cli.main(["effective", "--matrix", str(matrix), "--s", str(s_file),
                      "--out", str(out)]) == 1
     err = capsys.readouterr().err
