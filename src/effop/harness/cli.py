@@ -14,6 +14,7 @@ import functools
 import hashlib
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,11 @@ def _fmt(values, scale) -> str:
                     for z in np.asarray(values, dtype=np.complex128).tolist())
 
 
+def _print_eigenvalues(operator) -> None:
+    eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
+    print("O_eff eigenvalues: " + _fmt(eigenvalues, np.abs(eigenvalues).max()))
+
+
 def _cmd_gen(args) -> int:
     spec = ProblemSpec(
         kind=args.kind,
@@ -81,17 +87,15 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve_direct(args) -> int:
     obs, _ = matio.read_observable(args.matrix)
-    decomposition = spaces.eigendecompose(obs)
-    selection = spaces.select_eigenvectors(decomposition, args.j)
+    selection = spaces.select_eigenvectors(spaces.eigendecompose(obs), args.j)
     ms = spaces.ModelSpace(obs.dim, args.k)
     dm = transform.construct_s_direct(selection, ms)
     operator = eff.first_type(obs, dm)
-    residual = operator.residual
-    eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
-    print("O_eff eigenvalues: " + _fmt(eigenvalues, np.abs(eigenvalues).max()))
-    print(f"decoupling residual: {residual:.6e}")
+    _print_eigenvalues(operator)
+    print(f"decoupling residual: {operator.residual:.6e}")
     if args.out_s:
-        matio.write_decoupling_map(args.out_s, dm, [f"residual={residual:.6e}"])
+        dm = replace(dm, provenance=replace(dm.provenance, residual=operator.residual))
+        matio.write_decoupling_map(args.out_s, dm)
         print(f"s written to {args.out_s}")
     return 0
 
@@ -119,11 +123,9 @@ def _cmd_solve_iter(args) -> int:
     else:
         print(f"s: {dm.s.shape[0]}x{dm.s.shape[1]} matrix, "
               f"norm {np.linalg.norm(dm.s):.6e}")
-    operator = eff.first_type(obs, dm)
-    eigenvalues = np.sort_complex(np.linalg.eigvals(operator.matrix))
-    print("O_eff eigenvalues: " + _fmt(eigenvalues, np.abs(eigenvalues).max()))
+    _print_eigenvalues(eff.first_type(obs, dm))
     if args.out_s:
-        matio.write_decoupling_map(args.out_s, dm, [f"residual={dm.provenance.residual:.6e}"])
+        matio.write_decoupling_map(args.out_s, dm)
         print(f"s written to {args.out_s}")
     return 0
 

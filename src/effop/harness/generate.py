@@ -109,9 +109,9 @@ def gap_separated(dim: int, d: int, *, gap: float = 1.0, coupling: float = 0.1,
     """Instance whose lowest-d eigenvectors dominate the leading axes.
 
     Ascending diagonal with a spectral gap after the d-th entry, plus a
-    random Hermitian off-diagonal coupling of bounded magnitude. This is
-    the regime in which the fixed-point solver provably tracks the
-    lowest states.
+    random Hermitian off-diagonal coupling scaled to peak entry ``coupling``,
+    so its block norm grows with dim. At the default 0.1 the solver's sweeps
+    were measured to converge for dim 4-700 (d 1-16, seeds 0-2), not from 800.
     """
     if not 1 <= util.as_index(d, "d") < util.as_index(dim, "dim"):
         raise InvalidSpec(f"need 1 <= d < dim, got d={d}, dim={dim}")

@@ -5,21 +5,21 @@ which may not contain a line break, are ignored wherever they appear;
 the first data line holds the row count R; each of the following R data
 lines holds 2C whitespace-separated decimal floats, one (re, im) pair
 per entry, row major. Square observables have R = C = N. Decoupling maps
-are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a
-comment so the model space can be rebuilt. Values are written as ``'%.17g'``
-writes them: 17 significant digits, enough to round-trip float64 exactly.
+are rectangular and carry ``s-matrix rows=.. cols=.. K=..`` in a comment,
+and their record in one more, ``key=value`` per field of ``_FIELDS``. Values
+are written as ``'%.17g'`` writes them: enough to round-trip float64 exactly.
 Tokens are decimal floats, ``inf`` and ``nan``, no underscores and no
 non-ASCII digits. Lines end in a line feed on every platform.
 
 A file is written in blocks of 1024 tokens, one binary write each, with
-~120 bytes of temporaries a token. Where ``longdouble`` has a 64-bit
-significand or wider, 1e-10 <= |x| < 1e16 of decimal exponent E scales by
-the exact 10**(16 - E) <= 10**27 to y with one rounding. No half-integer
+~120 bytes of temporaries a token. Where numpy's ``longdouble`` is x87's
+80-bit format, 1e-10 <= |x| < 1e16 of decimal exponent E scales by the
+exact 10**(16 - E) <= 10**27 to y with one rounding. No half-integer
 below 2**57 lies strictly between y and the exact product, so m = rint(y)
 is ``'%.17g'``'s significand unless y is a half-integer or m is not in
 [1e16, 1e17). Those tokens, nonzero values out of that range, inf, nan,
-and every token where ``longdouble`` is narrower take ``'%.17g'`` itself,
-in one ``%`` a block; zeros and m are laid out from tables.
+and every token on other platforms take ``'%.17g'`` itself, in one ``%``
+a block; zeros and m are laid out from tables.
 
 A file is opened once and read in chunks of whole lines of about 64 KB,
 each parsed into the preallocated result, so beyond the matrix a read
@@ -47,13 +47,14 @@ import os
 import re
 import sys
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
 from .. import util
 from ..errors import DimensionMismatch, MatrixFileError, NonFinite, ValidationError
 from ..spaces import ModelSpace, ObservableMatrix, validate_hermitian
-from ..transform import DecouplingMap, DirectProvenance, _direct_provenance
+from ..transform import DecouplingMap, Provenance, _checked
 
 __all__ = [
     "write_matrix",
@@ -87,9 +88,12 @@ def write_matrix(path, matrix, comments=()) -> None:
                          .tobytes().translate(_SEPARATOR, b" "))
 
 
+# x87's 80-bit longdouble (glibc's strtold rounds to its 64-bit significand, the low
+# little-endian half of 16 bytes), where the block writer and strtold reader run
+_X87_LONGDOUBLE = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
+                   and sys.byteorder == "little")
 # The block writer. A float 10**-10 <= |x| < 10**16 of decimal exponent E
 # has class E - _E_MIN and 17-digit significand m = rint(|x| 10**(16 - E)).
-_WIDE_LONGDOUBLE = np.finfo(np.longdouble).nmant >= 63  # else every token takes '%.17g'
 _BLOCK = 1024  # tokens per block; a token holds ~120 bytes of temporaries
 _E_MIN = -11
 _SCALES = np.cumprod(np.r_[1, np.full(16 - _E_MIN, 10)].astype(np.longdouble))[::-1]  # exact
@@ -133,7 +137,7 @@ def _significands(x: np.ndarray):
     y = np.multiply(a, np.take(_SCALES, c))  # exact scale, one rounding
     m = np.rint(y)
     # y is no half-integer, so neither is |x| 10**(16 - E), and m is in [1e16, 1e17)
-    good = fast & (np.abs(y - m) < 0.5) & (y >= 1e16) & (m < 1e17) & _WIDE_LONGDOUBLE
+    good = fast & (np.abs(y - m) < 0.5) & (y >= 1e16) & (m < 1e17) & _X87_LONGDOUBLE
     return c, m.astype(np.int64) * good, good
 
 
@@ -231,10 +235,6 @@ def read_matrix(path):
     return values.view(np.complex128), comments
 
 
-# glibc's strtold rounds to a 64-bit significand, stored as the low
-# little-endian half of a 16-byte longdouble.
-_X87_LONGDOUBLE = (np.finfo(np.longdouble).nmant == 63 and np.dtype(np.longdouble).itemsize == 16
-                   and sys.byteorder == "little")
 _CHUNK = 64 * 1024  # bytes of whole lines per parse; bounds the reader's temporaries
 _PLAIN_BYTES = b"0123456789 \t\n.-+eE"
 _TOKEN = re.compile(rb"[^ \t\n]+")
@@ -371,28 +371,30 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 def _parse_fields(comment: str) -> dict[str, str]:
     """``key=value`` tokens of a whitespace-separated line; other tokens are skipped."""
-    out = {}
-    for token in comment.split():
-        if "=" in token:
-            key, _, value = token.partition("=")
-            out[key] = value
-    return out
+    return dict(token.split("=", 1) for token in comment.split() if "=" in token)
 
 
-def _j_comment(dm: DecouplingMap) -> list[str]:
-    """``["J=<ids>"]`` for a map built from known eigenvectors, else ``[]``."""
-    if isinstance(dm.provenance, DirectProvenance) and dm.provenance.indices:
-        return ["J=" + _format_indices(dm.provenance.indices)]
-    return []
+# (key in files, attribute, writer, parser) of each field of a map's Provenance
+_FIELDS = (
+    ("J", "indices", _format_indices, _parse_indices),
+    ("iterations", "iterations", str, int),
+    ("residual", "residual", "%.17g".__mod__, float),
+)
 
 
-def write_decoupling_map(path, dm: DecouplingMap, extra_comments=()) -> None:
+def _record_comments(record: Provenance) -> list[str]:
+    """The fields ``record`` sets as one ``key=value`` comment line, none if it sets none."""
+    line = " ".join(f"{key}={write(value)}" for key, name, write, _ in _FIELDS
+                    if (value := getattr(record, name)) is not None)
+    return [line] if line else []
+
+
+def write_decoupling_map(path, dm: DecouplingMap) -> None:
     if not np.isfinite(dm.s).all():  # read_decoupling_map refuses such a file
         raise NonFinite("s-matrix contains NaN or Inf entries")
     ms = dm.model_space
-    k = _format_indices(ms.indices)
-    header = f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={k}"
-    write_matrix(path, dm.s, [header, *_j_comment(dm), *extra_comments])
+    header = f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={_format_indices(ms.indices)}"
+    write_matrix(path, dm.s, [header, *_record_comments(dm.provenance)])
 
 
 def read_decoupling_map(path) -> DecouplingMap:
@@ -417,22 +419,22 @@ def read_decoupling_map(path) -> DecouplingMap:
         raise MatrixFileError(f"{path}: data shape {m.shape} does not match header ({rows}, {cols})")
     if not np.isfinite(m).all():
         raise MatrixFileError(f"{path}: s-matrix contains NaN or Inf entries")
-    provenance = None
-    for comment in comments:
-        extra = _parse_fields(comment)
-        if "J" in extra:
-            try:
-                provenance = _direct_provenance(_parse_indices(extra["J"]), ms)
-            except (ValueError, ValidationError) as exc:
-                raise MatrixFileError(f"{path}: malformed J field in {comment!r}: {exc}") from exc
-    return DecouplingMap(ms, util._frozen(m), provenance)
+    record = {}
+    for comment in comments:  # a later value of a key wins
+        fields = _parse_fields(comment)
+        for key, name, _, parse in _FIELDS:
+            if key in fields:
+                try:
+                    record[name] = parse(fields[key])
+                    _checked(Provenance(**{name: record[name]}), ms)
+                except (ValueError, ValidationError) as exc:
+                    raise MatrixFileError(f"{path}: malformed {key} field in {comment!r}: {exc}") from exc
+    return DecouplingMap(ms, util._frozen(m), Provenance(**record))
 
 
 def write_effective(path, op, *, extra_comments=()) -> None:
-    """Effective-operator file with provenance comments (K, J, residual)."""
+    """Effective-operator file: K, its map's record with the operator's residual, ``extra_comments``."""
     dm = op.decoupling
-    comments = ["K=" + _format_indices(dm.model_space.indices), *_j_comment(dm)]
-    if op.residual is not None:
-        comments.append(f"residual={op.residual:.6e}")
-    comments.extend(extra_comments)
-    write_matrix(path, op.matrix, comments)
+    record = dm.provenance if op.residual is None else replace(dm.provenance, residual=op.residual)
+    k = "K=" + _format_indices(dm.model_space.indices)
+    write_matrix(path, op.matrix, [k, *_record_comments(record), *extra_comments])

@@ -35,7 +35,7 @@ import numpy as np
 from . import tolerances, util
 from .errors import Diverged, MaxIterExceeded, SylvesterSingular, ValidationError
 from .spaces import ModelSpace, ObservableMatrix
-from .transform import DecouplingMap, IterativeProvenance, _require_same_space, transformed_blocks
+from .transform import DecouplingMap, Provenance, _require_same_space, transformed_blocks
 
 __all__ = [
     "SolverConfig",
@@ -119,7 +119,7 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
 
     steps: list[TraceStep] = []
     blocks = transformed_blocks(obs, DecouplingMap(ms, s))
-    best_s, best_res = s, blocks.residual
+    best_s, best_res, best_k = s, blocks.residual, 0
     for k in range(1, cfg.max_iter + 1):
         ds = u @ ((u_dag @ blocks.qp @ v) / denominator) @ v_dag
         step = float(np.linalg.norm(ds) / max(1.0, np.linalg.norm(s)))
@@ -129,7 +129,7 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
         s_norm = float(np.linalg.norm(s))
         steps.append(TraceStep(k, step, res, s_norm))
         if res < best_res:
-            best_res, best_s = res, s
+            best_s, best_res, best_k = s, res, k
         if not s_norm <= tolerances.DIVERGENCE_CAP:  # NaN too
             raise Diverged(
                 f"iterate norm {s_norm:.3e} exceeded cap {tolerances.DIVERGENCE_CAP:.3e} "
@@ -137,12 +137,12 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
             )
         if step <= cfg.tol and res <= cfg.tol * scale:
             trace = SolverTrace(tuple(steps), True)
-            return DecouplingMap(ms, s, IterativeProvenance(k, res)), trace
+            return DecouplingMap(ms, s, Provenance(iterations=k, residual=res)), trace
 
     trace = SolverTrace(tuple(steps), False)
     raise MaxIterExceeded(
         f"no convergence within {cfg.max_iter} iterations; best residual {best_res:.3e}",
-        best=DecouplingMap(ms, best_s, IterativeProvenance(len(steps), best_res)),
+        best=DecouplingMap(ms, best_s, Provenance(iterations=best_k, residual=best_res)),
         residual=best_res,
         trace=trace,
     )

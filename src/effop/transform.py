@@ -12,7 +12,7 @@ invariant subspace; all of them are in the original index order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -22,8 +22,7 @@ from .errors import DimensionMismatch, NonFinite, ValidationError
 from .spaces import EigenSelection, ModelSpace, ObservableMatrix, validate_index_subset
 
 __all__ = [
-    "DirectProvenance",
-    "IterativeProvenance",
+    "Provenance",
     "DecouplingMap",
     "TransformedBlocks",
     "retrieve_full_vector",
@@ -38,18 +37,13 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class DirectProvenance:
-    """Map built from the selected eigenvectors at the 1-based ``indices`` (J)."""
+class Provenance:
+    """What a map records of how it was made, None where unknown: J, the 1-based positions of
+    the eigenvectors it was built from; the solver sweep that made it, 0 for the start; its residual."""
 
-    indices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class IterativeProvenance:
-    """Map produced by the fixed-point solver."""
-
-    iterations: int
-    residual: float
+    indices: tuple[int, ...] | None = None
+    iterations: int | None = None
+    residual: float | None = None
 
 
 @dataclass(frozen=True)
@@ -59,7 +53,7 @@ class DecouplingMap:
 
     model_space: ModelSpace
     s: np.ndarray
-    provenance: DirectProvenance | IterativeProvenance | None = None
+    provenance: Provenance = Provenance()
 
     def __post_init__(self):
         ms = self.model_space
@@ -68,6 +62,7 @@ class DecouplingMap:
             fresh = s is not self.s and s.flags.owndata  # the conversion made it
             s = util._frozen(s if fresh else s.copy())
         object.__setattr__(self, "s", s)
+        object.__setattr__(self, "provenance", _checked(self.provenance, ms))
 
     @cached_property
     def frame(self) -> np.ndarray:
@@ -77,6 +72,16 @@ class DecouplingMap:
         out[ms.p_rows] = np.eye(ms.dim)
         out[ms.q_rows] = self.s
         return util._frozen(out)
+
+
+def _checked(record: Provenance, ms: ModelSpace) -> Provenance:
+    """``record`` with its J, if any, as d distinct indices of 1..N."""
+    if record.indices is None:
+        return record
+    j = validate_index_subset(record.indices, ms.total_dim, name="J")
+    if len(j) != ms.dim:
+        raise DimensionMismatch(f"J has {len(j)} indices, the model space has {ms.dim}")
+    return replace(record, indices=j)
 
 
 def retrieve_full_vector(alpha, dm: DecouplingMap) -> np.ndarray:
@@ -103,16 +108,7 @@ def construct_s_from_span(vectors, ms: ModelSpace, *, indices=None) -> Decouplin
     pv = v[ms.p_rows, :]
     util._require_conditioned(pv, "model-space components")
     s = np.linalg.solve(pv.T, v[ms.q_rows, :].T).T
-    provenance = None if indices is None else _direct_provenance(indices, ms)
-    return DecouplingMap(ms, s, provenance)
-
-
-def _direct_provenance(indices, ms: ModelSpace) -> DirectProvenance:
-    """Provenance of a map built from the eigenvectors at J, d distinct indices of 1..N."""
-    j = validate_index_subset(indices, ms.total_dim, name="J")
-    if len(j) != ms.dim:
-        raise DimensionMismatch(f"J has {len(j)} indices, the model space has {ms.dim}")
-    return DirectProvenance(j)
+    return DecouplingMap(ms, s, Provenance(indices))
 
 
 def construct_s_direct(selection: EigenSelection, ms: ModelSpace) -> DecouplingMap:

@@ -125,6 +125,14 @@ CASES = {
         MatrixFileError, "malformed J field",
         lambda tmp: matio.read_decoupling_map(
             _file(tmp, "# s-matrix rows=1 cols=1 K=1\n# J=1,x\n1\n0 0\n"))),
+    "iterations field": (
+        MatrixFileError, r"m\.txt: malformed iterations field in 'iterations=2\.5'",
+        lambda tmp: matio.read_decoupling_map(
+            _file(tmp, "# s-matrix rows=1 cols=1 K=1\n# iterations=2.5\n1\n0 0\n"))),
+    "residual field": (
+        MatrixFileError, r"m\.txt: malformed residual field in 'J=1 residual=1e-3x'",
+        lambda tmp: matio.read_decoupling_map(
+            _file(tmp, "# s-matrix rows=1 cols=1 K=1\n# J=1 residual=1e-3x\n1\n0 0\n"))),
     "s-matrix K out of range": (
         MatrixFileError, r"m\.txt: malformed s-matrix header .*K index 9 outside 1\.\.3",
         lambda tmp: matio.read_decoupling_map(

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import effop
-from effop import observables, spaces, transform
+from effop import observables, solver, spaces, transform
 from effop.effective import first_type
 from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError, NonFinite, ValidationError
 from effop.harness import (
@@ -42,7 +42,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.transform import DecouplingMap, DirectProvenance, construct_s_direct
+from effop.transform import DecouplingMap, Provenance, construct_s_direct
 
 
 def _run_cli(*args):
@@ -189,16 +189,16 @@ def test_matio_decoupling_round_trip(tmp_path):
     rng = np.random.default_rng(11)
     ms = ModelSpace(5, (1, 3))
     s = rng.standard_normal((3, 2)) + 1j * rng.standard_normal((3, 2))
-    # a map from a span without a J reads back as built: without provenance
+    # a map from a span without a J reads back as built: with an empty record
     spanned = transform.construct_s_from_span(rng.standard_normal((5, 2)), ms)
-    for dm in (DecouplingMap(ms, s, DirectProvenance((2, 4))), spanned):
+    for dm in (DecouplingMap(ms, s, Provenance((2, 4))), spanned):
         path = tmp_path / "s.mat"
         write_decoupling_map(path, dm)
         back = read_decoupling_map(path)
         assert back.model_space == ms
         assert np.array_equal(back.s, dm.s)
         assert back.provenance == dm.provenance
-    assert spanned.provenance is None
+    assert spanned.provenance == Provenance()
 
 
 def test_matio_decoupling_zero_row_header_with_data_rows(tmp_path):
@@ -230,13 +230,12 @@ def test_matio_decoupling_requires_header(tmp_path):
 
 
 def _writers_refuse_before_opening(tmp_path, comment, match, named):
-    """Each writer refuses ``comment`` with a ValidationError matching
+    """Each writer of free comments refuses ``comment`` with a ValidationError matching
     ``match`` that names ``named``, and neither creates nor truncates its file."""
     obs = generate(ProblemSpec("random_hermitian", dim=4, seed=2))
     dm = construct_s_direct(select_eigenvectors(eigendecompose(obs), (1, 2)), ModelSpace(4, (1, 2)))
     writers = {
         "matrix.mat": lambda path: write_matrix(path, obs.matrix, [comment]),
-        "s.mat": lambda path: write_decoupling_map(path, dm, ["run 3", comment]),
         "eff.mat": lambda path: write_effective(path, first_type(obs, dm), extra_comments=[comment]),
     }
     for name, write in writers.items():
@@ -773,7 +772,7 @@ def test_cli_effective_builds_blocks_once(tmp_path, monkeypatch):
                      "--out", str(tmp_path / "eff.mat")]) == 0
     assert len(calls) == 1
     _, comments = read_matrix(tmp_path / "eff.mat")
-    assert any(c.startswith("residual=") for c in comments)
+    assert any("residual=" in c for c in comments)
 
 
 def test_cli_effective_second_type_partitions_once(tmp_path, monkeypatch):
@@ -790,8 +789,40 @@ def test_cli_effective_second_type_partitions_once(tmp_path, monkeypatch):
     obs, _ = read_observable(obs_path)
     residual = transform.decoupling_residual(obs, read_decoupling_map(s_path))
     _, comments = read_matrix(out)
-    assert f"residual={residual:.6e}" in comments
+    assert f"J=1,2 residual={residual:.17g}" in comments
     assert "type=second-type" in comments
+
+
+def test_cli_solve_direct_s_file_reads_back_its_j_and_residual(tmp_path):
+    """The residual ``first_type`` measured is written into the map, to 17 digits."""
+    obs_path, s_path = _observable_and_map(tmp_path)
+    obs, _ = read_observable(obs_path)
+    dm = read_decoupling_map(s_path)
+    assert (dm.provenance.indices, dm.provenance.iterations) == ((1, 2), None)
+    assert np.float64(dm.provenance.residual).tobytes() == np.float64(first_type(obs, dm).residual).tobytes()
+
+
+def test_cli_solve_iter_s_file_reads_back_its_sweeps_and_residual(tmp_path, capsys):
+    matrix, s_path = tmp_path / "chain.mat", tmp_path / "s.mat"
+    assert cli.main(["gen", "--kind", "tridiagonal_chain", "--dim", "8", "--seed", "11",
+                     "--out", str(matrix)]) == 0
+    assert cli.main(["solve-iter", "--matrix", str(matrix), "--K", "1,2", "--out-s", str(s_path)]) == 0
+    printed = capsys.readouterr().out.split("converged in ")[1].split()[0]
+    solved, _ = solver.solve_decoupling_fixed_point(read_observable(matrix)[0], ModelSpace(8, (1, 2)))
+    back = read_decoupling_map(s_path)
+    assert back.s.tobytes() == solved.s.tobytes()
+    assert str(back.provenance.iterations) == printed
+    assert back.provenance.iterations == solved.provenance.iterations
+    assert np.float64(back.provenance.residual).tobytes() == np.float64(solved.provenance.residual).tobytes()
+
+
+def test_matio_decoupling_map_in_the_earlier_layout_reads_its_record(tmp_path):
+    """A file with ``J=`` and a 7-digit ``residual=`` on lines of their own
+    reads through the same field table."""
+    path = tmp_path / "s.mat"
+    path.write_text("# s-matrix rows=1 cols=3 K=1,2,3\n# J=1,2,3\n# residual=3.312828e-19\n"
+                    "1\n0 0 1 0 0 0\n", encoding="utf-8")
+    assert read_decoupling_map(path).provenance == Provenance((1, 2, 3), residual=3.312828e-19)
 
 
 def _perfbench_module(name):

@@ -31,7 +31,7 @@ def _expected(values: np.ndarray, comments=()) -> bytes:
 
 def _written(path, values: np.ndarray, wide: bool) -> bytes:
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(matio, "_WIDE_LONGDOUBLE", wide and matio._WIDE_LONGDOUBLE)
+        patch.setattr(matio, "_X87_LONGDOUBLE", wide and matio._X87_LONGDOUBLE)
         matio.write_matrix(path, values.view(np.complex128), ["bits"])
     return path.read_bytes()
 
@@ -72,7 +72,7 @@ def test_rows_straddle_block_boundaries(tmp_path, wide):
     assert _written(tmp_path / "m.mat", values, wide) == _expected(values, ["bits"])
 
 
-@pytest.mark.skipif(not matio._WIDE_LONGDOUBLE, reason="longdouble has fewer than 64 significand bits")
+@pytest.mark.skipif(not matio._X87_LONGDOUBLE, reason="longdouble is not x87's 80-bit format")
 def test_blocks_format_nearly_every_float_themselves():
     """Only a float whose scaled longdouble is a half-integer takes '%.17g':
     with y's ulp of 2**-10 to 2**-7, one in a few hundred."""

@@ -19,7 +19,7 @@ EFFOP_NAMES = [
     "validate_hermitian", "eigendecompose", "projectors", "select_eigenvectors",
     "enumerate_model_spaces", "pivoted_model_space",
     # transform
-    "DecouplingMap", "DirectProvenance", "IterativeProvenance", "TransformedBlocks",
+    "DecouplingMap", "Provenance", "TransformedBlocks",
     "retrieve_full_vector",
     "construct_s_direct", "construct_s_from_span", "exp_s", "similarity_transform",
     "transformed_blocks", "assemble_blocks", "decoupling_residual",

@@ -4,6 +4,7 @@ Examples are drawn deterministically (``derandomize=True``), so every
 run checks the same bounded set of problems.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 import numpy as np
@@ -49,7 +50,7 @@ from effop.spaces import (
 from effop.tolerances import CLUSTER_RTOL, eigenpair_tolerance, scaled
 from effop.transform import (
     DecouplingMap,
-    DirectProvenance,
+    Provenance,
     construct_s_direct,
     construct_s_from_span,
     exp_s,
@@ -142,7 +143,8 @@ def _reference_text(matrix, comments) -> str:
 def file_contents(draw):
     """Entries of random phase and magnitude 1e-300..1e300 for the three
     file kinds: an N x N Hermitian observable, an (N - d) x d map on a
-    model space K with its J, and a d x d effective operator, 1 <= d <= N."""
+    model space K whose record sets each field or not, and a d x d
+    effective operator with a residual or none, 1 <= d <= N."""
     n = draw(st.integers(1, 6))
     d = draw(st.integers(1, n))
     rng = np.random.default_rng(draw(st.integers(0, 2**31 - 1)))
@@ -155,7 +157,31 @@ def file_contents(draw):
     hermitian = upper + upper.conj().T + np.diag(entries(n).real)
     ms = ModelSpace(n, tuple(sorted(int(k) + 1 for k in rng.choice(n, size=d, replace=False))))
     j = tuple(int(i) + 1 for i in rng.choice(n, size=d, replace=False))
-    return hermitian, DecouplingMap(ms, entries((n - d, d)), DirectProvenance(j)), entries((d, d))
+
+    def maybe(values):
+        return draw(st.none() | values)
+
+    record = Provenance(maybe(st.just(j)), maybe(st.integers(0, 10**9)), maybe(st.floats(allow_nan=False)))
+    residual = maybe(st.floats(allow_nan=False))
+    return hermitian, DecouplingMap(ms, entries((n - d, d)), record), entries((d, d)), residual
+
+
+def _record_line(record) -> list[str]:
+    """The record's comment line: each field it sets as key=value, floats to 17 digits."""
+    fields = []
+    if record.indices is not None:
+        fields.append(f"J={_ids(record.indices)}")
+    if record.iterations is not None:
+        fields.append(f"iterations={record.iterations}")
+    if record.residual is not None:
+        fields.append(f"residual={record.residual:.17g}")
+    return [" ".join(fields)] if fields else []
+
+
+def _bits(record) -> tuple:
+    """The record's fields, its residual as the bytes of a float64."""
+    residual = None if record.residual is None else np.float64(record.residual).tobytes()
+    return record.indices, record.iterations, residual
 
 
 def _ids(indices) -> str:
@@ -165,7 +191,7 @@ def _ids(indices) -> str:
 @PROPERTY_SETTINGS
 @given(file_contents())
 def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
-    hermitian, dm, effective = contents
+    hermitian, dm, effective, residual = contents
     ms = dm.model_space
     root = tmp_path_factory.mktemp("files")
 
@@ -180,17 +206,17 @@ def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
     read_back = read_decoupling_map(root / "s.mat")
     assert read_back.s.shape == dm.s.shape
     assert read_back.s.tobytes() == dm.s.tobytes()
-    assert (read_back.model_space, read_back.provenance) == (ms, dm.provenance)
+    assert (read_back.model_space, _bits(read_back.provenance)) == (ms, _bits(dm.provenance))
     header = [f"s-matrix rows={ms.total_dim - ms.dim} cols={ms.dim} K={_ids(ms.indices)}",
-              f"J={_ids(dm.provenance.indices)}"]
+              *_record_line(dm.provenance)]
     assert (root / "s.mat").read_text() == _reference_text(dm.s, header)
 
-    op = EffectiveOperator(effective, dm, residual=1.5e-13)
+    op = EffectiveOperator(effective, dm, residual=residual)
     write_effective(root / "e.mat", op)
     matrix, comments = read_matrix(root / "e.mat")
     assert matrix.tobytes() == effective.tobytes()
-    assert comments == [f"K={_ids(ms.indices)}", f"J={_ids(dm.provenance.indices)}",
-                        "residual=1.500000e-13"]
+    kept = dm.provenance if residual is None else replace(dm.provenance, residual=residual)
+    assert comments == [f"K={_ids(ms.indices)}", *_record_line(kept)]
     assert (root / "e.mat").read_text() == _reference_text(effective, comments)
 
 

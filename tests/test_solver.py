@@ -5,11 +5,11 @@ import pytest
 
 from effop import solver
 from effop.errors import DimensionMismatch, Diverged, MaxIterExceeded, SylvesterSingular
-from effop.harness import gap_separated
+from effop.harness import ProblemSpec, gap_separated, generate
 from effop.solver import SolverConfig, TraceStep, solve_decoupling_fixed_point
 from effop.spaces import ModelSpace, eigendecompose, select_eigenvectors, validate_hermitian
 from effop.transform import (
-    IterativeProvenance,
+    Provenance,
     construct_s_direct,
     decoupling_residual,
     transformed_blocks,
@@ -65,6 +65,18 @@ def test_max_iter_carries_best_iterate():
     assert abs(exc.best.s[0, 0] - s2_hand) < 1e-12
     assert abs(exc.best.s[0, 0] - (-0.049875)) < 1e-4
     assert exc.residual == pytest.approx(exc.trace.steps[-1].residual)
+
+
+@pytest.mark.parametrize("seed, max_iter", [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4)])
+def test_max_iter_records_the_sweep_of_its_best_iterate(seed, max_iter):
+    """Here every sweep raises the residual, so the best map is the start
+    s = 0, and its record names sweep 0, not the sweeps spent."""
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=seed))
+    with pytest.raises(MaxIterExceeded) as info:
+        solve_decoupling_fixed_point(obs, ModelSpace(12, (1, 2, 3)), SolverConfig(max_iter=max_iter))
+    best = info.value.best
+    assert not best.s.any()
+    assert best.provenance == Provenance(iterations=0, residual=info.value.residual)
 
 
 def _count_reductions(monkeypatch):
@@ -151,7 +163,7 @@ def test_full_model_space_trivially_converged():
         dm, trace = solve_decoupling_fixed_point(obs, ModelSpace(2, (1, 2)))
         assert trace.converged
         assert trace.steps == (TraceStep(1, 0.0, 0.0, 0.0),)
-        assert dm.provenance == IterativeProvenance(1, 0.0)
+        assert dm.provenance == Provenance(iterations=1, residual=0.0)
         assert dm.s.shape == (0, 2)
         assert dm.s.dtype == np.complex128 and not dm.s.flags.writeable
 

@@ -30,7 +30,7 @@ from effop.spaces import (
 from effop.tolerances import decoupled_tolerance
 from effop.transform import (
     DecouplingMap,
-    DirectProvenance,
+    Provenance,
     assemble_blocks,
     construct_s_direct,
     construct_s_from_span,
@@ -54,7 +54,7 @@ def _plus_state_map():
 def test_construct_s_direct_hand():
     dm = _plus_state_map()
     assert abs(dm.s[0, 0] - 1.0) < 1e-12
-    assert dm.provenance == DirectProvenance((2,))
+    assert dm.provenance == Provenance((2,))
 
 
 INVALID_J = [((), ValidationError), ((1, 1), DuplicateIndex), ((9,), IndexOutOfRange),
@@ -75,7 +75,7 @@ def test_read_decoupling_map_rejects_an_invalid_j(tmp_path, j):
     with pytest.raises(MatrixFileError, match="malformed J field"):
         read_decoupling_map(path)
     path.write_text(path.read_text().replace(f"J={j}", "J=3"), encoding="utf-8")
-    assert read_decoupling_map(path).provenance == DirectProvenance((3,))
+    assert read_decoupling_map(path).provenance == Provenance((3,))
 
 
 def test_construct_s_direct_zero_when_aligned():
