@@ -101,10 +101,11 @@ class SylvesterSingular(NumericalError):
 class MaxIterExceeded(NumericalError):
     """Iteration budget exhausted before convergence."""
 
-    best = None
-    residual = None
-    trace = None
+    best = residual = trace = None
 
 
 class Diverged(NumericalError):
-    """Iterate norm exceeded the divergence cap."""
+    """Iterate norm exceeded the divergence cap; carries, as :class:`MaxIterExceeded` does,
+    the ``best`` iterate (its record names its sweep, 0 for the start), ``residual``, ``trace``."""
+
+    best = residual = trace = None

@@ -2,7 +2,9 @@
 
 Subcommands: gen, solve-direct, solve-iter, effective, enumerate,
 decompose, verify. Success exits 0; validation problems exit 1;
-numerical failures exit 2. Diagnostics go to stderr. Matrices travel
+numerical failures exit 2, which ``verify`` returns only when the input's own
+eigensolve fails: an error inside its battery is a failing CHECK (exit 1).
+Diagnostics go to stderr. Matrices travel
 through files in the plain-text format of :mod:`effop.harness.matio`;
 flags only carry index sets and real scalars.
 """
@@ -189,6 +191,8 @@ def _cmd_verify(args) -> int:
         report.provenance["input_sha256"] = hashlib.sha256(
             Path(args.matrix).read_bytes()).hexdigest()[:16]
     print(report)
+    for line in report.errors.values():
+        print(line, file=sys.stderr)
     return 0 if report.all_passed else 1
 
 

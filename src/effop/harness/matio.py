@@ -380,6 +380,7 @@ _FIELDS = (
     ("iterations", "iterations", str, int),
     ("residual", "residual", "%.17g".__mod__, float),
 )
+_KEYS = frozenset(key for key, *_ in _FIELDS)
 
 
 def _record_comments(record: Provenance) -> list[str]:
@@ -421,7 +422,10 @@ def read_decoupling_map(path) -> DecouplingMap:
         raise MatrixFileError(f"{path}: s-matrix contains NaN or Inf entries")
     record = {}
     for comment in comments:  # a later value of a key wins
-        fields = _parse_fields(comment)
+        tokens = [token.partition("=") for token in comment.split()]
+        if not tokens or not all(sep and key in _KEYS for key, sep, _ in tokens):
+            continue  # not a record line: one holds key=value tokens of _FIELDS only
+        fields = {key: value for key, _, value in tokens}
         for key, name, _, parse in _FIELDS:
             if key in fields:
                 try:

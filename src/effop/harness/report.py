@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+
+from ..errors import EffopError
 
 __all__ = ["CheckResult", "Report"]
 
@@ -26,6 +29,7 @@ class CheckResult:
 class Report:
     provenance: dict = field(default_factory=dict)
     checks: list[CheckResult] = field(default_factory=list)
+    errors: dict[str, str] = field(default_factory=dict)  # section -> its first error
 
     def add(self, name: str, residual: float, tol: float) -> None:
         """Record a check; a repeated name keeps the entry with the worst
@@ -42,6 +46,16 @@ class Report:
     def add_flag(self, name: str, ok: bool) -> None:
         # boolean checks encode as residual 0/1 against tol 0.5
         self.add(name, 0.0 if ok else 1.0, 0.5)
+
+    @contextmanager
+    def section(self, name: str):
+        """Guard a block of checks: an ``EffopError`` raised in it becomes the failing flag
+        CHECK ``name``, merged like any other, and ``"<name>: <ErrorType>: <message>"``."""
+        try:
+            yield
+        except EffopError as exc:
+            self.add_flag(name, False)
+            self.errors.setdefault(name, f"{name}: {type(exc).__name__}: {exc}")
 
     @property
     def all_passed(self) -> bool:

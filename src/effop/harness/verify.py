@@ -139,188 +139,192 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         return rng.standard_normal(size) + 1j * rng.standard_normal(size)
 
     for trial in range(trials):
-        j_idx = tuple(sorted(rng.choice(n, size=d, replace=False) + 1))
-        selection = spaces.select_eigenvectors(decomposition, j_idx)
-        k_best = spaces.pivoted_model_space(selection)
-        candidates = listed = None
-        # exhaustive enumeration costs C(N, d) decompositions; a few trials
-        # exercise the invariant without dominating the run
-        if trial < 3 and math.comb(n, d) <= _BRUTE_FORCE_LIMIT:
-            candidates = spaces.enumerate_model_spaces(selection)
-            listed = _listed(selection, candidates)
-            report.add_flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
-            report.add_flag("enumeration_rank_agreement",
-                            _enumeration_agrees(selection, listed))
-            report.add_flag("enumeration_contains_pivoted",
-                            k_best in dict(candidates))
+        with report.section("trial"):
+            j_idx = tuple(sorted(rng.choice(n, size=d, replace=False) + 1))
+            selection = spaces.select_eigenvectors(decomposition, j_idx)
+            k_best = spaces.pivoted_model_space(selection)
+            candidates = listed = None
+            # exhaustive enumeration costs C(N, d) decompositions; a few trials
+            # exercise the invariant without dominating the run
+            if trial < 3 and math.comb(n, d) <= _BRUTE_FORCE_LIMIT:
+                candidates = spaces.enumerate_model_spaces(selection)
+                listed = _listed(selection, candidates)
+                report.add_flag("enumeration_bounds", 1 <= len(candidates) <= math.comb(n, d))
+                report.add_flag("enumeration_rank_agreement",
+                                _enumeration_agrees(selection, listed))
+                report.add_flag("enumeration_contains_pivoted",
+                                k_best in dict(candidates))
 
-        ms = spaces.ModelSpace(n, k_best)
-        proj_p, proj_q = spaces.projectors(ms)
-        report.add("projectors_exact",
-                   max(np.abs(proj_p + proj_q - np.eye(n)).max(),
-                       np.abs(proj_p @ proj_q).max(),
-                       np.abs(proj_q @ proj_p).max()),
-                   0.0)
+            ms = spaces.ModelSpace(n, k_best)
+            proj_p, proj_q = spaces.projectors(ms)
+            report.add("projectors_exact",
+                       max(np.abs(proj_p + proj_q - np.eye(n)).max(),
+                           np.abs(proj_p @ proj_q).max(),
+                           np.abs(proj_q @ proj_p).max()),
+                       0.0)
 
-        dm = transform.construct_s_direct(selection, ms)
-        s_norm = float(np.linalg.norm(dm.s))
-        blocks = transform.transformed_blocks(obs, dm)
-        report.add("decoupling_residual_direct",
-                   blocks.residual, tolerances.decoupled_tolerance(obs))
+            dm = transform.construct_s_direct(selection, ms)
+            s_norm = float(np.linalg.norm(dm.s))
+            blocks = transform.transformed_blocks(obs, dm)
+            report.add("decoupling_residual_direct",
+                       blocks.residual, tolerances.decoupled_tolerance(obs))
 
-        forward, backward = transform.exp_s(dm, 1), transform.exp_s(dm, -1)
-        embedded = forward - np.eye(n)
-        report.add("generator_nilpotent", np.abs(embedded @ embedded).max(), 0.0)
-        report.add("transform_inverse_exact", np.abs(forward @ backward - np.eye(n)).max(), 0.0)
+            forward, backward = transform.exp_s(dm, 1), transform.exp_s(dm, -1)
+            embedded = forward - np.eye(n)
+            report.add("generator_nilpotent", np.abs(embedded @ embedded).max(), 0.0)
+            report.add("transform_inverse_exact", np.abs(forward @ backward - np.eye(n)).max(), 0.0)
 
-        dense = transform.similarity_transform(obs, dm)
-        # ||O||_F floored at 1; the (1 + ||s||)^2 of the two factors is scale-free
-        report.add("blocks_assembly",
-                   np.linalg.norm(transform.assemble_blocks(blocks) - dense),
-                   1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
-        # the enclosure can only confirm; the eigensolver decides what it cannot
-        report.add_flag("spectrum_preserved",
-                        _spectrum_enclosed(dense, backward @ vectors, values, 1e-9)
-                        or util.match_spectra(np.linalg.eigvals(dense), values, rtol=1e-9).matched)
+            dense = transform.similarity_transform(obs, dm)
+            # ||O||_F floored at 1; the (1 + ||s||)^2 of the two factors is scale-free
+            report.add("blocks_assembly",
+                       np.linalg.norm(transform.assemble_blocks(blocks) - dense),
+                       1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
+            # the enclosure can only confirm; the eigensolver decides what it cannot
+            report.add_flag("spectrum_preserved",
+                            _spectrum_enclosed(dense, backward @ vectors, values, 1e-9)
+                            or util.match_spectra(np.linalg.eigvals(dense), values, rtol=1e-9).matched)
 
-        pv = selection.vectors[ms.p_rows, :]
-        # ||pv||, components of unit eigenvectors, is scale-free and floored at 1
-        report.add("effective_block_owns_projections",
-                   np.linalg.norm(blocks.pp @ pv - pv * selection.values),
-                   tolerances.scaled(1e-9, obs.norm) * max(1.0, np.linalg.norm(pv)))
-        mapped = backward @ selection.vectors
-        # scale-free: s does not follow O -> cO
-        report.add("selected_vectors_mapped",
-                   np.linalg.norm(mapped[ms.q_rows, :]), 1e-9 * (1.0 + s_norm))
+            pv = selection.vectors[ms.p_rows, :]
+            # ||pv||, components of unit eigenvectors, is scale-free and floored at 1
+            report.add("effective_block_owns_projections",
+                       np.linalg.norm(blocks.pp @ pv - pv * selection.values),
+                       tolerances.scaled(1e-9, obs.norm) * max(1.0, np.linalg.norm(pv)))
+            mapped = backward @ selection.vectors
+            # scale-free: s does not follow O -> cO
+            report.add("selected_vectors_mapped",
+                       np.linalg.norm(mapped[ms.q_rows, :]), 1e-9 * (1.0 + s_norm))
 
-        if distinct_spectrum:
-            misfit = np.linalg.norm(dm.s @ vectors[ms.p_rows, :] - vectors[ms.q_rows, :], axis=0)
-            report.add_flag("decoupling_matches_exactly_d", int((misfit <= 1e-7).sum()) == d)
+            if distinct_spectrum:
+                misfit = np.linalg.norm(dm.s @ vectors[ms.p_rows, :] - vectors[ms.q_rows, :], axis=0)
+                report.add_flag("decoupling_matches_exactly_d", int((misfit <= 1e-7).sum()) == d)
 
-        mixer = complex_noise((d, d))
-        while util.condition_number(mixer) > 1e3:  # inf when singular
             mixer = complex_noise((d, d))
-        remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms)
-        # scale-free: s does not follow O -> cO
-        report.add("basis_change_invariance",
-                   np.linalg.norm(remixed.s - dm.s), 1e-10 * (1.0 + s_norm))
+            while util.condition_number(mixer) > 1e3:  # inf when singular
+                mixer = complex_noise((d, d))
+            remixed = transform.construct_s_from_span(selection.vectors @ mixer, ms)
+            # scale-free: s does not follow O -> cO
+            report.add("basis_change_invariance",
+                       np.linalg.norm(remixed.s - dm.s), 1e-10 * (1.0 + s_norm))
 
-        if d < n:
-            fixed = np.zeros(n, dtype=np.complex128)
-            fixed[ms.q_rows] = complex_noise(n - d)
-            report.add("fixed_point_exact",
-                       np.abs(backward @ fixed - fixed).max(), 0.0)
-            outside = complex_noise(n)
-            report.add_flag("non_membership",
-                            np.linalg.norm((backward @ outside)[ms.q_rows]) > 1e-8)
+            if d < n:
+                fixed = np.zeros(n, dtype=np.complex128)
+                fixed[ms.q_rows] = complex_noise(n - d)
+                report.add("fixed_point_exact",
+                           np.abs(backward @ fixed - fixed).max(), 0.0)
+                outside = complex_noise(n)
+                report.add_flag("non_membership",
+                                np.linalg.norm((backward @ outside)[ms.q_rows]) > 1e-8)
 
-        member = selection.vectors @ complex_noise(d)
-        alpha = (backward @ member)[ms.p_rows]
-        # scale-free: member combines unit eigenvectors
-        report.add("retrieve_round_trip",
-                   np.linalg.norm(transform.retrieve_full_vector(alpha, dm) - member),
-                   1e-10 * (1.0 + np.linalg.norm(member)))
+            member = selection.vectors @ complex_noise(d)
+            alpha = (backward @ member)[ms.p_rows]
+            # scale-free: member combines unit eigenvectors
+            report.add("retrieve_round_trip",
+                       np.linalg.norm(transform.retrieve_full_vector(alpha, dm) - member),
+                       1e-10 * (1.0 + np.linalg.norm(member)))
 
-        pair = eff._effective_pair(blocks)
-        operator, hermitian_rep = pair.first, pair.second
-        report.add_flag("first_type_spectrum",
-                        util.match_spectra(np.linalg.eigvals(operator.matrix),
-                                           selection.values, rtol=1e-8).matched)
-        _, factor_report = eff._factorization(blocks)
-        report.add_flag("factorization_completeness", factor_report.matched)
-        report.add("route_equivalence",
-                   np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
-                   tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
-
-        # the representative's norm, floored at 1
-        report.add("second_type_hermitian",
-                   np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
-                   1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
-        gram = selection.vectors.conj().T @ obs.matrix @ selection.vectors
-        reduced = eff.matrix_element(selection.vectors, selection.vectors, hermitian_rep)
-        report.add("matrix_element_gram", np.abs(gram - reduced).max(),
-                   tolerances.scaled(1e-9, obs.norm))
-
-        if d < n:
-            stray = complex_noise(n)
-            try:
-                eff.matrix_element(stray, stray, hermitian_rep)
-                report.add_flag("membership_rejection", False)
-            except NotInSubspace:
-                report.add_flag("membership_rejection", True)
-
-        if listed is not None and 1 < len(candidates) <= 5000:  # None fails rank agreement
-            k_second = _second_model_space(selection, listed, k_best)
-            dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
-            operator2 = eff.first_type(obs, dm2)
-            t = eff.equivalence_transform(operator, operator2)
-            report.add("equivalence_transform",
-                       np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
+            pair = eff._effective_pair(blocks)
+            operator, hermitian_rep = pair.first, pair.second
+            report.add_flag("first_type_spectrum",
+                            util.match_spectra(np.linalg.eigvals(operator.matrix),
+                                               selection.values, rtol=1e-8).matched)
+            _, factor_report = eff._factorization(blocks)
+            report.add_flag("factorization_completeness", factor_report.matched)
+            report.add("route_equivalence",
+                       np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
                        tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
+
+            # the representative's norm, floored at 1
+            report.add("second_type_hermitian",
+                       np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
+                       1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
+            gram = selection.vectors.conj().T @ obs.matrix @ selection.vectors
+            reduced = eff.matrix_element(selection.vectors, selection.vectors, hermitian_rep)
+            report.add("matrix_element_gram", np.abs(gram - reduced).max(),
+                       tolerances.scaled(1e-9, obs.norm))
+
+            if d < n:
+                stray = complex_noise(n)
+                try:
+                    eff.matrix_element(stray, stray, hermitian_rep)
+                    report.add_flag("membership_rejection", False)
+                except NotInSubspace:
+                    report.add_flag("membership_rejection", True)
+
+            if listed is not None and 1 < len(candidates) <= 5000:  # None fails rank agreement
+                k_second = _second_model_space(selection, listed, k_best)
+                dm2 = transform.construct_s_direct(selection, spaces.ModelSpace(n, k_second))
+                operator2 = eff.first_type(obs, dm2)
+                t = eff.equivalence_transform(operator, operator2)
+                report.add("equivalence_transform",
+                           np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
+                           tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
 
     # Generic witness: the first-type representative is non-Hermitian in
     # general, which the user's matrix may be too special to show.
-    generic = generate(ProblemSpec("random_hermitian", dim=8,
-                                      seed=int(rng.integers(0, 2**63 - 1))))
-    generic_dec = spaces.eigendecompose(generic)
-    generic_sel = spaces.select_eigenvectors(generic_dec, (1, 2, 3))
-    generic_k = spaces.pivoted_model_space(generic_sel)
-    generic_dm = transform.construct_s_direct(generic_sel, spaces.ModelSpace(8, generic_k))
-    generic_first = eff.first_type(generic, generic_dm)
-    report.add_flag("first_type_nonhermitian_generic",
-                    np.linalg.norm(generic_first.matrix - generic_first.matrix.conj().T) > 1e-8)
+    with report.section("generic_witness"):
+        generic = generate(ProblemSpec("random_hermitian", dim=8,
+                                          seed=int(rng.integers(0, 2**63 - 1))))
+        generic_dec = spaces.eigendecompose(generic)
+        generic_sel = spaces.select_eigenvectors(generic_dec, (1, 2, 3))
+        generic_k = spaces.pivoted_model_space(generic_sel)
+        generic_dm = transform.construct_s_direct(generic_sel, spaces.ModelSpace(8, generic_k))
+        generic_first = eff.first_type(generic, generic_dm)
+        report.add_flag("first_type_nonhermitian_generic",
+                        np.linalg.norm(generic_first.matrix - generic_first.matrix.conj().T) > 1e-8)
 
     # Solver suite on a well-separated internal instance.
-    instance = gap_separated(8, 3, gap=1.0, coupling=0.08,
-                                 seed=int(rng.integers(0, 2**63 - 1)))
-    inst_ms = spaces.ModelSpace(8, (1, 2, 3))
-    iter_dm, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
-    inst_dec = spaces.eigendecompose(instance)
-    direct_dm = transform.construct_s_direct(
-            spaces.select_eigenvectors(inst_dec, (1, 2, 3)), inst_ms)
-    # scale-free: s does not follow O -> cO
-    report.add("solver_gap_consistency",
-               np.linalg.norm(iter_dm.s - direct_dm.s),
-               1e-8 * (1.0 + np.linalg.norm(direct_dm.s)))
-    report.add_flag("solver_spectrum_subset",
-                    util.match_spectra(
-                        np.linalg.eigvals(transform.transformed_blocks(instance, iter_dm).pp),
-                        inst_dec.values, rtol=1e-8, subset=True).matched)
-    iter_dm2, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
-    report.add("solver_deterministic", np.abs(iter_dm.s - iter_dm2.s).max(), 0.0)
+    with report.section("solver_suite"):
+        instance = gap_separated(8, 3, gap=1.0, coupling=0.08,
+                                     seed=int(rng.integers(0, 2**63 - 1)))
+        inst_ms = spaces.ModelSpace(8, (1, 2, 3))
+        iter_dm, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
+        inst_dec = spaces.eigendecompose(instance)
+        direct_dm = transform.construct_s_direct(
+                spaces.select_eigenvectors(inst_dec, (1, 2, 3)), inst_ms)
+        # scale-free: s does not follow O -> cO
+        report.add("solver_gap_consistency",
+                   np.linalg.norm(iter_dm.s - direct_dm.s),
+                   1e-8 * (1.0 + np.linalg.norm(direct_dm.s)))
+        report.add_flag("solver_spectrum_subset",
+                        util.match_spectra(
+                            np.linalg.eigvals(transform.transformed_blocks(instance, iter_dm).pp),
+                            inst_dec.values, rtol=1e-8, subset=True).matched)
+        iter_dm2, _ = solvermod.solve_decoupling_fixed_point(instance, inst_ms)
+        report.add("solver_deterministic", np.abs(iter_dm.s - iter_dm2.s).max(), 0.0)
 
     # Commuting companions of the input observable.
-    family = commuting_partners(obs, 2, seed=int(rng.integers(0, 2**63 - 1)))
-    report.add_flag("commuting_companions_valid",
-                    (family.commutator_norms
-                     <= tolerances.commuting_tolerance(family.members)).all())
-    with warnings.catch_warnings():
-        # degenerate user input may yield repeated tuples; that is allowed here
-        warnings.simplefilter("ignore")
-        basis = family.basis
-    leading = tuple(range(1, d + 1))
-    shared_k = spaces.pivoted_model_space(obsmod.selection_from_basis(basis, leading))
-    shared_dm = obsmod.common_s(family, leading, shared_k)
-    pairs, commutator_report = obsmod.effective_set(family, shared_dm)
-    report.add("common_s_all_members",
-               max(pair.first.residual for pair in pairs),
-               max(tolerances.decoupled_tolerance(m) for m in family.members))
-    report.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
-    pv_basis = basis.vectors[:, :d][shared_dm.model_space.p_rows, :]
-    joint_dev = max(
-           float(np.linalg.norm(pairs[sig].first.matrix @ pv_basis
-                                - pv_basis * basis.values[sig, :d]))
-           for sig in range(family.size)
-       )
-    report.add("simultaneous_effective_eigvecs", joint_dev,
-               tolerances.scaled(1e-9, max(m.norm for m in family.members)))
+    with report.section("commuting_suite"):
+        family = commuting_partners(obs, 2, seed=int(rng.integers(0, 2**63 - 1)))
+        report.add_flag("commuting_companions_valid",
+                        (family.commutator_norms
+                         <= tolerances.commuting_tolerance(family.members)).all())
+        with warnings.catch_warnings():
+            # degenerate user input may yield repeated tuples; that is allowed here
+            warnings.simplefilter("ignore")
+            basis = family.basis
+        leading = tuple(range(1, d + 1))
+        shared_k = spaces.pivoted_model_space(obsmod.selection_from_basis(basis, leading))
+        shared_dm = obsmod.common_s(family, leading, shared_k)
+        pairs, commutator_report = obsmod.effective_set(family, shared_dm)
+        report.add("common_s_all_members",
+                   max(pair.first.residual for pair in pairs),
+                   max(tolerances.decoupled_tolerance(m) for m in family.members))
+        report.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
+        pv_basis = basis.vectors[:, :d][shared_dm.model_space.p_rows, :]
+        joint_dev = max(
+               float(np.linalg.norm(pairs[sig].first.matrix @ pv_basis
+                                    - pv_basis * basis.values[sig, :d]))
+               for sig in range(family.size)
+           )
+        report.add("simultaneous_effective_eigvecs", joint_dev,
+                   tolerances.scaled(1e-9, max(m.norm for m in family.members)))
 
-    # Decomposition over contiguous joint-basis blocks.
-    parts = [tuple(range(start, min(start + d, n + 1))) for start in range(1, n + 1, d)]
-    kparts = [
-        spaces.pivoted_model_space(obsmod.selection_from_basis(basis, block))
-        for block in parts
-    ]
-    decomposed = obsmod.decompose_space(family, parts, kparts)
-    report.add_flag("decomposition_completeness", decomposed.complete)
+        # Decomposition over contiguous joint-basis blocks.
+        parts = [tuple(range(start, min(start + d, n + 1))) for start in range(1, n + 1, d)]
+        kparts = [
+            spaces.pivoted_model_space(obsmod.selection_from_basis(basis, block))
+            for block in parts
+        ]
+        decomposed = obsmod.decompose_space(family, parts, kparts)
+        report.add_flag("decomposition_completeness", decomposed.complete)
     return report

@@ -140,7 +140,8 @@ def _refine(vectors, members, level):
 
 
 def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
-    """Joint eigenbasis via a fixed-seed random positive mix of the members.
+    """Joint eigenbasis via a fixed-seed random positive mix of the members,
+    each divided by its Frobenius norm, so the mix does not change under O_i -> c O_i.
 
     Degenerate clusters of the mix are refined by sub-diagonalizing the
     members in order. Columns are sorted by their eigenvalue tuples
@@ -153,7 +154,7 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     n = cset.dim
     rng = np.random.default_rng(_MIX_SEED)
     weights = rng.uniform(1.0, 2.0, size=cset.size)
-    mix = sum(w * m.matrix for w, m in zip(weights, cset.members))
+    mix = sum(w / (m.norm or 1.0) * m.matrix for w, m in zip(weights, cset.members))
     mix = 0.5 * (mix + mix.conj().T)
     try:
         mix_vals, vectors = np.linalg.eigh(mix)

@@ -93,8 +93,8 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
 
     Returns ``(map, trace)``. Raises :class:`SylvesterSingular` when
     the diagonal blocks share spectrum, :class:`Diverged` past the norm
-    cap, and :class:`MaxIterExceeded` (carrying the best iterate, its
-    residual and the trace) when the budget runs out.
+    cap, and :class:`MaxIterExceeded` when the budget runs out; both of
+    the last two carry the best iterate, its residual and the trace.
     """
     cfg = config or SolverConfig()
     _require_same_space(obs, ms)
@@ -131,18 +131,14 @@ def solve_decoupling_fixed_point(obs: ObservableMatrix, ms: ModelSpace,
         if res < best_res:
             best_s, best_res, best_k = s, res, k
         if not s_norm <= tolerances.DIVERGENCE_CAP:  # NaN too
-            raise Diverged(
-                f"iterate norm {s_norm:.3e} exceeded cap {tolerances.DIVERGENCE_CAP:.3e} "
-                f"at iteration {k}"
-            )
+            kind, message = Diverged, (f"iterate norm {s_norm:.3e} exceeded cap "
+                                       f"{tolerances.DIVERGENCE_CAP:.3e} at iteration {k}")
+            break
         if step <= cfg.tol and res <= cfg.tol * scale:
             trace = SolverTrace(tuple(steps), True)
             return DecouplingMap(ms, s, Provenance(iterations=k, residual=res)), trace
-
-    trace = SolverTrace(tuple(steps), False)
-    raise MaxIterExceeded(
-        f"no convergence within {cfg.max_iter} iterations; best residual {best_res:.3e}",
-        best=DecouplingMap(ms, best_s, Provenance(iterations=best_k, residual=best_res)),
-        residual=best_res,
-        trace=trace,
-    )
+    else:
+        kind, message = MaxIterExceeded, (f"no convergence within {cfg.max_iter} iterations; "
+                                          f"best residual {best_res:.3e}")
+    best = DecouplingMap(ms, best_s, Provenance(iterations=best_k, residual=best_res))
+    raise kind(message, best=best, residual=best_res, trace=SolverTrace(tuple(steps), False))

@@ -13,7 +13,14 @@ import pytest
 import effop
 from effop import observables, solver, spaces, transform
 from effop.effective import first_type
-from effop.errors import DimensionMismatch, InvalidSpec, MatrixFileError, NonFinite, ValidationError
+from effop.errors import (
+    DimensionMismatch,
+    InvalidSpec,
+    MatrixFileError,
+    NonFinite,
+    NotDecoupled,
+    ValidationError,
+)
 from effop.harness import (
     ProblemSpec,
     Report,
@@ -623,6 +630,56 @@ def test_cli_verify_green(tmp_path):
     assert "fail" not in result.stdout
 
 
+VERIFY_SECTIONS = ("trial", "generic_witness", "solver_suite", "commuting_suite")
+
+
+@pytest.mark.parametrize("c, eps, failing, error", [
+    (1.0, 1e-9, ["decoupling_residual_direct", "trial"], "trial: NotDecoupled: "),
+    (1e-12, 1e-2, ["selected_vectors_mapped", "basis_change_invariance", "retrieve_round_trip",
+                   "trial"], "trial: NotInSubspace: "),
+])
+def test_cli_verify_names_the_checks_noisy_maps_fail(tmp_path, capsys, noisy_maps, c, eps,
+                                                     failing, error):
+    """A typed error inside the battery is a failing CHECK of its section: a
+    run on noisy maps ends in CHECK lines that name the failures, exit 1."""
+    matrix = tmp_path / "obs.mat"
+    obs = generate(ProblemSpec("random_hermitian", dim=16, seed=1))
+    write_observable(matrix, validate_hermitian(c * obs.matrix))
+    noisy_maps(eps)
+    assert cli.main(["verify", "--matrix", str(matrix), "--d", "3", "--trials", "4",
+                     "--seed", "1"]) == 1
+    out, err = capsys.readouterr()
+    verdicts = dict(line.split()[1:3] for line in out.splitlines() if line.startswith("CHECK "))
+    assert all(verdicts.get(name) == "fail" for name in failing), verdicts
+    failed_sections = [name for name in VERIFY_SECTIONS if name in verdicts]
+    assert all(verdicts[name] == "fail" for name in failed_sections)
+    # one stderr line per failed section, in the order the battery ran them
+    assert [line.split(":")[0] for line in err.splitlines()] == failed_sections
+    assert any(line.startswith(error) for line in err.splitlines()), err
+
+
+def test_report_section_turns_a_typed_error_into_one_failing_check():
+    report = Report()
+    with report.section("block"):
+        report.add("inside", 0.0, 1.0)
+    assert [c.name for c in report.checks] == ["inside"] and report.errors == {}
+    for message in ("first", "second"):
+        with report.section("block"):
+            raise NotDecoupled(message)
+    assert report.lines() == ["CHECK inside pass residual=0.000000e+00 tol=1.000000e+00",
+                              "CHECK block fail residual=1.000000e+00 tol=5.000000e-01"]
+    assert report.errors == {"block": "block: NotDecoupled: first"}
+    with pytest.raises(ZeroDivisionError), report.section("other"):  # not a typed error
+        1 / 0
+    assert "other" not in report.errors
+
+
+def test_verify_section_names_are_no_check_names():
+    """A section's CHECK cannot be mistaken for a check of the benchmark's gate."""
+    workloads = _perfbench_module("workloads")
+    assert not set(VERIFY_SECTIONS) & (workloads.VERIFY_CHECKS | workloads.VERIFY_ENUM_CHECKS)
+
+
 @pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="no /dev/fd")
 def test_cli_verify_hashes_only_a_regular_file(tmp_path, capsys):
     """A pipe is drained by the read, so its hash would be that of no bytes."""
@@ -823,6 +880,19 @@ def test_matio_decoupling_map_in_the_earlier_layout_reads_its_record(tmp_path):
     path.write_text("# s-matrix rows=1 cols=3 K=1,2,3\n# J=1,2,3\n# residual=3.312828e-19\n"
                     "1\n0 0 1 0 0 0\n", encoding="utf-8")
     assert read_decoupling_map(path).provenance == Provenance((1, 2, 3), residual=3.312828e-19)
+
+
+@pytest.mark.parametrize("comments, record", [
+    ("# note: residual=n/a\n", Provenance()),
+    ("# J=1,2,3 residual=0.25\n# first tried J=3,4 and residual=0.5\n",
+     Provenance((1, 2, 3), residual=0.25)),
+])
+def test_matio_decoupling_map_reads_its_record_only_from_record_lines(tmp_path, comments, record):
+    """A free comment that holds a record key is neither read nor refused."""
+    path = tmp_path / "s.mat"
+    path.write_text(f"# s-matrix rows=1 cols=3 K=1,2,3\n{comments}1\n0 0 1 0 0 0\n",
+                    encoding="utf-8")
+    assert read_decoupling_map(path).provenance == record
 
 
 def _perfbench_module(name):

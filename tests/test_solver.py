@@ -79,6 +79,21 @@ def test_max_iter_records_the_sweep_of_its_best_iterate(seed, max_iter):
     assert best.provenance == Provenance(iterations=0, residual=info.value.residual)
 
 
+def test_diverged_carries_its_best_iterate_residual_and_trace():
+    """The residual grows from the first sweep on, so the best map is the
+    start s = 0; the run diverges at sweep 4 whatever the budget."""
+    obs = generate(ProblemSpec("random_hermitian", dim=12, seed=0))
+    for max_iter in (4, 500):
+        with pytest.raises(Diverged, match="at iteration 4$") as info:
+            solve_decoupling_fixed_point(obs, ModelSpace(12, (1, 2, 3)),
+                                         SolverConfig(max_iter=max_iter))
+        error = info.value
+        assert not error.best.s.any()
+        assert error.best.provenance == Provenance(iterations=0, residual=4.341894849777186)
+        assert error.residual == 4.341894849777186
+        assert error.trace.iterations == 4 and not error.trace.converged
+
+
 def _count_reductions(monkeypatch):
     """Calls of ``transformed_blocks`` made through the solver's module."""
     calls = []
