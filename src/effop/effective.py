@@ -93,11 +93,12 @@ def _factorization(blocks):
     """:func:`q_block_and_factorization` on one reduction."""
     _decoupled(blocks)
     spec_p, spec_q = blocks.block_spectra
-    report = util.match_spectra(np.concatenate([spec_p, spec_q]), blocks._obs.spectrum)
+    spectrum = blocks._obs.spectrum
+    report = util.match_spectra(np.concatenate([spec_p, spec_q]), spectrum)
     qq = blocks.qq
-    weight = tolerances.scaled(1.0, np.abs(spec_q))
+    radius = float(np.abs(spectrum).max())
     moments = (np.trace(qq), np.sum(qq * qq.T))
-    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * report.rtol * np.sum(weight ** k)
+    tied = all(abs(moment - np.sum(spec_q ** k)) <= k * report.rtol * spec_q.size * radius ** k
                for k, moment in enumerate(moments, start=1))
     return util._frozen(qq), replace(report, matched=report.matched and tied)
 
@@ -128,13 +129,13 @@ def second_type(obs: ObservableMatrix, dm: DecouplingMap) -> EffectiveOperator:
 def q_block_and_factorization(obs: ObservableMatrix, dm: DecouplingMap):
     """Complement block of the transformed observable, plus a report that
     its spectrum joined with the model block's rebuilds the full one,
-    each pair within ``rtol = SPECTRUM_MATCH_RTOL``.
+    each pair within ``SPECTRUM_MATCH_RTOL`` times O's spectral radius rho.
 
     The two block spectra come from the rotation behind
     :attr:`TransformedBlocks.block_spectra`. The returned block ``qq``
-    is tied to the complement values mu by its first two moments: the
-    report matches only if |trace(qq^k) - sum mu^k| <= k rtol
-    sum (1 + |mu|)^k for k = 1, 2, the most the k-th power sum can move
+    is tied to its m complement values mu by their first two moments: the
+    report matches only if |trace(qq^k) - sum mu^k| <= k rtol m rho^k
+    for k = 1, 2, the most the k-th power sum can move, to first order,
     when each value moves within its match tolerance.
     """
     return _factorization(transformed_blocks(obs, dm))
@@ -190,11 +191,12 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
         np.linalg.norm(blocks.pp @ p_part + blocks.pq @ q_part - value * p_part),
         np.linalg.norm(blocks.qp @ p_part + blocks.qq @ q_part - value * q_part),
     )
-    near = tolerances.scaled(tol, abs(value))
-    if not residual <= near * scale:  # NaN too
+    limit = tol * obs.norm  # a residual per unit of its vector's norm
+    if not residual <= limit * scale:  # NaN too
         raise NotAnEigenvector(
             f"residual {residual:.3e} too large for value {value} (tol scale {tol:.0e})"
         )
+    near = tol * float(np.abs(np.concatenate(blocks.block_spectra)).max())  # O's spectral radius
 
     def owns(spectrum):
         return spectrum.size > 0 and np.abs(spectrum - value).min() <= near
@@ -202,14 +204,14 @@ def classify_eigenvector(obs: ObservableMatrix, dm: DecouplingMap, vector,
     intersect = bool(all(owns(spectrum) for spectrum in blocks.block_spectra))
     p_norm = float(np.linalg.norm(p_part))
     p_is_eig = bool(p_norm > tol * scale
-                    and np.linalg.norm(blocks.pp @ p_part - value * p_part) <= near * p_norm)
+                    and np.linalg.norm(blocks.pp @ p_part - value * p_part) <= limit * p_norm)
     q_norm = float(np.linalg.norm(q_part))
     if q_norm <= tol * scale:
         case = "model_space"
         shares = False
     else:
         case = "complement"
-        shares = bool(np.linalg.norm(blocks.pq @ q_part) <= tolerances.scaled(tol, obs.norm) * q_norm)
+        shares = bool(np.linalg.norm(blocks.pq @ q_part) <= limit * q_norm)
     return EigenvectorClassification(case, value, p_part, q_part, shares, intersect, p_is_eig)
 
 

@@ -99,9 +99,9 @@ def _spectrum_enclosed(dense, basis, values, rtol) -> bool:
     starts = lo[order][1:] > np.maximum.accumulate(hi[order])[:-1]
     group = np.empty(len(values), dtype=np.intp)
     group[order] = np.concatenate(([0], np.cumsum(starts)))
-    # reach[i, j] = |c_j - values[i]| + r_j, compared with values[i]'s tolerance
+    # reach[i, j] = |c_j - values[i]| + r_j, compared with match_spectra's one tolerance
     reach = np.abs(centres - values[:, np.newaxis]) + radii
-    within = reach <= tolerances.scaled(rtol, np.abs(values))[:, np.newaxis]
+    within = reach <= rtol * np.abs(values).max()
     return bool(np.all(within | (group[:, np.newaxis] != group)))
 
 
@@ -125,13 +125,12 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
     })
     decomposition = spaces.eigendecompose(obs)
     values, vectors = decomposition.values, decomposition.vectors
-    scale = obs.norm if obs.norm > 0.0 else 1.0  # ||O||_F; 1 only for O = 0
-
+    # a tolerance on what follows O -> cO is relative to ||O||_F or, for eigenvalues, max|lambda|
     reconstructed = (vectors * values) @ vectors.conj().T
-    report.add("eigh_reconstruct", np.linalg.norm(reconstructed - obs.matrix), 1e-10 * scale)
+    report.add("eigh_reconstruct", np.linalg.norm(reconstructed - obs.matrix), 1e-10 * obs.norm)
     # V'V - I is scale-free; its rounding grows with the dimension n
     report.add("eigh_orthonormal",
-               np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)), 1e-12 * max(1.0, n))
+               np.linalg.norm(vectors.conj().T @ vectors - np.eye(n)), 1e-12 * n)
 
     distinct_spectrum = not spaces._degenerate_clusters(values, 1e-8)
 
@@ -175,10 +174,10 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             report.add("transform_inverse_exact", np.abs(forward @ backward - np.eye(n)).max(), 0.0)
 
             dense = transform.similarity_transform(obs, dm)
-            # ||O||_F floored at 1; the (1 + ||s||)^2 of the two factors is scale-free
+            # the (1 + ||s||)^2 of the two factors is scale-free
             report.add("blocks_assembly",
                        np.linalg.norm(transform.assemble_blocks(blocks) - dense),
-                       1e-12 * max(1.0, obs.norm) * (1.0 + s_norm) ** 2)
+                       1e-12 * obs.norm * (1.0 + s_norm) ** 2)
             # the enclosure can only confirm; the eigensolver decides what it cannot
             report.add_flag("spectrum_preserved",
                             _spectrum_enclosed(dense, backward @ vectors, values, 1e-9)
@@ -188,7 +187,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
             # ||pv||, components of unit eigenvectors, is scale-free and floored at 1
             report.add("effective_block_owns_projections",
                        np.linalg.norm(blocks.pp @ pv - pv * selection.values),
-                       tolerances.scaled(1e-9, obs.norm) * max(1.0, np.linalg.norm(pv)))
+                       1e-9 * obs.norm * max(1.0, np.linalg.norm(pv)))
             mapped = backward @ selection.vectors
             # scale-free: s does not follow O -> cO
             report.add("selected_vectors_mapped",
@@ -224,23 +223,21 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
 
             pair = eff._effective_pair(blocks)
             operator, hermitian_rep = pair.first, pair.second
-            report.add_flag("first_type_spectrum",
-                            util.match_spectra(np.linalg.eigvals(operator.matrix),
-                                               selection.values, rtol=1e-8).matched)
+            unselected = np.delete(values, np.subtract(j_idx, 1))  # with them, O's whole spectrum
+            report.add_flag("first_type_spectrum", util.match_spectra(np.concatenate(
+                [np.linalg.eigvals(operator.matrix), unselected]), values, rtol=1e-8).matched)
             _, factor_report = eff._factorization(blocks)
             report.add_flag("factorization_completeness", factor_report.matched)
+            # a representative is judged at ||O||_F, not at its own norm (0 for a zero level)
             report.add("route_equivalence",
                        np.abs(eff.spectral_reconstruct(selection, ms) - operator.matrix).max(),
-                       tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
-
-            # the representative's norm, floored at 1
+                       1e-9 * obs.norm)
             report.add("second_type_hermitian",
                        np.linalg.norm(hermitian_rep.matrix - hermitian_rep.matrix.conj().T),
-                       1e-12 * max(1.0, np.linalg.norm(hermitian_rep.matrix)))
+                       1e-12 * obs.norm)
             gram = selection.vectors.conj().T @ obs.matrix @ selection.vectors
             reduced = eff.matrix_element(selection.vectors, selection.vectors, hermitian_rep)
-            report.add("matrix_element_gram", np.abs(gram - reduced).max(),
-                       tolerances.scaled(1e-9, obs.norm))
+            report.add("matrix_element_gram", np.abs(gram - reduced).max(), 1e-9 * obs.norm)
 
             if d < n:
                 stray = complex_noise(n)
@@ -257,7 +254,7 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
                 t = eff.equivalence_transform(operator, operator2)
                 report.add("equivalence_transform",
                            np.linalg.norm(operator.matrix - t @ operator2.matrix @ np.linalg.inv(t)),
-                           tolerances.scaled(1e-9, np.linalg.norm(operator.matrix)))
+                           1e-9 * obs.norm)
 
     # Generic witness: the first-type representative is non-Hermitian in
     # general, which the user's matrix may be too special to show.
@@ -306,18 +303,18 @@ def run_verification(obs: spaces.ObservableMatrix, *, d: int | None = None,
         shared_k = spaces.pivoted_model_space(obsmod.selection_from_basis(basis, leading))
         shared_dm = obsmod.common_s(family, leading, shared_k)
         pairs, commutator_report = obsmod.effective_set(family, shared_dm)
-        report.add("common_s_all_members",
-                   max(pair.first.residual for pair in pairs),
-                   max(tolerances.decoupled_tolerance(m) for m in family.members))
-        report.add("effective_commutators", commutator_report.max_norm, commutator_report.tol)
+        # each member and each pair at its own scale; a repeated add keeps the worst margin
         pv_basis = basis.vectors[:, :d][shared_dm.model_space.p_rows, :]
-        joint_dev = max(
-               float(np.linalg.norm(pairs[sig].first.matrix @ pv_basis
-                                    - pv_basis * basis.values[sig, :d]))
-               for sig in range(family.size)
-           )
-        report.add("simultaneous_effective_eigvecs", joint_dev,
-                   tolerances.scaled(1e-9, max(m.norm for m in family.members)))
+        for member, pair in zip(family.members, pairs):
+            report.add("common_s_all_members",
+                       pair.first.residual, tolerances.decoupled_tolerance(member))
+        pair_rows = np.triu_indices(family.size, 1)
+        for norm, tol in zip(commutator_report.norms[pair_rows], commutator_report.tol[pair_rows]):
+            report.add("effective_commutators", norm, tol)
+        for sig, (member, pair) in enumerate(zip(family.members, pairs)):
+            report.add("simultaneous_effective_eigvecs",
+                       np.linalg.norm(pair.first.matrix @ pv_basis - pv_basis * basis.values[sig, :d]),
+                       1e-9 * member.norm)
 
         # Decomposition over contiguous joint-basis blocks.
         parts = [tuple(range(start, min(start + d, n + 1))) for start in range(1, n + 1, d)]

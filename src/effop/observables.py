@@ -133,8 +133,9 @@ def _refine(vectors, members, level):
     sub = 0.5 * (sub + sub.conj().T)
     vals, rot = np.linalg.eigh(sub)
     out = vectors @ rot
-    # later members may rotate only clusters narrower than this member's eigenpair tolerance
-    for start, stop in _degenerate_clusters(vals, tolerances.EIG_RTOL / len(vals)):
+    # later members may rotate only clusters narrower than the member's eigenpair tolerance
+    for start, stop in _degenerate_clusters(vals, tolerances.EIG_RTOL / len(vals),
+                                            members[level].norm):
         out[:, start:stop] = _refine(out[:, start:stop], members, level + 1)
     return out
 
@@ -143,13 +144,15 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     """Joint eigenbasis via a fixed-seed random positive mix of the members,
     each divided by its Frobenius norm, so the mix does not change under O_i -> c O_i.
 
-    Degenerate clusters of the mix are refined by sub-diagonalizing the
-    members in order. Columns are sorted by their eigenvalue tuples
-    (member 1 first), where a member's values in one ``CLUSTER_RTOL``
-    cluster count as equal, so repeated tuples stay adjacent. A warning
-    is emitted when tuples repeat: the set then fails to pin
-    one-dimensional joint eigenspaces, though every construction
-    downstream stays valid.
+    Clusters of the mix narrower than ``eps / EIG_RTOL`` of its largest value,
+    where ``eigh`` may blend joint eigenvectors beyond a member's eigenpair
+    tolerance, are refined by sub-diagonalizing the members in order. Columns
+    are sorted by their eigenvalue tuples (member 1 first); a member's values
+    within ``CLUSTER_RTOL`` of its spectral radius count as equal, for this
+    order and for ``distinct``, so each member is judged at its own scale. A
+    warning is emitted when tuples repeat: the set then fails to pin
+    one-dimensional joint eigenspaces, though every construction downstream
+    stays valid.
     """
     n = cset.dim
     rng = np.random.default_rng(_MIX_SEED)
@@ -161,7 +164,7 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     except np.linalg.LinAlgError as exc:
         raise SolverFailure(f"mixed-member eigensolver failed: {exc}") from exc
     vectors = vectors.astype(np.complex128)
-    for start, stop in _degenerate_clusters(mix_vals, tolerances.CLUSTER_RTOL):
+    for start, stop in _degenerate_clusters(mix_vals, np.finfo(float).eps / tolerances.EIG_RTOL):
         vectors[:, start:stop] = _refine(vectors[:, start:stop], cset.members, 0)
     _normalize_phases(vectors, out=vectors)
 
@@ -188,11 +191,10 @@ def simultaneous_eigenbasis(cset: CommutingSet) -> SimultaneousBasis:
     vectors = vectors[:, order]
 
     # every pair, not only neighbours: rounding can sort equal tuples apart
-    sep = tolerances.scaled(tolerances.CLUSTER_RTOL, float(np.abs(values).max()))
-    gaps = np.zeros((n, n))
+    apart = np.zeros((n, n), dtype=bool)
     for row in values:  # member by member: no (c, N, N) temporary
-        np.maximum(gaps, np.abs(np.subtract.outer(row, row)), out=gaps)
-    distinct = bool((gaps[np.triu_indices(n, 1)] > sep).all())
+        apart |= np.abs(np.subtract.outer(row, row)) > tolerances.CLUSTER_RTOL * np.abs(row).max()
+    distinct = bool(apart[np.triu_indices(n, 1)].all())
     if not distinct:
         warnings.warn(
             "eigenvalue tuples are not all distinct; the commuting set does not "
@@ -218,15 +220,16 @@ def common_s(cset: CommutingSet, indices, model_indices) -> DecouplingMap:
 
 @dataclass(frozen=True)
 class CommutatorReport:
-    """Pairwise commutator norms of the first-type representatives."""
+    """Pairwise commutator norms of the first-type representatives, each
+    pair judged at the scale of its members (:func:`commuting_tolerance`)."""
 
-    norms: np.ndarray
+    norms: np.ndarray   # (c, c)
     max_norm: float
-    tol: float
+    tol: np.ndarray     # (c, c), one tolerance per pair
 
     @property
     def preserved(self) -> bool:
-        return self.max_norm <= self.tol
+        return bool((self.norms <= self.tol).all())  # NaN fails
 
 
 def effective_set(cset: CommutingSet, dm: DecouplingMap):
@@ -243,8 +246,7 @@ def effective_set(cset: CommutingSet, dm: DecouplingMap):
         except NotDecoupled as exc:
             raise NotDecoupled(f"member {sig}: {exc}", member=sig, residual=exc.residual) from exc
     norms = _commutator_norms([pair.first.matrix for pair in pairs])
-    max_norm = float(norms.max())
-    return pairs, CommutatorReport(norms, max_norm, tolerances.EFFECTIVE_COMM_TOL)
+    return pairs, CommutatorReport(norms, float(norms.max()), commuting_tolerance(cset.members))
 
 
 @dataclass(frozen=True)

@@ -181,10 +181,12 @@ def _normalize_phases(vectors: np.ndarray, out: np.ndarray | None = None) -> np.
     return np.multiply(vectors, np.abs(pivots) / pivots, out=out)
 
 
-def _degenerate_clusters(values, rtol: float) -> list[tuple[int, int]]:
+def _degenerate_clusters(values, rtol: float, scale: float | None = None) -> list[tuple[int, int]]:
     """``(start, stop)`` of each run of two or more ascending values whose
-    neighbours lie within ``rtol * (1 + max |value|)`` of each other."""
-    tie = tolerances.scaled(rtol, float(np.abs(values).max()))
+    neighbours lie within ``rtol * scale`` of each other. ``scale`` is that of
+    the observable the values belong to, by default ``max |value|``: its
+    spectral radius when the values are its whole spectrum."""
+    tie = rtol * (float(np.abs(values).max()) if scale is None else scale)
     edges = [0, *(np.flatnonzero(np.diff(values) > tie) + 1).tolist(), len(values)]
     return [(start, stop) for start, stop in itertools.pairwise(edges) if stop - start > 1]
 

@@ -98,7 +98,9 @@ def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
                   subset: bool = False) -> SpectrumMatch:
     """Match ``approx`` against ``exact`` without replacement, both taken
     in ascending (real, imag) order; each pair must satisfy
-    |a - e| <= rtol * (1 + |e|). With ``subset=True`` the approximate
+    |a - e| <= rtol * max|exact|. ``exact`` carries an observable's whole
+    spectrum, so the one tolerance is relative to its spectral radius
+    (exactly 0 for O = 0). With ``subset=True`` the approximate
     multiset may be smaller: while spares remain, an exact value below
     the next approximate one and outside its tolerance is left out. For
     real values and rtol <= 1 this finds a matching whenever one exists.
@@ -113,16 +115,16 @@ def match_spectra(approx, exact, rtol: float = tolerances.SPECTRUM_MATCH_RTOL,
     spare = e.size - a.size
     if spare < 0 or (spare and not subset):
         return SpectrumMatch(False, float("inf"), rtol)
-    tol = tolerances.scaled(rtol, _modulus(e))
+    tol = rtol * _modulus(e).max(initial=0.0)
     pool = e
     if spare:
         keep, j = [], 0
         for z in a:
-            while spare and e[j] < z and _modulus(z - e[j]) > tol[j]:
+            while spare and e[j] < z and _modulus(z - e[j]) > tol:
                 j, spare = j + 1, spare - 1
             keep.append(j)
             j += 1
-        e, tol = e[keep], tol[keep]
+        e = e[keep]
     dev = _modulus(a - e)
     matched = bool(np.all(dev <= tol))
     if not matched and pool.size > a.size:

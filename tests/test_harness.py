@@ -635,8 +635,10 @@ VERIFY_SECTIONS = ("trial", "generic_witness", "solver_suite", "commuting_suite"
 
 @pytest.mark.parametrize("c, eps, failing, error", [
     (1.0, 1e-9, ["decoupling_residual_direct", "trial"], "trial: NotDecoupled: "),
-    (1e-12, 1e-2, ["selected_vectors_mapped", "basis_change_invariance", "retrieve_round_trip",
-                   "trial"], "trial: NotInSubspace: "),
+    # at c = 1e-12 the decoupling check, relative to ||O||_F, catches the bad map too
+    (1e-12, 1e-2, ["decoupling_residual_direct", "selected_vectors_mapped",
+                   "basis_change_invariance", "retrieve_round_trip", "trial"],
+     "trial: NotDecoupled: "),
 ])
 def test_cli_verify_names_the_checks_noisy_maps_fail(tmp_path, capsys, noisy_maps, c, eps,
                                                      failing, error):
@@ -1191,3 +1193,19 @@ def test_direct_workload_passes_the_benchmark_gate(tmp_path, capsys):
         rc = cli.main(problem.argv)
         captured = capsys.readouterr()
         assert problem.gate(rc, captured.out, captured.err) == (workloads.OK, ""), label
+
+
+def test_verify_workload_passes_the_benchmark_gate(tmp_path, capsys):
+    """Every problem of the benchmark's verify workload at seeds 1-10 and
+    7919, 88 in all, through the CLI and judged by the workload's own gate."""
+    workloads = _perfbench_module("workloads")
+    for seed in (*range(1, 11), 7919):
+        root = tmp_path / str(seed)
+        root.mkdir()
+        problems = workloads.build("verify", seed, root)
+        assert len(problems) == 8
+        for problem in problems:
+            rc = cli.main(problem.argv)
+            captured = capsys.readouterr()
+            assert problem.gate(rc, captured.out, captured.err) == (workloads.OK, ""), \
+                (seed, problem.label)

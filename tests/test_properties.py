@@ -29,7 +29,7 @@ from effop.harness.generate import (
     generate,
     haar_unitary,
 )
-from effop.harness.verify import _spectrum_enclosed
+from effop.harness.verify import _spectrum_enclosed, run_verification
 from effop.harness.matio import (
     read_decoupling_map,
     read_matrix,
@@ -47,7 +47,7 @@ from effop.spaces import (
     select_eigenvectors,
     validate_hermitian,
 )
-from effop.tolerances import CLUSTER_RTOL, eigenpair_tolerance, scaled
+from effop.tolerances import CLUSTER_RTOL, eigenpair_tolerance
 from effop.transform import (
     DecouplingMap,
     Provenance,
@@ -109,8 +109,9 @@ def test_first_type_spectrum_invariant_under_joint_permutation(problem):
 
 
 def _clusters_by_scan(values, rtol):
-    """Reference: the element-by-element scan over ascending values."""
-    tie = rtol * (1.0 + float(np.abs(values).max()))
+    """Reference: the element-by-element scan over ascending values, with
+    ties relative to their spectral radius."""
+    tie = rtol * float(np.abs(values).max())
     bounds, start, n = [], 0, len(values)
     while start < n:
         stop = start + 1
@@ -221,8 +222,9 @@ def test_matrix_files_round_trip_bit_exact(tmp_path_factory, contents):
 
 
 def test_match_spectra_pairs_in_sorted_order():
-    # nearest-first pairing took 0.05 for 0 and left 0.1 with -0.2 (0.30)
-    result = match_spectra([0.0, 0.1], [0.05, -0.2], rtol=0.25)
+    # nearest-first pairing took 0.05 for 0 and left 0.1 with -0.2 (0.30);
+    # rtol 1 puts the one tolerance at max|exact| = 0.2
+    result = match_spectra([0.0, 0.1], [0.05, -0.2], rtol=1.0)
     assert result.matched
     assert result.max_deviation == 0.2
 
@@ -250,9 +252,11 @@ def test_match_spectra_refuses_a_size_it_cannot_pair():
 
 
 def _matchable(approx, exact, rtol) -> bool:
-    """Reference: some injective assignment keeps every pair in tolerance."""
+    """Reference: some injective assignment keeps every pair within rtol
+    times the largest exact magnitude."""
+    tol = rtol * max(map(abs, exact), default=0.0)
     return any(
-        all(abs(a - exact[j]) <= rtol * (1.0 + abs(exact[j])) for a, j in zip(approx, pick))
+        all(abs(a - exact[j]) <= tol for a, j in zip(approx, pick))
         for pick in permutations(range(len(exact)), len(approx))
     )
 
@@ -417,7 +421,7 @@ def test_matrix_element_block_equals_the_scalar_double_loop(problem, k, k2):
         for j in range(k2):
             entry = matrix_element(psi[:, i], phi[:, j], rep)
             assert isinstance(entry, complex)
-            assert abs(block[i, j] - entry) <= scaled(1e-12, abs(entry))
+            assert abs(block[i, j] - entry) <= 1e-12 * (1.0 + abs(entry))
     for name, left, right in (("psi", psi, phi), ("phi", phi, psi)):
         col = int(rng.integers(left.shape[1]))
         stray = left.copy()
@@ -578,3 +582,55 @@ def test_spectrum_enclosure_confirms_only_what_the_eigensolver_matches(problem):
     # the enclosure decides every input drawn here; an undecided one would
     # cost only an eigensolve, but would leave the property untested
     assert confirmed
+
+
+def _verdicts(obs, **kwargs) -> dict:
+    return {check.name: check.passed for check in run_verification(obs, **kwargs).checks}
+
+
+@st.composite
+def units_of_observables(draw):
+    """A random, planted (spectrum 1..N) or tridiagonal observable with
+    4 <= N <= 12, a scale c in {1e-12, 1e-6, 1e6, 1e12}, d in 1..3 and a
+    verify seed."""
+    kind = draw(st.sampled_from(["random_hermitian", "planted_spectrum", "tridiagonal_chain"]))
+    n = draw(st.integers(4, 12))
+    obs = generate(ProblemSpec(kind, n, draw(st.integers(0, 2**31 - 1))))
+    c = draw(st.sampled_from([1e-12, 1e-6, 1e6, 1e12]))
+    return obs, c, draw(st.integers(1, 3)), draw(st.integers(0, 2**31 - 1))
+
+
+@PROPERTY_SETTINGS
+@given(units_of_observables())
+def test_verify_verdicts_do_not_depend_on_the_units_of_O(problem):
+    """O -> cO changes no CHECK verdict of verify, and s = 0 on a coupled O
+    is no decoupling map at any c: every tolerance follows O's own scale."""
+    obs, c, d, seed = problem
+    scaled_obs = validate_hermitian(c * obs.matrix)
+    assert _verdicts(scaled_obs, d=d, trials=2, seed=seed) == _verdicts(obs, d=d, trials=2, seed=seed)
+    ms = ModelSpace(obs.dim, tuple(range(1, d + 1)))
+    assert np.linalg.norm(obs.matrix[np.ix_(ms.q_rows, ms.p_rows)]) > 1e-6 * obs.norm
+    with pytest.raises(NotDecoupled):
+        first_type(scaled_obs, DecouplingMap(ms, np.zeros((obs.dim - d, d))))
+
+
+@pytest.mark.parametrize("d", [1, 2])
+@pytest.mark.parametrize("c", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+def test_verify_passes_on_a_spectrum_with_a_zero_level(c, d):
+    """Spectrum 0..9: a representative of the zero level has a norm of
+    rounding size, so it is judged at ||O||_F, not at its own norm."""
+    planted = generate(ProblemSpec("planted_spectrum", 10, 3, spectrum=tuple(range(10))))
+    report = run_verification(validate_hermitian(c * planted.matrix), d=d, trials=20, seed=3)
+    assert report.all_passed, [check.name for check in report.checks if not check.passed]
+
+
+def test_verify_on_the_zero_observable_has_zero_tolerances():
+    """For O = 0 every tolerance that follows O, and every residual it bounds, is exactly 0."""
+    report = run_verification(validate_hermitian(np.zeros((6, 6))), d=2, trials=3, seed=0)
+    assert report.all_passed
+    checks = {check.name: check for check in report.checks}
+    for name in ("eigh_reconstruct", "decoupling_residual_direct", "blocks_assembly",
+                 "effective_block_owns_projections", "route_equivalence", "second_type_hermitian",
+                 "matrix_element_gram", "common_s_all_members", "effective_commutators",
+                 "simultaneous_effective_eigvecs"):
+        assert checks[name].residual == checks[name].tol == 0.0, name
